@@ -215,6 +215,59 @@ func TestMaxGroupsEviction(t *testing.T) {
 	if e.Stats().GroupsCreated >= 3 && e.Stats().GroupsDropped == 0 {
 		t.Fatalf("created %d groups but never evicted under a tight cap", e.Stats().GroupsCreated)
 	}
+	checkGroupCaps(t, e, opts.MaxGroups)
+
+	// Byte cap: with the automatic count cap (which never binds here), wide
+	// hot sets still may not pile up more than maxGroupBytesFactor × each
+	// segment's flat size.
+	opts.MaxGroups = 0
+	e = NewH2O(tb, opts)
+	var wide [][]data.AttrID
+	for k := 0; k < 8; k++ {
+		var s []data.AttrID
+		for a := 0; a < 18; a++ {
+			s = append(s, data.AttrID((k*7+a)%tAttrs))
+		}
+		wide = append(wide, s)
+	}
+	for round := 0; round < 6; round++ {
+		for _, s := range wide {
+			for i := 0; i < 6; i++ {
+				q := query.Aggregation("R", expr.AggSum, s, query.PredLt(s[0], rng.Int63n(data.ValueHi)))
+				if _, _, err := e.Execute(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	checkGroupCaps(t, e, 2*tAttrs+16)
+	st := e.Stats()
+	if st.GroupsCreated < 5 {
+		t.Fatalf("only %d groups created; the byte cap was never exercised", st.GroupsCreated)
+	}
+	if st.GroupsDropped == 0 {
+		t.Fatalf("created %d wide groups but never evicted under the byte cap", st.GroupsCreated)
+	}
+}
+
+// checkGroupCaps asserts every resident segment of e is within the count
+// and byte caps and still stores every schema attribute.
+func checkGroupCaps(t *testing.T, e *Engine, maxGroups int) {
+	t.Helper()
+	for si, seg := range e.Relation().Segments {
+		if got := len(seg.Groups); got > maxGroups {
+			t.Fatalf("segment %d: groups = %d exceeds cap %d", si, got, maxGroups)
+		}
+		flat := int64(seg.Rows) * tAttrs * 8
+		if got := seg.Bytes(); got > maxGroupBytesFactor*flat {
+			t.Fatalf("segment %d: group bytes %d exceed %d x flat size %d", si, got, maxGroupBytesFactor, flat)
+		}
+		for a := 0; a < tAttrs; a++ {
+			if _, err := seg.GroupFor(data.AttrID(a)); err != nil {
+				t.Fatalf("segment %d lost coverage of attribute %d: %v", si, a, err)
+			}
+		}
+	}
 }
 
 func TestDynamicWindowAdaptsFasterThanStatic(t *testing.T) {

@@ -92,11 +92,14 @@ type Options struct {
 	Cost costmodel.Params
 	// OpGen configures the operator generator.
 	OpGen opgen.Config
-	// MaxGroups caps the number of co-existing column groups; beyond it the
-	// least-recently-used droppable group is evicted ("there is not enough
-	// space to store these alternatives"). Zero selects an automatic cap of
-	// 2x the schema width plus slack, so a fresh column-major layout never
-	// starts over budget.
+	// MaxGroups caps the number of co-existing column groups per segment;
+	// beyond it the least-recently-used droppable group is evicted ("there is
+	// not enough space to store these alternatives"). Zero selects an
+	// automatic cap of 2x the schema width plus slack, so a fresh
+	// column-major layout never starts over budget. Independently of the
+	// count, a segment's groups may not hold more than 3x the segment's flat
+	// size (rows × schema width × 8 bytes): past that, LRU droppable groups
+	// are evicted the same way.
 	MaxGroups int
 	// AmortizationHorizon is the number of future queries over which a
 	// reorganization must pay for itself before the engine triggers it; 0
@@ -999,15 +1002,23 @@ func (e *Engine) touchGroups(q *query.Query) {
 	}
 }
 
-// evictIfNeeded drops least-recently-used groups beyond the per-segment
-// MaxGroups cap, never breaking schema coverage. The cap applies segment by
-// segment — layouts are segment-local, so the budget is too. Undroppable
-// groups (sole cover of some attribute) are skipped in favor of the
-// next-least-recently-used one. Caller holds e.mu exclusively (it mutates
-// the group sets).
+// maxGroupBytesFactor caps one segment's group bytes at this multiple of
+// its flat size (rows × schema width × 8 bytes). Every adaptation adds
+// groups, and the count cap alone lets a wide schema keep dozens of
+// redundant copies of each segment.
+const maxGroupBytesFactor = 3
+
+// evictIfNeeded drops least-recently-used groups while a segment is over
+// either per-segment cap — more than MaxGroups groups, or group bytes above
+// maxGroupBytesFactor × the segment's flat size — never breaking schema
+// coverage. The caps apply segment by segment — layouts are segment-local,
+// so the budget is too. Undroppable groups (sole cover of some attribute)
+// are skipped in favor of the next-least-recently-used one. Caller holds
+// e.mu exclusively (it mutates the group sets).
 func (e *Engine) evictIfNeeded() {
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
+	width := int64(e.rel.Schema.NumAttrs())
 	for _, seg := range e.rel.Segments {
 		// Spilled segments are skipped: dropping a group there would save
 		// disk, not memory, and would strand the segment's spill file (a
@@ -1016,7 +1027,8 @@ func (e *Engine) evictIfNeeded() {
 		if !seg.Resident() {
 			continue
 		}
-		for len(seg.Groups) > e.opts.MaxGroups {
+		maxBytes := maxGroupBytesFactor * int64(seg.Rows) * width * 8
+		for len(seg.Groups) > e.opts.MaxGroups || seg.Bytes() > maxBytes {
 			candidates := append([]*storage.ColumnGroup(nil), seg.Groups...)
 			sort.Slice(candidates, func(i, j int) bool {
 				return e.lastUsed[candidates[i]] < e.lastUsed[candidates[j]]

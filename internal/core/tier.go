@@ -248,21 +248,26 @@ func (tm *tierManager) enforce() {
 		reads uint64
 		heat  int
 	}
-	var heat map[int]int
-	if tm.heat != nil {
-		heat = tm.heat()
-	}
 	var resident int64
 	var cands []candidate
 	for si, seg := range tm.rel.Segments {
 		b := seg.ResidentBytes()
 		resident += b
 		if seg != tail && seg.Rows > 0 && b > 0 {
-			cands = append(cands, candidate{si, seg, seg.Reads(), heat[si]})
+			cands = append(cands, candidate{si: si, seg: seg, reads: seg.Reads()})
 		}
 	}
 	if resident <= tm.budget {
 		return
+	}
+	// Cache heat walks every serving-cache entry under the caches' locks, so
+	// it is consulted only once eviction is certain — this pass runs in the
+	// epilogue of every query and insert on a budgeted engine.
+	if tm.heat != nil {
+		heat := tm.heat()
+		for i := range cands {
+			cands[i].heat = heat[cands[i].si]
+		}
 	}
 	// Coldest first: fewest cache references, then fewest reads since the
 	// last adaptation phase, then oldest (lowest index — append-ordered

@@ -227,6 +227,53 @@ func BenchmarkStitchOffline(b *testing.B) {
 	}
 }
 
+// eventsSegment builds one column-major segment of rows tuples shaped like
+// an append-only events table: a0 an append-ordered timestamp, a1 64
+// distinct values, a2 4096 distinct values, a3..a7 uniform.
+func eventsSegment(rows int) *storage.Relation {
+	tb := data.GenerateTimeSeries(data.SyntheticSchema("events", 8), rows, 2014)
+	for r := 0; r < rows; r++ {
+		tb.Cols[1][r] &= 63
+		tb.Cols[2][r] &= 4095
+	}
+	return storage.BuildColumnMajorSeg(tb, rows)
+}
+
+// BenchmarkExecDeltaColumnMajor times the delta-repair scan of one
+// column-major 40K-row events segment with a tail-window predicate
+// (a0 >= c, three quarters of the rows qualify): the scalar
+// sum/count/max shape and its GROUP BY a1 variant. No single column group
+// covers either query, so this is the per-segment operator choice of the
+// partial scan, not the fused single-group kernel.
+func BenchmarkExecDeltaColumnMajor(b *testing.B) {
+	const rows = 40_000
+	rel := eventsSegment(rows)
+	where := &expr.Cmp{Op: expr.Ge, L: &expr.Col{ID: 0}, R: &expr.Const{V: rows / 4}}
+	scalar := &query.Query{Table: "events", Where: where, Items: []query.SelectItem{
+		{Agg: &expr.Agg{Op: expr.AggSum, Arg: &expr.Col{ID: 3}}},
+		{Agg: &expr.Agg{Op: expr.AggCount, Arg: &expr.Col{ID: 0}}},
+		{Agg: &expr.Agg{Op: expr.AggMax, Arg: &expr.Col{ID: 5}}},
+	}}
+	grouped := &query.Query{Table: "events", Where: where, GroupBy: []expr.Col{{ID: 1}}, Items: []query.SelectItem{
+		{Expr: &expr.Col{ID: 1}},
+		{Agg: &expr.Agg{Op: expr.AggSum, Arg: &expr.Col{ID: 4}}},
+		{Agg: &expr.Agg{Op: expr.AggCount, Arg: &expr.Col{ID: 0}}},
+	}}
+	for _, c := range []struct {
+		name string
+		q    *query.Query
+	}{{"scalar", scalar}, {"grouped", grouped}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(rows * 3 * 8)
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ExecDelta(rel, c.q, nil, 1, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func allExcept(n int, excl []data.AttrID) []data.AttrID {
 	skip := map[data.AttrID]bool{}
 	for _, a := range excl {

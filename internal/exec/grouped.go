@@ -44,10 +44,14 @@ func decodeGroupKey(k string, dst []data.Value) []data.Value {
 }
 
 // groupedAcc accumulates one scan's groups: encoded key → one AggState per
-// aggregate select item, in item order.
+// aggregate select item, in item order. m is the canonical map that
+// partials and groupedResult read; one indexes the same state vectors of
+// single-key groups by their raw key value, so the per-row lookup of the
+// common one-key GROUP BY skips the key encoding and string hash.
 type groupedAcc struct {
 	ops  []expr.AggOp
 	m    map[string][]*expr.AggState
+	one  map[data.Value][]*expr.AggState
 	kbuf []byte
 }
 
@@ -67,11 +71,24 @@ func (ga *groupedAcc) fresh() []*expr.AggState {
 // on first sight. The returned slice may be empty for key-only (DISTINCT-
 // like) grouped queries; the group's existence is still recorded.
 func (ga *groupedAcc) statesFor(key []data.Value) []*expr.AggState {
+	if len(key) == 1 {
+		if sts, ok := ga.one[key[0]]; ok {
+			return sts
+		}
+	}
 	ga.kbuf = encodeGroupKey(ga.kbuf[:0], key)
 	sts, ok := ga.m[string(ga.kbuf)]
 	if !ok {
 		sts = ga.fresh()
 		ga.m[string(ga.kbuf)] = sts
+	}
+	if len(key) == 1 {
+		// Index the canonical entry — created here or earlier by mergeMap —
+		// so both maps always share one state vector per group.
+		if ga.one == nil {
+			ga.one = make(map[data.Value][]*expr.AggState)
+		}
+		ga.one[key[0]] = sts
 	}
 	return sts
 }
@@ -215,14 +232,16 @@ func (s *groupedScanner) fold(ga *groupedAcc, base int) {
 }
 
 // segGroupedFolder folds individual rows of one segment into a groupedAcc
-// through per-attribute bindings resolved against the segment's own layout —
-// the grouped analog of genericSegmentScan's accessor indirection, shared by
-// the column, hybrid, vectorized, bitmap and generic strategies.
+// through per-attribute bindings resolved against the segment's own layout,
+// shared by the column, hybrid, vectorized, bitmap and generic strategies.
+// Group keys and pure column-sum arguments are bound by position once per
+// segment; only other argument expressions (and the generic strategy's
+// predicate) read through the accessor.
 type segGroupedFolder struct {
-	keys   []data.AttrID
-	args   []expr.Expr
+	keys   []groupedBinding
+	args   []folderArg
 	keyBuf []data.Value
-	binds  map[data.AttrID]groupedBinding
+	binds  []groupedBinding // attribute id -> binding, accessor reads only
 	row    int
 	get    expr.Accessor
 }
@@ -233,6 +252,13 @@ type groupedBinding struct {
 	off    int
 }
 
+// folderArg is one aggregate argument: a sum of bound columns, or (cols
+// nil) an expression evaluated through the folder's accessor.
+type folderArg struct {
+	cols []groupedBinding
+	e    expr.Expr
+}
+
 // newSegGroupedFolder binds attrs against seg's covering groups. attrs must
 // include the group keys and aggregate-argument attributes (and the where
 // attributes when the caller evaluates the predicate through f.get).
@@ -241,18 +267,38 @@ func newSegGroupedFolder(seg *storage.Segment, attrs []data.AttrID, out Outputs)
 	if err != nil {
 		return nil, err
 	}
+	maxAttr := data.AttrID(0)
+	for a := range assign {
+		if a > maxAttr {
+			maxAttr = a
+		}
+	}
 	f := &segGroupedFolder{
-		keys:   out.GroupBy,
-		args:   out.GroupArgs,
+		keys:   make([]groupedBinding, len(out.GroupBy)),
+		args:   make([]folderArg, len(out.GroupArgs)),
 		keyBuf: make([]data.Value, len(out.GroupBy)),
-		binds:  make(map[data.AttrID]groupedBinding, len(assign)),
+		binds:  make([]groupedBinding, maxAttr+1),
 	}
 	for a, g := range assign {
 		off, _ := g.Offset(a)
 		f.binds[a] = groupedBinding{d: g.Data, stride: g.Stride, off: off}
 	}
+	for i, a := range out.GroupBy {
+		f.keys[i] = f.binds[a]
+	}
+	for i, e := range out.GroupArgs {
+		attrs, ok := SumLeaves(e)
+		if !ok {
+			f.args[i].e = e
+			continue
+		}
+		f.args[i].cols = make([]groupedBinding, len(attrs))
+		for j, a := range attrs {
+			f.args[i].cols[j] = f.binds[a]
+		}
+	}
 	f.get = func(a data.AttrID) data.Value {
-		b := f.binds[a]
+		b := &f.binds[a]
 		return b.d[f.row*b.stride+b.off]
 	}
 	return f, nil
@@ -260,13 +306,24 @@ func newSegGroupedFolder(seg *storage.Segment, attrs []data.AttrID, out Outputs)
 
 // fold accumulates segment row r into ga.
 func (f *segGroupedFolder) fold(ga *groupedAcc, r int) {
-	f.row = r
-	for i, a := range f.keys {
-		f.keyBuf[i] = f.get(a)
+	for i := range f.keys {
+		b := &f.keys[i]
+		f.keyBuf[i] = b.d[r*b.stride+b.off]
 	}
 	sts := ga.statesFor(f.keyBuf)
-	for i, e := range f.args {
-		sts[i].Add(e.Eval(f.get))
+	for i := range f.args {
+		a := &f.args[i]
+		if a.cols == nil {
+			f.row = r
+			sts[i].Add(a.e.Eval(f.get))
+			continue
+		}
+		var acc data.Value
+		for j := range a.cols {
+			b := &a.cols[j]
+			acc += b.d[r*b.stride+b.off]
+		}
+		sts[i].Add(acc)
 	}
 }
 

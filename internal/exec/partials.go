@@ -396,71 +396,64 @@ func scanDeltaTask(t deltaTask, q *query.Query, out Outputs, preds []ColPred, sp
 	return sp, faulted, nil
 }
 
-// scanSegmentPartial computes one pinned segment's aggregate states. The
-// fused row kernel serves segments with a single covering group (the common
-// case, including non-splittable predicates via the interpreted filter);
-// everything else — multi-group layouts, mixed aggregate shapes outside the
-// template library — falls back to the per-segment generic interpreter with
-// fresh states, so every repairable query has a partial path on every
-// layout.
+// scanSegmentPartial computes one pinned segment's partial, choosing the
+// per-segment operator from what the segment offers, as the exec pipelines
+// do:
+//
+//  1. encoded blocks, when the segment's needed groups hold encodings (an
+//     encoded-resident rung, an mmap-backed fault, or a sealed-with-encoding
+//     flat segment) — the partial folds without materializing flat data;
+//  2. the fused row kernel (scanRange), when one group covers the query —
+//     any predicate shape, non-splittable ones through its interpreted
+//     filter;
+//  3. the hybrid selection-vector kernel, for a splittable conjunction on
+//     any layout — column-major included, where no single group covers a
+//     multi-attribute aggregate;
+//  4. the generic interpreter, only for what no kernel serves: a
+//     non-splittable predicate over several groups, or a mixed aggregate
+//     shape (OutOther).
+//
+// Every rung emits the same per-segment aggregate states, so the choice
+// never changes the partial, only its cost.
 func scanSegmentPartial(seg *storage.Segment, q *query.Query, out Outputs, preds []ColPred, splittable bool, stats *StrategyStats) (*SegPartial, error) {
-	// Encoded-first: when the segment's needed groups hold encodings (an
-	// encoded-resident rung, an mmap-backed fault, or a sealed-with-
-	// encoding flat segment), the block kernel computes the partial
-	// without materializing flat data.
 	if encodedEligible(out, splittable) {
+		p := &partial{states: newStates(out)}
 		if out.Kind == OutGrouped {
-			ga := newGroupedAcc(out)
-			ok, err := encodedSegmentScan(seg, out, preds, nil, ga, stats)
+			p.groups = newGroupedAcc(out)
+		}
+		ok, err := encodedSegmentScan(seg, out, preds, p.states, p.groups, stats)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			return segPartialOf(p), nil
+		}
+	}
+	if out.Kind != OutOther {
+		if g := bestCoveringGroupSeg(seg, q); g != nil {
+			if !splittable {
+				return segPartialOf(scanRange(g, out, nil, q.Where, 0, seg.Rows)), nil
+			}
+			if bound, ok := BindPreds(g, preds); ok {
+				return segPartialOf(scanRange(g, out, bound, nil, 0, seg.Rows)), nil
+			}
+		}
+		if splittable {
+			// Nil stats: intermediate accounting belongs to the
+			// cost-compared strategies, as on reorg's cold segments.
+			p, err := hybridSegPartial(seg, q, out, preds, nil)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				return &SegPartial{Groups: ga.m}, nil
-			}
-		} else {
-			states := newStates(out)
-			ok, err := encodedSegmentScan(seg, out, preds, states, nil, stats)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				return &SegPartial{States: states}, nil
-			}
+			return segPartialOf(p), nil
 		}
 	}
 	if out.Kind == OutGrouped {
-		// Fused grouped kernel on a single covering group; otherwise the
-		// grouped generic interpreter — every layout has a grouped path.
-		if g := bestCoveringGroupSeg(seg, q); g != nil {
-			if splittable {
-				if bound, ok := BindPreds(g, preds); ok {
-					p := scanRange(g, out, bound, nil, 0, seg.Rows)
-					return &SegPartial{Groups: p.groups.m}, nil
-				}
-			} else {
-				p := scanRange(g, out, nil, q.Where, 0, seg.Rows)
-				return &SegPartial{Groups: p.groups.m}, nil
-			}
-		}
 		ga := newGroupedAcc(out)
 		if err := genericGroupedSegmentScan(seg, q, out, ga); err != nil {
 			return nil, err
 		}
 		return &SegPartial{Groups: ga.m}, nil
-	}
-	if out.Kind == OutAggregates || out.Kind == OutAggExpression {
-		if g := bestCoveringGroupSeg(seg, q); g != nil {
-			if splittable {
-				if bound, ok := BindPreds(g, preds); ok {
-					p := scanRange(g, out, bound, nil, 0, seg.Rows)
-					return &SegPartial{States: p.states}, nil
-				}
-			} else {
-				p := scanRange(g, out, nil, q.Where, 0, seg.Rows)
-				return &SegPartial{States: p.states}, nil
-			}
-		}
 	}
 	states := make([]*expr.AggState, len(q.Items))
 	for i, it := range q.Items {
@@ -470,4 +463,13 @@ func scanSegmentPartial(seg *storage.Segment, q *query.Query, out Outputs, preds
 		return nil, err
 	}
 	return &SegPartial{States: states}, nil
+}
+
+// segPartialOf wraps one aggregate-shaped kernel partial as a SegPartial:
+// its group map for grouped shapes, its states otherwise.
+func segPartialOf(p *partial) *SegPartial {
+	if p.groups != nil {
+		return &SegPartial{Groups: p.groups.m}
+	}
+	return &SegPartial{States: p.states}
 }

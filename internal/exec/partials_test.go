@@ -46,42 +46,166 @@ func partialRelation(t *testing.T, rows, segCap int) *storage.Relation {
 	return storage.BuildColumnMajorSeg(tb, segCap)
 }
 
-// TestPartialsMatchFullScan: for every aggregate operator (and the mixed
-// generic shape), the combined partials equal the generic reference.
+// partialLayouts builds one 5-attribute, 1000-row relation (a0 the row
+// position, a1 eight distinct values, a2 four, a3/a4 uniform) in every
+// layout a partial scan must serve: column-major (no group covers a
+// multi-attribute query), mixed (every other segment carries an extra
+// full-width or narrow group, so segments of one relation take different
+// operators), row-major, and column-major with half the sealed segments
+// demoted to encoded blocks.
+func partialLayouts(t *testing.T) map[string]*storage.Relation {
+	t.Helper()
+	const rows, segCap = 1000, 128
+	mk := func() *data.Table {
+		tb := data.GenerateTimeSeries(data.SyntheticSchema("R", 5), rows, 7)
+		for r := 0; r < rows; r++ {
+			tb.Cols[1][r] &= 7
+			tb.Cols[2][r] &= 3
+		}
+		return tb
+	}
+	mixed := storage.BuildColumnMajorSeg(mk(), segCap)
+	extra := [][]data.AttrID{{0, 1, 2, 3, 4}, {1, 3, 4}}
+	for si, seg := range mixed.Segments {
+		if si%2 == 1 {
+			continue
+		}
+		g, err := storage.StitchSeg(seg, extra[(si/2)%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.AddGroup(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encoded := storage.BuildColumnMajorSeg(mk(), segCap)
+	demoteFraction(encoded, 0.5)
+	return map[string]*storage.Relation{
+		"column-major": storage.BuildColumnMajorSeg(mk(), segCap),
+		"mixed":        mixed,
+		"row-major":    storage.BuildRowMajorSeg(mk(), false, segCap),
+		"encoded":      encoded,
+	}
+}
+
+// TestPartialsMatchFullScan: on every layout, for every aggregate operator
+// and every per-segment operator the partial scan can pick (encoded blocks,
+// fused single-group kernel, hybrid selection vectors, generic
+// interpreter), the combined partials — serial and fanned out — equal the
+// generic reference.
 func TestPartialsMatchFullScan(t *testing.T) {
-	rel := partialRelation(t, 1000, 128)
+	col := func(a data.AttrID) expr.Expr { return &expr.Col{ID: a} }
+	agg := func(op expr.AggOp, e expr.Expr) query.SelectItem {
+		return query.SelectItem{Agg: &expr.Agg{Op: op, Arg: e}}
+	}
+	key := func(a data.AttrID) query.SelectItem { return query.SelectItem{Expr: col(a)} }
+	cmp := func(a data.AttrID, op expr.CmpOp, v data.Value) expr.Pred {
+		return &expr.Cmp{Op: op, L: col(a), R: &expr.Const{V: v}}
+	}
+	and := func(ps ...expr.Pred) expr.Pred { return &expr.And{Terms: ps} }
+	// a3 > 10 and a3 < 5 never prunes a segment but selects no row.
+	empty := and(cmp(3, expr.Gt, 10), cmp(3, expr.Lt, 5))
+	or := &expr.Or{L: cmp(0, expr.Lt, 200), R: cmp(1, expr.Eq, 3)}
 	queries := []*query.Query{
 		query.Aggregation("R", expr.AggSum, []data.AttrID{1, 2}, query.PredLt(0, 700)),
 		query.Aggregation("R", expr.AggMax, []data.AttrID{3}, nil),
 		query.Aggregation("R", expr.AggMin, []data.AttrID{1}, query.PredGt(2, 0)),
 		query.Aggregation("R", expr.AggCount, []data.AttrID{0}, nil),
 		query.Aggregation("R", expr.AggAvg, []data.AttrID{2}, query.PredLt(0, 999)),
+		// Scalar aggregates over several attributes: the repair shape no
+		// single column group covers.
+		{Table: "R", Where: cmp(0, expr.Ge, 300), Items: []query.SelectItem{
+			agg(expr.AggSum, col(3)), agg(expr.AggCount, col(0)), agg(expr.AggMax, col(4))}},
+		{Table: "R", Where: and(cmp(0, expr.Lt, 700), cmp(4, expr.Gt, 0)), Items: []query.SelectItem{
+			agg(expr.AggMin, col(1)), agg(expr.AggAvg, col(3))}},
 		query.AggExpression("R", []data.AttrID{1, 2, 3}, query.PredGt(0, 100)),
-		{Table: "R", Items: []query.SelectItem{ // mixed shapes: generic per-segment path
-			{Agg: &expr.Agg{Op: expr.AggMax, Arg: &expr.Col{ID: 1}}},
-			{Agg: &expr.Agg{Op: expr.AggSum, Arg: expr.SumCols([]data.AttrID{2, 3})}},
-		}},
+		query.AggExpression("R", []data.AttrID{3, 4}, nil),
+		// GROUP BY one key, and two keys (the encoded-key path) with an
+		// unselected key, a column-sum argument and an interpreted one.
+		{Table: "R", Where: cmp(0, expr.Ge, 250), GroupBy: []expr.Col{{ID: 1}}, Items: []query.SelectItem{
+			key(1), agg(expr.AggSum, col(3)), agg(expr.AggCount, col(0))}},
+		{Table: "R", Where: cmp(4, expr.Lt, 0), GroupBy: []expr.Col{{ID: 1}, {ID: 2}}, Items: []query.SelectItem{
+			key(2), agg(expr.AggMax, col(3)), agg(expr.AggAvg, expr.SumCols([]data.AttrID{3, 4})),
+			agg(expr.AggSum, &expr.Arith{Op: expr.Sub, L: col(4), R: col(3)})}},
+		// min/max/avg over an empty selection, scalar and grouped.
+		{Table: "R", Where: empty, Items: []query.SelectItem{
+			agg(expr.AggMin, col(4)), agg(expr.AggMax, col(4)), agg(expr.AggAvg, col(2))}},
+		{Table: "R", Where: empty, GroupBy: []expr.Col{{ID: 1}}, Items: []query.SelectItem{
+			key(1), agg(expr.AggMin, col(4)), agg(expr.AggMax, col(3))}},
+		// Non-splittable predicate: interpreted filter on covering groups,
+		// generic interpreter elsewhere.
+		{Table: "R", Where: or, Items: []query.SelectItem{agg(expr.AggSum, col(3)), agg(expr.AggMin, col(4))}},
+		{Table: "R", Where: or, GroupBy: []expr.Col{{ID: 2}}, Items: []query.SelectItem{
+			key(2), agg(expr.AggCount, col(0)), agg(expr.AggMax, col(4))}},
+		// Mixed aggregate shapes (OutOther): generic per-segment path.
+		{Table: "R", Items: []query.SelectItem{
+			agg(expr.AggMax, col(1)), agg(expr.AggSum, expr.SumCols([]data.AttrID{2, 3}))}},
 	}
-	for _, q := range queries {
-		var st StrategyStats
-		p, err := ExecPartials(rel, q, &st)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
+	for name, rel := range partialLayouts(t) {
+		for _, q := range queries {
+			if !Repairable(q) {
+				t.Fatalf("%s: test query is not repairable", q)
+			}
+			want, err := Exec(rel, q, ExecOpts{Strategy: StrategyGeneric})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st StrategyStats
+			p, err := ExecPartials(rel, q, &st)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, q, err)
+			}
+			if got := p.Result(); !got.Equal(want) {
+				t.Fatalf("%s %s: partials %v, full scan %v", name, q, got.Data, want.Data)
+			}
+			// Result() must not consume the partials: combining twice is
+			// legal (the cache shares payloads between repairs).
+			if got := p.Result(); !got.Equal(want) {
+				t.Fatalf("%s %s: second Result() diverged — partials were mutated", name, q)
+			}
+			if p.Bytes() <= 0 {
+				t.Fatalf("%s %s: Bytes() = %d", name, q, p.Bytes())
+			}
+			fanned, _, err := ExecDelta(rel, q, nil, 4, nil)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, q, err)
+			}
+			if got := fanned.Result(); !got.Equal(want) {
+				t.Fatalf("%s %s: fanned-out partials %v, full scan %v", name, q, got.Data, want.Data)
+			}
 		}
-		want, err := Exec(rel, q, ExecOpts{Strategy: StrategyGeneric})
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestGroupedAccSingleKeyIndex checks the accumulator every grouped
+// strategy (the generic reference included) shares against plain counting:
+// single-key lookups through the raw-value index, interleaved with key-wise
+// merges that only write the canonical map, must land every row in the one
+// state vector of its group.
+func TestGroupedAccSingleKeyIndex(t *testing.T) {
+	out := Outputs{GroupBy: []data.AttrID{0}, GroupOps: []expr.AggOp{expr.AggCount}}
+	ga := newGroupedAcc(out)
+	want := map[data.Value]int64{}
+	for i := 0; i < 1000; i++ {
+		k := data.Value(i*7%13 - 6)
+		if i%100 == 0 {
+			// A merged-in group the raw-value index has not seen yet.
+			src := newGroupedAcc(out)
+			mk := data.Value(100 + i%300)
+			src.statesFor([]data.Value{mk})[0].Add(1)
+			ga.mergeMap(src.m)
+			want[mk]++
 		}
-		if got := p.Result(); !got.Equal(want) {
-			t.Fatalf("%s: partials %v, full scan %v", q, got.Data, want.Data)
-		}
-		// Result() must not consume the partials: combining twice is legal
-		// (the cache shares payloads between repairs).
-		if got := p.Result(); !got.Equal(want) {
-			t.Fatalf("%s: second Result() diverged — partials were mutated", q)
-		}
-		if p.Bytes() <= 0 {
-			t.Fatalf("%s: Bytes() = %d", q, p.Bytes())
+		ga.statesFor([]data.Value{k})[0].Add(1)
+		want[k]++
+	}
+	if len(ga.m) != len(want) {
+		t.Fatalf("%d groups, want %d", len(ga.m), len(want))
+	}
+	for k, n := range want {
+		got := ga.m[string(encodeGroupKey(nil, []data.Value{k}))]
+		if got == nil || got[0].Result() != n {
+			t.Fatalf("group %d: states %v, want count %d", k, got, n)
 		}
 	}
 }

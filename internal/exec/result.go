@@ -49,7 +49,11 @@
 // no LIMIT — see Repairable), ExecPartials keeps each candidate segment's
 // states as a versioned SegPartial, and ExecDelta later rescans only the
 // segments whose versions moved (through the same claim loop),
-// re-combining with the retained partials. The serving layer's delta
+// re-combining with the retained partials. Each rescan picks the segment's
+// operator the way the pipelines do — encoded blocks, the fused
+// single-group kernel, the hybrid selection-vector kernel — and falls back
+// to the generic interpreter only for shapes no kernel serves (see
+// scanSegmentPartial). The serving layer's delta
 // repair, and the O(changed segments) repair cost it buys, rest entirely
 // on that contract; the partials contract at the top of partials.go
 // spells out which aggregates decompose and why LIMIT disqualifies
