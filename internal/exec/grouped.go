@@ -238,24 +238,40 @@ func (s *groupedScanner) fold(ga *groupedAcc, base int) {
 // segment; only other argument expressions (and the generic strategy's
 // predicate) read through the accessor.
 type segGroupedFolder struct {
-	keys   []groupedBinding
+	keys   []colBinding
 	args   []folderArg
 	keyBuf []data.Value
-	binds  []groupedBinding // attribute id -> binding, accessor reads only
+	binds  []colBinding // attribute id -> binding, accessor reads only
 	row    int
 	get    expr.Accessor
 }
 
-type groupedBinding struct {
+// colBinding is one attribute's resolved location inside a pinned segment:
+// row r's value is d[r*stride+off].
+type colBinding struct {
 	d      []data.Value
 	stride int
 	off    int
 }
 
+func (b *colBinding) at(r int) data.Value { return b.d[r*b.stride+b.off] }
+
+// bindAttrs resolves attrs to positional bindings against assign (a
+// segment's covering-group assignment), in attrs order.
+func bindAttrs(assign map[data.AttrID]*storage.ColumnGroup, attrs []data.AttrID) []colBinding {
+	out := make([]colBinding, len(attrs))
+	for i, a := range attrs {
+		g := assign[a]
+		off, _ := g.Offset(a)
+		out[i] = colBinding{d: g.Data, stride: g.Stride, off: off}
+	}
+	return out
+}
+
 // folderArg is one aggregate argument: a sum of bound columns, or (cols
 // nil) an expression evaluated through the folder's accessor.
 type folderArg struct {
-	cols []groupedBinding
+	cols []colBinding
 	e    expr.Expr
 }
 
@@ -274,14 +290,14 @@ func newSegGroupedFolder(seg *storage.Segment, attrs []data.AttrID, out Outputs)
 		}
 	}
 	f := &segGroupedFolder{
-		keys:   make([]groupedBinding, len(out.GroupBy)),
+		keys:   make([]colBinding, len(out.GroupBy)),
 		args:   make([]folderArg, len(out.GroupArgs)),
 		keyBuf: make([]data.Value, len(out.GroupBy)),
-		binds:  make([]groupedBinding, maxAttr+1),
+		binds:  make([]colBinding, maxAttr+1),
 	}
 	for a, g := range assign {
 		off, _ := g.Offset(a)
-		f.binds[a] = groupedBinding{d: g.Data, stride: g.Stride, off: off}
+		f.binds[a] = colBinding{d: g.Data, stride: g.Stride, off: off}
 	}
 	for i, a := range out.GroupBy {
 		f.keys[i] = f.binds[a]
@@ -292,7 +308,7 @@ func newSegGroupedFolder(seg *storage.Segment, attrs []data.AttrID, out Outputs)
 			f.args[i].e = e
 			continue
 		}
-		f.args[i].cols = make([]groupedBinding, len(attrs))
+		f.args[i].cols = make([]colBinding, len(attrs))
 		for j, a := range attrs {
 			f.args[i].cols[j] = f.binds[a]
 		}

@@ -19,11 +19,15 @@ import (
 // The WHERE conjunction splits by side: left-only terms filter (and
 // zone-map prune) the left relation, right-only terms the right, and mixed
 // terms become a residual predicate evaluated per joined row. One side —
-// the build side — is scanned segment-at-a-time into a hash table keyed by
-// its join key; the other — the probe side — streams through the standard
-// per-segment pipeline (pruning, pinning, fan-out, limit early-exit), and
-// each match folds straight into the query's projection/aggregate/group
-// outputs, so joined aggregates never materialize the full join.
+// the build side — is scanned segment-at-a-time into a hash table indexed
+// by a key directory (dense or hashed, see joinDirectory); the other — the
+// probe side — streams through the standard per-segment pipeline (pruning,
+// pinning, fan-out, limit early-exit), and each match folds straight into
+// the query's projection/aggregate/group outputs, so joined aggregates
+// never materialize the full join. Both sides filter with the
+// selection-vector kernels whenever their conjunction splits and read
+// attributes through positional bindings; the interpreter evaluates only
+// per-side predicates that do not split and the residual.
 //
 // The build side is chosen greedily from the zone maps: each side's
 // candidate row count is the sum of its segments' rows after
@@ -127,134 +131,32 @@ func JoinSidePreds(q *query.Query, nL int) (left []ColPred, leftSplit bool, righ
 	return js.leftCols, js.leftSplit, js.rightCols, js.rightSplit
 }
 
-// segBinding is one attribute's resolved location inside a pinned segment.
-type segBinding struct {
-	d      []data.Value
-	stride int
-	off    int
+// joinSide is one input of the join as the operator reads it: the relation,
+// where its attributes start in the combined namespace, its join key, and
+// its share of the WHERE conjunction.
+type joinSide struct {
+	rel   *storage.Relation
+	base  int         // combined id of the relation's attribute 0
+	key   data.AttrID // join key, local id
+	pred  expr.Pred   // this side's conjunction terms (combined ids)
+	cols  []ColPred   // pred split into column predicates (local ids)
+	split bool        // pred split: cols prune and filter, pred is unused
 }
 
-// segBindings resolves attrs (local ids) to per-attribute accessor
-// bindings over the segment's covering groups.
-func segBindings(seg *storage.Segment, attrs []data.AttrID) (map[data.AttrID]segBinding, error) {
-	_, assign, err := seg.CoveringGroups(attrs)
-	if err != nil {
-		return nil, err
-	}
-	binds := make(map[data.AttrID]segBinding, len(assign))
-	for a, g := range assign {
-		off, _ := g.Offset(a)
-		binds[a] = segBinding{d: g.Data, stride: g.Stride, off: off}
-	}
-	return binds, nil
+// pruned reports whether the side's zone-map predicates rule seg out.
+func (s *joinSide) pruned(seg *storage.Segment) bool {
+	return s.split && len(s.cols) > 0 && segPruned(seg, s.cols)
 }
 
-// joinHashTable is the build side materialized for probing: tuples passing
-// the build-side filter, flattened into an arena holding only the
-// attributes the query reads after the join, indexed by join key in
-// insertion (segment, row) order — which keeps projection output in
-// canonical nested-loop order when the right side builds.
-type joinHashTable struct {
-	attrs  []data.AttrID       // stored attributes (combined ids), slot order
-	slot   map[data.AttrID]int // combined id -> arena slot
-	width  int
-	arena  []data.Value
-	m      map[data.Value][]int32
-	tuples int
-}
-
-// buildJoinHashTable scans rel's segments in order (skipping empty and
-// zone-map-pruned ones) and folds rows passing sidePred into the table.
-// base rebases combined attribute ids to rel's local ids; keyLocal is the
-// join key's local id. Build-side segments count into stats' scan/prune/
-// fault counters but not its Touched list — the touch set is per-relation
-// and a join spans two (see ExecJoin).
-func buildJoinHashTable(rel *storage.Relation, base int, keyLocal data.AttrID, sidePred expr.Pred, prune []ColPred, prunable bool, need []data.AttrID, stats *StrategyStats) (*joinHashTable, error) {
-	ht := &joinHashTable{
-		attrs: need,
-		slot:  make(map[data.AttrID]int, len(need)),
-		width: len(need),
-		m:     make(map[data.Value][]int32),
-	}
-	for i, a := range need {
-		ht.slot[a] = i
-	}
-	scanAttrs := []data.AttrID{keyLocal}
-	for _, a := range need {
-		scanAttrs = append(scanAttrs, a-base)
-	}
-	if sidePred != nil {
-		for _, a := range sidePred.Attrs(nil) {
-			scanAttrs = append(scanAttrs, a-base)
-		}
-	}
-	scanAttrs = data.SortedUnique(scanAttrs)
-
-	for _, seg := range rel.Segments {
+// candidates is the greedy ordering signal: the side's row count after
+// zone-map pruning with its predicate-clipped bounds, plus the count of
+// non-empty segments the pruning excluded.
+func (s *joinSide) candidates() (rows, pruned int) {
+	for _, seg := range s.rel.Segments {
 		if seg.Rows == 0 {
 			continue
 		}
-		if prunable && len(prune) > 0 && segPruned(seg, prune) {
-			if stats != nil {
-				stats.SegmentsPruned++
-			}
-			continue
-		}
-		faulted, err := seg.Acquire()
-		if err != nil {
-			return nil, err
-		}
-		if stats != nil {
-			if faulted {
-				stats.SegmentsFaulted++
-			}
-			stats.SegmentsScanned++
-		}
-		seg.Touch()
-		err = func() error {
-			defer seg.Release()
-			binds, err := segBindings(seg, scanAttrs)
-			if err != nil {
-				return err
-			}
-			row := 0
-			localGet := func(a data.AttrID) data.Value {
-				b := binds[a]
-				return b.d[row*b.stride+b.off]
-			}
-			combGet := func(a data.AttrID) data.Value { return localGet(a - base) }
-			for row = 0; row < seg.Rows; row++ {
-				if sidePred != nil && !sidePred.EvalBool(combGet) {
-					continue
-				}
-				if ht.tuples == math.MaxInt32 {
-					return fmt.Errorf("exec: join build side exceeds %d rows", math.MaxInt32)
-				}
-				k := localGet(keyLocal)
-				ht.m[k] = append(ht.m[k], int32(ht.tuples))
-				for _, a := range ht.attrs {
-					ht.arena = append(ht.arena, localGet(a-base))
-				}
-				ht.tuples++
-			}
-			return nil
-		}()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return ht, nil
-}
-
-// candidateJoinRows is the greedy ordering signal: the side's row count
-// after zone-map pruning with its predicate-clipped bounds, plus the count
-// of non-empty segments the pruning excluded.
-func candidateJoinRows(rel *storage.Relation, prune []ColPred, prunable bool) (rows, pruned int) {
-	for _, seg := range rel.Segments {
-		if seg.Rows == 0 {
-			continue
-		}
-		if prunable && len(prune) > 0 && segPruned(seg, prune) {
+		if s.pruned(seg) {
 			pruned++
 			continue
 		}
@@ -263,16 +165,257 @@ func candidateJoinRows(rel *storage.Relation, prune []ColPred, prunable bool) (r
 	return rows, pruned
 }
 
-// sideAttrs filters combined attribute ids to one side's range and rebases
-// them by -base to that relation's local ids.
-func sideAttrs(attrs []data.AttrID, lo, hi, base int) []data.AttrID {
-	var out []data.AttrID
-	for _, a := range attrs {
-		if a >= lo && a < hi {
-			out = append(out, a-base)
+// scanAttrs is what one segment scan of the side binds, in local ids: the
+// join key, the filter's inputs, and the side's share of need (combined
+// ids read after the join).
+func (s *joinSide) scanAttrs(need []data.AttrID) []data.AttrID {
+	combined := append([]data.AttrID(nil), need...)
+	if s.pred != nil {
+		combined = s.pred.Attrs(combined)
+	}
+	out := []data.AttrID{s.key}
+	for _, a := range combined {
+		if a -= s.base; a >= 0 && a < s.rel.Schema.NumAttrs() {
+			out = append(out, a)
 		}
 	}
 	return data.SortedUnique(out)
+}
+
+// sideFilter is one side's filter bound to one pinned segment: the filter
+// kernels when the side's conjunction splits, the interpreter over pred
+// otherwise, nothing when the side has no filter.
+type sideFilter struct {
+	kernel groupFilter
+	pred   expr.Pred    // non-splittable conjunction, combined ids
+	binds  []colBinding // local id -> binding, pred's inputs only
+	base   int
+}
+
+// bindFilter binds the side's filter to a segment whose covering-group
+// assignment covers scanAttrs.
+func (s *joinSide) bindFilter(assign map[data.AttrID]*storage.ColumnGroup) *sideFilter {
+	if s.split {
+		return &sideFilter{kernel: bindGroupFilter(assign, s.cols)}
+	}
+	f := &sideFilter{pred: s.pred, base: s.base}
+	if s.pred != nil {
+		local := s.pred.Attrs(nil)
+		for i := range local {
+			local[i] -= s.base
+		}
+		f.binds = make([]colBinding, s.rel.Schema.NumAttrs())
+		for i, b := range bindAttrs(assign, local) {
+			f.binds[local[i]] = b
+		}
+	}
+	return f
+}
+
+// sel returns the rows of [lo, hi) that pass the filter, reusing buf.
+func (f *sideFilter) sel(lo, hi int, buf []int32) []int32 {
+	if len(f.kernel) > 0 {
+		return f.kernel.sel(lo, hi-lo, buf)
+	}
+	sel := buf[:0]
+	if f.pred == nil {
+		for r := lo; r < hi; r++ {
+			sel = append(sel, int32(r))
+		}
+		return sel
+	}
+	r := 0
+	get := func(a data.AttrID) data.Value { return f.binds[a-f.base].at(r) }
+	for r = lo; r < hi; r++ {
+		if f.pred.EvalBool(get) {
+			sel = append(sel, int32(r))
+		}
+	}
+	return sel
+}
+
+// joinHashTable is the build side materialized for probing: the tuples
+// passing the build-side filter in (segment, row) order, their join keys,
+// the need-only arena holding only the attributes the query reads after
+// the join, and the key directory over them.
+type joinHashTable struct {
+	width int            // stored attributes per tuple
+	arena []data.Value   // width words per tuple, insertion order
+	keys  []data.Value   // join key per tuple, insertion order
+	dir   *joinDirectory // key -> tuples, each chain in insertion order
+}
+
+// buildJoinHashTable scans the side's segments in order (skipping empty
+// and zone-map-pruned ones), filters each with the side's kernels and
+// appends the survivors' keys and need attributes (combined ids, all on
+// this side, in arena slot order) to the table. Build-side segments count
+// into stats' scan/prune/fault counters but not its Touched list — the
+// touch set is per-relation and a join spans two (see ExecJoin). probeRows
+// is the probe side's candidate row count, which sizes the directory.
+func buildJoinHashTable(s *joinSide, need []data.AttrID, probeRows int, stats *StrategyStats) (*joinHashTable, error) {
+	ht := &joinHashTable{width: len(need)}
+	scan := s.scanAttrs(need)
+	local := make([]data.AttrID, 0, len(need)+1)
+	local = append(local, s.key)
+	for _, a := range need {
+		local = append(local, a-s.base)
+	}
+	buf := make([]int32, 0, VectorSize)
+	for _, seg := range s.rel.Segments {
+		if seg.Rows == 0 {
+			continue
+		}
+		if s.pruned(seg) {
+			stats.SegmentsPruned++
+			continue
+		}
+		faulted, err := seg.Acquire()
+		if err != nil {
+			return nil, err
+		}
+		if faulted {
+			stats.SegmentsFaulted++
+		}
+		stats.SegmentsScanned++
+		seg.Touch()
+		err = func() error {
+			defer seg.Release()
+			_, assign, err := seg.CoveringGroups(scan)
+			if err != nil {
+				return err
+			}
+			binds := bindAttrs(assign, local)
+			filter := s.bindFilter(assign)
+			for lo := 0; lo < seg.Rows; lo += VectorSize {
+				sel := filter.sel(lo, min(lo+VectorSize, seg.Rows), buf)
+				if len(ht.keys)+len(sel) > math.MaxInt32 {
+					return fmt.Errorf("exec: join build side exceeds %d rows", math.MaxInt32)
+				}
+				for _, r := range sel {
+					ht.keys = append(ht.keys, binds[0].at(int(r)))
+				}
+				base := len(ht.arena)
+				ht.arena = append(ht.arena, make([]data.Value, len(sel)*ht.width)...)
+				for j := range binds[1:] {
+					b := &binds[1+j]
+					for i, r := range sel {
+						ht.arena[base+i*ht.width+j] = b.at(int(r))
+					}
+				}
+			}
+			return nil
+		}()
+		if err != nil {
+			return nil, err
+		}
+	}
+	ht.dir = newJoinDirectory(ht.keys, probeRows)
+	return ht, nil
+}
+
+// joinDirectory maps a join key to the build tuples that carry it. head
+// holds each key's first tuple and next chains a tuple to the following
+// one with the same key, -1 ending both. Chains are linked back to front,
+// so walking one yields tuples in insertion order.
+//
+// A dense directory addresses head by key - lo, so a probe key outside
+// [lo, hi] or in a gap is rejected by one bounds check or one load. A
+// hashed one is an open-addressing table of the distinct keys (keys is
+// non-nil): a power-of-two slot count, multiplicative hashing and linear
+// probing that compares the stored key.
+type joinDirectory struct {
+	lo    data.Value   // dense: the key of head[0]
+	head  []int32      // dense: key-lo -> first tuple; hashed: slot -> first tuple
+	keys  []data.Value // hashed: slot -> key; nil when dense
+	shift uint         // hashed: 64 - log2(len(head))
+	next  []int32      // tuple -> next tuple with the same key
+}
+
+// joinHashMul is the 64-bit Fibonacci hashing multiplier (2^64 / phi).
+const joinHashMul = 0x9E3779B97F4A7C15
+
+// newJoinDirectory indexes keys (one per build tuple, insertion order) for
+// a probe of probeRows rows. The directory is dense when its slot count,
+// the keys' span, is at most four per build tuple or one per probe row.
+// Filling a slot costs one store and a hashed lookup a multiply and a
+// probe sequence, so a probe row repays its slot; the bound also keeps a
+// dense directory no larger than half the probe's key column. The span is
+// computed in unsigned arithmetic, so keys spanning the whole int64 domain
+// cannot overflow it.
+func newJoinDirectory(keys []data.Value, probeRows int) *joinDirectory {
+	if len(keys) == 0 {
+		return &joinDirectory{}
+	}
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys[1:] {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	if span := uint64(hi) - uint64(lo); span < uint64(max(4*len(keys), probeRows)) {
+		return newDenseDirectory(keys, lo, int(span)+1)
+	}
+	return newHashedDirectory(keys)
+}
+
+// newDenseDirectory builds a direct-addressed directory of slots entries
+// starting at key lo; every key must lie in [lo, lo+slots).
+func newDenseDirectory(keys []data.Value, lo data.Value, slots int) *joinDirectory {
+	d := &joinDirectory{lo: lo, head: make([]int32, slots), next: make([]int32, len(keys))}
+	for i := range d.head {
+		d.head[i] = -1
+	}
+	for t := len(keys) - 1; t >= 0; t-- {
+		s := uint64(keys[t]) - uint64(lo)
+		d.next[t] = d.head[s]
+		d.head[s] = int32(t)
+	}
+	return d
+}
+
+// newHashedDirectory builds the hashed directory with at least two slots
+// per tuple, so the distinct keys fill at most half the table.
+func newHashedDirectory(keys []data.Value) *joinDirectory {
+	bits := 1
+	for 1<<bits < 2*len(keys) {
+		bits++
+	}
+	d := &joinDirectory{
+		head:  make([]int32, 1<<bits),
+		keys:  make([]data.Value, 1<<bits),
+		shift: uint(64 - bits),
+		next:  make([]int32, len(keys)),
+	}
+	for i := range d.head {
+		d.head[i] = -1
+	}
+	for t := len(keys) - 1; t >= 0; t-- {
+		s := d.slot(keys[t])
+		d.next[t] = d.head[s]
+		d.head[s] = int32(t)
+		d.keys[s] = keys[t]
+	}
+	return d
+}
+
+// first returns the first build tuple carrying k, -1 when none does.
+func (d *joinDirectory) first(k data.Value) int32 {
+	if d.keys != nil {
+		return d.head[d.slot(k)]
+	}
+	if s := uint64(k) - uint64(d.lo); s < uint64(len(d.head)) {
+		return d.head[s]
+	}
+	return -1
+}
+
+// slot returns k's slot in a hashed directory: the one holding k, or the
+// empty slot where linear probing from k's hash stops.
+func (d *joinDirectory) slot(k data.Value) int {
+	mask := len(d.head) - 1
+	s := int((uint64(k) * joinHashMul) >> d.shift)
+	for d.head[s] >= 0 && d.keys[s] != k {
+		s = (s + 1) & mask
+	}
+	return s
 }
 
 // joinedNeed is the set of combined attributes read after the join: select
@@ -316,34 +459,14 @@ func ExecJoin(left, right *storage.Relation, q *query.Query, opts ExecOpts) (*Re
 	// side through the probe pipeline so output stays in left-major
 	// (nested-loop) order; aggregate and grouped merges are commutative,
 	// so the genuinely smaller side builds.
+	build := &joinSide{rel: right, base: nL, key: j.RightKey.ID - nL, pred: js.rightPred, cols: js.rightCols, split: js.rightSplit}
+	probe := &joinSide{rel: left, base: 0, key: j.LeftKey.ID, pred: js.leftPred, cols: js.leftCols, split: js.leftSplit}
 	orderSensitive := out.Kind == OutProjection || out.Kind == OutExpression
-	leftRows, leftPruned := candidateJoinRows(left, js.leftCols, js.leftSplit)
-	rightRows, rightPruned := candidateJoinRows(right, js.rightCols, js.rightSplit)
-	buildRight := orderSensitive || rightRows <= leftRows
-
-	var buildRel, probeRel *storage.Relation
-	var buildBase, probeBase int
-	var buildKey, probeKey data.AttrID // local ids
-	var buildPred, probePred expr.Pred // combined ids
-	var buildPrune, probePrune []ColPred
-	var buildSplit, probeSplit bool
-	var buildCand, buildPruned int
-	if buildRight {
-		buildRel, probeRel = right, left
-		buildBase, probeBase = nL, 0
-		buildKey, probeKey = j.RightKey.ID-nL, j.LeftKey.ID
-		buildPred, probePred = js.rightPred, js.leftPred
-		buildPrune, buildSplit = js.rightCols, js.rightSplit
-		probePrune, probeSplit = js.leftCols, js.leftSplit
-		buildCand, buildPruned = rightRows, rightPruned
-	} else {
-		buildRel, probeRel = left, right
-		buildBase, probeBase = 0, nL
-		buildKey, probeKey = j.LeftKey.ID, j.RightKey.ID-nL
-		buildPred, probePred = js.leftPred, js.rightPred
-		buildPrune, buildSplit = js.leftCols, js.leftSplit
-		probePrune, probeSplit = js.rightCols, js.rightSplit
-		buildCand, buildPruned = leftRows, leftPruned
+	buildCand, buildPruned := build.candidates()
+	probeCand, probePruned := probe.candidates()
+	if !orderSensitive && buildCand > probeCand {
+		build, probe = probe, build
+		buildCand, buildPruned, probeCand = probeCand, probePruned, buildCand
 	}
 
 	stats := &StrategyStats{}
@@ -370,94 +493,153 @@ func ExecJoin(left, right *storage.Relation, q *query.Query, opts ExecOpts) (*Re
 		return trimJoinLimit(mergePartials(out, nil), q), nil
 	}
 
+	// Every attribute read after the join resolves once, here, to an arena
+	// slot of the build tuple or a position among the probe scan's
+	// bindings.
 	need := joinedNeed(q, out, js.residual)
-	lo, hi := buildBase, buildBase+buildRel.Schema.NumAttrs()
-	buildNeed := make([]data.AttrID, 0, len(need))
+	jp := &joinProbe{
+		side:     probe,
+		out:      out,
+		attrs:    probe.scanAttrs(need),
+		colOf:    make([]joinCol, nL+nR),
+		residual: js.residual,
+		limit:    limitFor(out, q),
+	}
+	for i := range jp.colOf {
+		jp.colOf[i] = joinCol{slot: -1, probe: -1} // unmapped: reading it panics
+	}
+	var buildNeed []data.AttrID
 	for _, a := range need {
-		if a >= lo && a < hi {
+		if a >= build.base && a < build.base+build.rel.Schema.NumAttrs() {
+			jp.colOf[a] = joinCol{slot: len(buildNeed)}
 			buildNeed = append(buildNeed, a)
 		}
 	}
-	ht, err := buildJoinHashTable(buildRel, buildBase, buildKey, buildPred, buildPrune, buildSplit, buildNeed, stats)
+	for i, a := range jp.attrs {
+		if a == probe.key {
+			jp.keyPos = i
+		}
+		jp.colOf[probe.base+a] = joinCol{slot: -1, probe: i}
+	}
+
+	ht, err := buildJoinHashTable(build, buildNeed, probeCand, stats)
 	if err != nil {
 		return nil, err
 	}
 	stats.IntermediateWords += len(ht.arena)
-	if ht.tuples == 0 {
+	if len(ht.keys) == 0 {
 		return trimJoinLimit(mergePartials(out, nil), q), nil
 	}
+	jp.ht = ht
 
-	// Probe-side attributes the per-segment scan resolves: everything the
-	// combined query reads from the probe relation, plus its join key and
-	// filter inputs, in local ids.
-	probeAttrs := sideAttrs(q.AllAttrs(), probeBase, probeBase+probeRel.Schema.NumAttrs(), probeBase)
-
-	limit := limitFor(out, q)
-	p := &pipeline{
-		out:   out,
-		limit: limit,
-		scan: func(c *segCtx) (*partial, error) {
-			return probeJoinSegment(c, q, out, js.residual, ht, probeAttrs, probeBase, probeKey, probePred, limit)
-		},
-	}
-	if probeSplit {
-		p.preds = probePrune
+	p := &pipeline{out: out, limit: jp.limit, scan: jp.scan}
+	if probe.split {
+		p.preds = probe.cols
 	}
 	popts := opts
 	popts.Stats = stats
-	res, err := p.run(probeRel, popts)
+	res, err := p.run(probe.rel, popts)
 	if err != nil {
 		return nil, err
 	}
 	return trimJoinLimit(res, q), nil
 }
 
-// probeJoinSegment is the probe side's per-segment operator: filter the
-// probe rows, look each key up in the hash table, evaluate the residual
-// predicate over the joined accessor, and fold every surviving match into
-// the segment's partial. Matches emit in (probe row, build insertion)
-// order, so merged partials reproduce the canonical nested-loop order.
-func probeJoinSegment(c *segCtx, q *query.Query, out Outputs, residual expr.Pred, ht *joinHashTable, probeAttrs []data.AttrID, probeBase int, probeKey data.AttrID, probePred expr.Pred, limit int) (*partial, error) {
-	binds, err := segBindings(c.seg, probeAttrs)
+// joinCol locates one combined attribute of a joined row: the build
+// tuple's arena slot when slot >= 0, otherwise position probe among the
+// probe scan's bindings. An attribute neither side maps holds -1 in both.
+type joinCol struct{ slot, probe int }
+
+// joinProbe is the probe side's per-segment operator, with everything that
+// does not depend on the segment resolved once per query.
+type joinProbe struct {
+	side     *joinSide
+	out      Outputs
+	ht       *joinHashTable
+	attrs    []data.AttrID // probe scan attributes, local ids
+	keyPos   int           // the join key's position in attrs
+	colOf    []joinCol     // combined id -> location, for attributes read after the join
+	residual expr.Pred
+	limit    int
+}
+
+// scan probes one pinned segment: filter rows [c.lo, c.hi) one VectorSize
+// chunk at a time with the probe side's kernels, look each surviving row's
+// key up in the directory, evaluate the residual over every candidate
+// pair, and fold each joined row into the segment's partial. Matches emit
+// in (probe row, build insertion) order, so merged partials reproduce the
+// canonical nested-loop order.
+func (jp *joinProbe) scan(c *segCtx) (*partial, error) {
+	_, assign, err := c.seg.CoveringGroups(jp.attrs)
 	if err != nil {
 		return nil, err
 	}
-	row := 0
-	localGet := func(a data.AttrID) data.Value {
-		b := binds[a]
-		return b.d[row*b.stride+b.off]
+	m := &joinMatches{
+		jp:    jp,
+		binds: bindAttrs(assign, jp.attrs),
+		p:     &partial{states: newStates(jp.out)},
+		kvals: make([]data.Value, len(jp.out.GroupBy)),
 	}
-	probeGet := func(a data.AttrID) data.Value { return localGet(a - probeBase) }
-	tupBase := 0
-	get := func(a data.AttrID) data.Value {
-		if slot, ok := ht.slot[a]; ok {
-			return ht.arena[tupBase+slot]
-		}
-		return localGet(a - probeBase)
+	if jp.out.Kind == OutGrouped {
+		m.p.groups = newGroupedAcc(jp.out)
 	}
-
-	p := &partial{states: newStates(out)}
-	if out.Kind == OutGrouped {
-		p.groups = newGroupedAcc(out)
-	}
-	kvals := make([]data.Value, len(out.GroupBy))
-	for row = c.lo; row < c.hi; row++ {
-		if probePred != nil && !probePred.EvalBool(probeGet) {
-			continue
-		}
-		matches := ht.m[localGet(probeKey)]
-		for _, ti := range matches {
-			tupBase = int(ti) * ht.width
-			if residual != nil && !residual.EvalBool(get) {
-				continue
-			}
-			foldJoined(out, p, get, kvals)
-		}
-		if limit > 0 && p.rows >= limit {
+	m.get = m.value
+	filter := jp.side.bindFilter(assign)
+	buf := make([]int32, 0, min(VectorSize, c.hi-c.lo))
+	for lo := c.lo; lo < c.hi; lo += VectorSize {
+		if !m.probe(filter.sel(lo, min(lo+VectorSize, c.hi), buf)) {
 			break
 		}
 	}
-	return p, nil
+	return m.p, nil
+}
+
+// joinMatches is one probe segment's match state: the segment's bindings,
+// the partial its joined rows fold into, and the joined row value reads.
+type joinMatches struct {
+	jp    *joinProbe
+	binds []colBinding // the probe segment's bindings, jp.attrs order
+	p     *partial
+	kvals []data.Value
+	r, tb int           // the joined row value reads: probe row, arena offset
+	get   expr.Accessor // m.value
+}
+
+// probe looks the key of each probe row in sel up in the directory,
+// evaluates the residual over every candidate pair and folds the joined
+// rows into the partial. It reports false once the segment has produced
+// the limit's rows.
+func (m *joinMatches) probe(sel []int32) bool {
+	jp := m.jp
+	kb := &m.binds[jp.keyPos]
+	dir, width := jp.ht.dir, jp.ht.width
+	for _, r := range sel {
+		t := dir.first(kb.at(int(r)))
+		if t < 0 {
+			continue
+		}
+		m.r = int(r)
+		for ; t >= 0; t = dir.next[t] {
+			m.tb = int(t) * width
+			if jp.residual != nil && !jp.residual.EvalBool(m.get) {
+				continue
+			}
+			foldJoined(jp.out, m.p, m.get, m.kvals)
+		}
+		if jp.limit > 0 && m.p.rows >= jp.limit {
+			return false
+		}
+	}
+	return true
+}
+
+// value reads combined attribute a of the joined row (m.r, m.tb).
+func (m *joinMatches) value(a data.AttrID) data.Value {
+	c := m.jp.colOf[a]
+	if c.slot >= 0 {
+		return m.jp.ht.arena[m.tb+c.slot]
+	}
+	return m.binds[c.probe].at(m.r)
 }
 
 // foldJoined folds one joined row into the partial, by output shape —

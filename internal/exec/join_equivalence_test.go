@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -28,11 +29,13 @@ const (
 
 // jeqRelation builds one randomized join input over a width-attribute
 // schema and returns it with its designated join-key attribute. The key
-// column's cardinality is drawn from three regimes — unique (every value
-// distinct), dense duplicates (round-robin over a small domain), and
-// skewed (half the rows pile onto one hot key) — all null-free, as every
-// value in this engine is. Layout and size randomization mirrors
-// eqRelation: mixed per-segment groups, boundary sizes, empty relations.
+// column's cardinality is drawn from four regimes — unique (every value
+// distinct), dense duplicates (round-robin over a small domain), skewed
+// (half the rows pile onto one hot key), and extreme (keys spread over the
+// whole int64 domain, which forces the hashed key directory) — all
+// null-free, as every value in this engine is. Layout and size
+// randomization mirrors eqRelation: mixed per-segment groups, boundary
+// sizes, empty relations.
 func jeqRelation(t testing.TB, rng *rand.Rand, name string, width int) (*storage.Relation, data.AttrID) {
 	t.Helper()
 	schema := data.SyntheticSchema(name, width)
@@ -50,7 +53,7 @@ func jeqRelation(t testing.TB, rng *rand.Rand, name string, width int) (*storage
 	// pruning scenarios) into a controlled small non-negative domain so the
 	// two sides of a pair genuinely overlap.
 	key := data.AttrID(1 + rng.Intn(width-1))
-	switch rng.Intn(3) {
+	switch rng.Intn(4) {
 	case 0: // unique: at most one match per probe row
 		for r := 0; r < rows; r++ {
 			tb.Cols[key][r] = data.Value(r)
@@ -67,6 +70,14 @@ func jeqRelation(t testing.TB, rng *rand.Rand, name string, width int) (*storage
 				tb.Cols[key][r] = 0
 			} else {
 				tb.Cols[key][r] = data.Value(rng.Int63n(d))
+			}
+		}
+	case 3: // extreme: both int64 ends, negatives, duplicates
+		for r := 0; r < rows; r++ {
+			if rng.Intn(4) == 0 {
+				tb.Cols[key][r] = data.Value(rng.Uint64()) // any int64, unmatched on the other side
+			} else {
+				tb.Cols[key][r] = jeqExtremeKeys[rng.Intn(len(jeqExtremeKeys))]
 			}
 		}
 	}
@@ -117,6 +128,11 @@ func jeqRelation(t testing.TB, rng *rand.Rand, name string, width int) (*storage
 	return rel, key
 }
 
+// jeqExtremeKeys is the shared key pool of the extreme regime: drawing
+// both sides from it makes them overlap, with duplicates, at the int64
+// ends and across zero.
+var jeqExtremeKeys = []data.Value{math.MinInt64, math.MinInt64 + 1, -1 << 40, -7, -1, 0, 3, 1 << 40, math.MaxInt64 - 1, math.MaxInt64}
+
 // jeqQuery generates one randomized join query over the combined namespace
 // [0, nL+nR): projection / aggregates / arithmetic expression / aggregated
 // expression / grouped aggregation with keys from either side, a random
@@ -139,9 +155,20 @@ func jeqQuery(rng *rand.Rand, rightTable string, nL, nR int, leftKey, rightKey d
 	var where expr.Pred
 	cmp := func() expr.Pred {
 		a := data.AttrID(rng.Intn(n))
-		ops := []expr.CmpOp{expr.Lt, expr.Le, expr.Gt, expr.Ge}
-		return &expr.Cmp{Op: ops[rng.Intn(len(ops))], L: &expr.Col{ID: a},
-			R: &expr.Const{V: eqPredConst(rng, a, leftRows)}}
+		ops := []expr.CmpOp{expr.Lt, expr.Le, expr.Gt, expr.Ge, expr.Eq, expr.Ne}
+		op := ops[rng.Intn(len(ops))]
+		v := eqPredConst(rng, a, leftRows)
+		if op == expr.Eq || op == expr.Ne {
+			// Equality wants a constant the column holds: small values are
+			// key and position values, the pool is the extreme regime's.
+			switch rng.Intn(3) {
+			case 1:
+				v = data.Value(rng.Intn(64))
+			case 2:
+				v = jeqExtremeKeys[rng.Intn(len(jeqExtremeKeys))]
+			}
+		}
+		return &expr.Cmp{Op: op, L: &expr.Col{ID: a}, R: &expr.Const{V: v}}
 	}
 	switch rng.Intn(4) {
 	case 0: // no predicate
@@ -258,15 +285,16 @@ func nestedLoopJoin(t testing.TB, left, right *storage.Relation, q *query.Query)
 	return trimJoinLimit(mergePartials(out, []*partial{p}), q)
 }
 
-// checkJoinEquivalence runs ExecJoin serially and fanned out against the
-// nested-loop reference on one (pair, query, residency) combination. The
+// checkJoinEquivalence runs ExecJoin serially, with four workers and with
+// a random worker count against the nested-loop reference on one (pair,
+// query, residency) combination. The
 // residency mix is re-established before each run — the previous one
 // faulted whatever it probed back in — so the join reads flat, encoded and
 // spilled segments side by side on both inputs.
 func checkJoinEquivalence(t *testing.T, rng *rand.Rand, left, right *storage.Relation, q *query.Query, residentFrac float64) {
 	t.Helper()
 	want := nestedLoopJoin(t, left, right, q)
-	for _, workers := range []int{0, 1 + rng.Intn(7)} {
+	for _, workers := range []int{0, 4, 1 + rng.Intn(7)} {
 		unloadFraction(left, 1-residentFrac)
 		demoteFraction(left, 0.5)
 		if right != left {
@@ -414,6 +442,111 @@ func TestJoinGreedyBuildSide(t *testing.T) {
 	}
 }
 
+// dirMatches walks d's chain for key k.
+func dirMatches(d *joinDirectory, k data.Value) []int32 {
+	var out []int32
+	for t := d.first(k); t >= 0; t = d.next[t] {
+		out = append(out, t)
+	}
+	return out
+}
+
+// TestJoinDirectory checks the key directory against a linear scan: dense
+// and hashed builds over the same keys return the same matches, duplicates
+// come back in insertion order, keys below the minimum, above the maximum
+// or in a gap match nothing, and the directory choice follows the key span
+// against the build and probe sizes — a span over the whole int64 domain
+// must take the hashed path.
+func TestJoinDirectory(t *testing.T) {
+	want := func(keys []data.Value, k data.Value) []int32 {
+		var out []int32
+		for i, x := range keys {
+			if x == k {
+				out = append(out, int32(i))
+			}
+		}
+		return out
+	}
+	check := func(name string, d *joinDirectory, keys, probes []data.Value) {
+		t.Helper()
+		for _, k := range probes {
+			got, exp := dirMatches(d, k), want(keys, k)
+			if fmt.Sprint(got) != fmt.Sprint(exp) {
+				t.Fatalf("%s: key %d matched tuples %v, want %v", name, k, got, exp)
+			}
+		}
+	}
+
+	// Small domain with duplicates and gaps: both directory kinds.
+	keys := []data.Value{5, 3, 5, 9, 3, 5, 12, -2}
+	probes := []data.Value{-3, -2, -1, 3, 4, 5, 6, 9, 10, 12, 13, math.MinInt64, math.MaxInt64}
+	dense := newJoinDirectory(keys, 0)
+	if dense.keys != nil {
+		t.Fatal("span 15 built a hashed directory; want dense")
+	}
+	check("dense", dense, keys, probes)
+	check("hashed", newHashedDirectory(keys), keys, probes)
+
+	// One tuple.
+	one := []data.Value{42}
+	check("one dense", newJoinDirectory(one, 0), one, []data.Value{41, 42, 43})
+	check("one hashed", newHashedDirectory(one), one, []data.Value{41, 42, 43})
+
+	// The whole int64 domain: the unsigned span must not overflow into a
+	// small dense directory.
+	wide := []data.Value{math.MinInt64, 0, math.MaxInt64, math.MinInt64, -1, math.MaxInt64, 7}
+	d := newJoinDirectory(wide, math.MaxInt)
+	if d.keys == nil {
+		t.Fatal("MinInt64..MaxInt64 span built a dense directory; want hashed")
+	}
+	check("wide", d, wide, []data.Value{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 7, math.MaxInt64 - 1, math.MaxInt64})
+
+	// The dense bound: at most four slots per build tuple or one per probe
+	// row. A two-tuple build with sparse keys and a short probe is hashed.
+	for _, c := range []struct {
+		keys      []data.Value
+		probeRows int
+		dense     bool
+	}{
+		{[]data.Value{0, 7}, 0, true},           // 8 slots, 2 tuples
+		{[]data.Value{0, 8}, 0, false},          // 9 slots, 2 tuples
+		{[]data.Value{0, 8}, 9, true},           // 9 slots, 9 probe rows
+		{[]data.Value{0, 8}, 8, false},          // 9 slots, 8 probe rows
+		{[]data.Value{0, 60000}, 100, false},    // sparse keys, short probe
+		{[]data.Value{0, 60000}, 1 << 16, true}, // the probe repays the slots
+	} {
+		if d := newJoinDirectory(c.keys, c.probeRows); (d.keys == nil) != c.dense {
+			t.Fatalf("keys %v, %d probe rows: dense=%v, want %v", c.keys, c.probeRows, d.keys == nil, c.dense)
+		}
+	}
+	many := make([]data.Value, 1000)
+	for i := range many {
+		many[i] = data.Value(i * 4)
+	}
+	if newJoinDirectory(many, 0).keys != nil {
+		t.Fatalf("span of %d slots over %d tuples built a hashed directory; want dense", 4*len(many)-3, len(many))
+	}
+
+	// Colliding hashed probes: many distinct full-domain keys with
+	// duplicates, dense and hashed agreeing wherever dense applies.
+	rng := rand.New(rand.NewSource(33))
+	pool := make([]data.Value, 300)
+	for i := range pool {
+		pool[i] = data.Value(rng.Uint64())
+	}
+	var big []data.Value
+	for i := 0; i < 2000; i++ {
+		big = append(big, pool[rng.Intn(len(pool))])
+	}
+	check("pool", newJoinDirectory(big, math.MaxInt), big, append(pool, 0, 1, -1))
+	small := make([]data.Value, len(big))
+	for i, k := range big {
+		small[i] = k & 1023
+	}
+	check("pool dense", newJoinDirectory(small, 0), small, []data.Value{-1, 0, 1, 511, 1023, 1024})
+	check("pool hashed", newHashedDirectory(small), small, []data.Value{-1, 0, 1, 511, 1023, 1024})
+}
+
 // BenchmarkJoinHashProbe times the probe-dominated regime: a small build
 // side against a large streaming probe side, aggregate output. It rides in
 // the CI bench.json artifact next to the single-relation scan benchmarks.
@@ -431,6 +564,70 @@ func BenchmarkJoinHashProbe(b *testing.B) {
 		if _, err := ExecJoin(left, right, q, ExecOpts{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkJoinTailWindow times the join shape of the serving benchmark's
+// churn workload: events ⋈ dim on events.a2 = dim.a0 with a tail-window
+// probe filter (a0 >= c, c at the start of the last of 31 column-major
+// 64K-row segments, so zone maps prune the other 30) and an equality build
+// filter (dim.a1 = 7, a sixteenth of the 4096 dimension rows). The scalar
+// variant folds count/sum; the grouped one adds GROUP BY dim.a1.
+func BenchmarkJoinTailWindow(b *testing.B) {
+	const (
+		segRows = 1 << 16
+		segs    = 31
+		evW     = 8 // events width: dim's attributes start at combined id 8
+	)
+	schema := data.SyntheticSchema("events", evW)
+	segGroups := make([][]*storage.ColumnGroup, segs)
+	for s := range segGroups {
+		tb := data.GenerateTimeSeries(schema, segRows, int64(2014+s))
+		for r := 0; r < segRows; r++ {
+			tb.Cols[0][r] += data.Value(s * segRows)
+			tb.Cols[1][r] &= 63
+			tb.Cols[2][r] &= 4095
+		}
+		for a := 0; a < evW; a++ {
+			segGroups[s] = append(segGroups[s], storage.BuildGroup(tb, []data.AttrID{a}))
+		}
+	}
+	events, err := storage.AssembleRelation(schema, segRows, segGroups)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dtb := data.Generate(data.SyntheticSchema("dim", 4), 4096, 2015)
+	rng := rand.New(rand.NewSource(2016))
+	for r, k := range rng.Perm(dtb.Rows) {
+		dtb.Cols[0][r] = data.Value(k) // unique key, shuffled
+		dtb.Cols[1][r] = data.Value(rng.Intn(16))
+	}
+	dim := storage.BuildColumnMajorSeg(dtb, segRows)
+
+	where := &expr.And{Terms: []expr.Pred{
+		&expr.Cmp{Op: expr.Ge, L: &expr.Col{ID: 0}, R: &expr.Const{V: (segs - 1) * segRows}},
+		&expr.Cmp{Op: expr.Eq, L: &expr.Col{ID: evW + 1}, R: &expr.Const{V: 7}},
+	}}
+	aggs := []query.SelectItem{
+		{Agg: &expr.Agg{Op: expr.AggCount, Arg: &expr.Col{ID: 0}}},
+		{Agg: &expr.Agg{Op: expr.AggSum, Arg: &expr.Col{ID: evW + 2}}},
+	}
+	join := []query.Join{query.JoinOn("dim", 2, 0, evW)}
+	scalar := &query.Query{Table: "events", Joins: join, Where: where, Items: aggs}
+	grouped := &query.Query{Table: "events", Joins: join, Where: where,
+		GroupBy: []expr.Col{{ID: evW + 1}},
+		Items:   append([]query.SelectItem{{Expr: &expr.Col{ID: evW + 1}}}, aggs...)}
+	for _, c := range []struct {
+		name string
+		q    *query.Query
+	}{{"scalar", scalar}, {"grouped", grouped}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ExecJoin(events, dim, c.q, ExecOpts{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

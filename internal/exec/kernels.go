@@ -245,6 +245,52 @@ func RefineSel(g *storage.ColumnGroup, preds []GroupPred, sel []int32) []int32 {
 	return sel[:w]
 }
 
+// groupFilter is a conjunction of column predicates bound to one segment's
+// groups. Predicates that share a group evaluate together in one kernel
+// pass, and groups run in first-use order: the first filters with
+// FilterGroup, the rest refine the survivors with RefineSel. The hybrid,
+// vectorized and hash-join operators all filter through it.
+type groupFilter []boundGroup
+
+type boundGroup struct {
+	g     *storage.ColumnGroup
+	preds []GroupPred
+}
+
+// bindGroupFilter binds preds to the groups assign resolves their
+// attributes to.
+func bindGroupFilter(assign map[data.AttrID]*storage.ColumnGroup, preds []ColPred) groupFilter {
+	var f groupFilter
+	for _, p := range preds {
+		g := assign[p.Attr]
+		off, _ := g.Offset(p.Attr)
+		i := 0
+		for i < len(f) && f[i].g != g {
+			i++
+		}
+		if i == len(f) {
+			f = append(f, boundGroup{g: g})
+		}
+		f[i].preds = append(f[i].preds, GroupPred{Off: off, Op: p.Op, Val: p.Val})
+	}
+	return f
+}
+
+// sel returns the rows of [start, start+n) that pass every predicate,
+// reusing buf's storage. An empty filter selects nothing; callers scan
+// every row instead.
+func (f groupFilter) sel(start, n int, buf []int32) []int32 {
+	sel := buf[:0]
+	for i := range f {
+		if i == 0 {
+			sel = FilterGroup(f[i].g, f[i].preds, start, n, sel)
+			continue
+		}
+		sel = RefineSel(f[i].g, f[i].preds, sel)
+	}
+	return sel
+}
+
 // GatherColumn copies the values of the attribute at offset off for the rows
 // in sel into out (positional fetch through a selection vector). Plain
 // columns (stride 1) take a specialized loop without the stride multiply.

@@ -28,7 +28,11 @@
 // segments once a contiguous prefix satisfies q.Limit, serial and
 // parallel alike. Joins and shard-local execution attach at the same
 // seam: a join is another partial-producing operator stage, a shard is a
-// remote SegSource feeding the same merge.
+// remote SegSource feeding the same merge. The join filters both sides
+// with the same selection-vector kernels, indexes the build side with a
+// dense or hashed key directory, and reads joined attributes by position.
+// It interprets only per-side predicates that do not split and the
+// mixed-side residual.
 //
 // All strategies materialize their output row-major in a contiguous block,
 // as the paper requires ("all execution strategies materialize the output

@@ -348,38 +348,15 @@ func hybridScanSegment(seg *storage.Segment, q *query.Query, out Outputs, preds 
 		return err
 	}
 
-	// Group predicates by the group that will evaluate them, preserving
-	// first-seen group order so the most selective-first heuristics of the
-	// caller are honored.
-	type predGroup struct {
-		g     *storage.ColumnGroup
-		preds []GroupPred
-	}
-	var pgs []predGroup
-	byGroup := map[*storage.ColumnGroup]int{}
-	for _, p := range preds {
-		g := assign[p.Attr]
-		off, _ := g.Offset(p.Attr)
-		i, seen := byGroup[g]
-		if !seen {
-			i = len(pgs)
-			byGroup[g] = i
-			pgs = append(pgs, predGroup{g: g})
-		}
-		pgs[i].preds = append(pgs[i].preds, GroupPred{Off: off, Op: p.Op, Val: p.Val})
-	}
-
+	// Predicates sharing a group evaluate in one pass, groups in first-seen
+	// order, so the most-selective-first heuristics of the caller are honored.
 	var sel []int32
-	haveSel := len(pgs) > 0
-	for i, pg := range pgs {
-		if i == 0 {
-			sel = FilterGroup(pg.g, pg.preds, 0, seg.Rows, make([]int32, 0, seg.Rows/4+16))
-			if stats != nil {
-				stats.IntermediateWords += len(sel) / 2 // int32 ids, in words
-			}
-			continue
+	haveSel := len(preds) > 0
+	if haveSel {
+		sel = bindGroupFilter(assign, preds).sel(0, seg.Rows, nil)
+		if stats != nil {
+			stats.IntermediateWords += len(sel) / 2 // int32 ids, in words
 		}
-		sel = RefineSel(pg.g, pg.preds, sel)
 	}
 
 	switch out.Kind {

@@ -43,25 +43,8 @@ func vectorScanSegment(seg *storage.Segment, q *query.Query, out Outputs, preds 
 		}
 	}
 
-	// Bind predicates per group, preserving group order of first use.
-	type predGroup struct {
-		g     *storage.ColumnGroup
-		preds []GroupPred
-	}
-	var pgs []predGroup
-	byGroup := map[*storage.ColumnGroup]int{}
-	for _, p := range preds {
-		g := assign[p.Attr]
-		off, _ := g.Offset(p.Attr)
-		i, seen := byGroup[g]
-		if !seen {
-			i = len(pgs)
-			byGroup[g] = i
-			pgs = append(pgs, predGroup{g: g})
-		}
-		pgs[i].preds = append(pgs[i].preds, GroupPred{Off: off, Op: p.Op, Val: p.Val})
-	}
-	haveSel := len(pgs) > 0
+	filter := bindGroupFilter(assign, preds)
+	haveSel := len(filter) > 0
 
 	// Output plan.
 	type colRef struct {
@@ -104,13 +87,7 @@ func vectorScanSegment(seg *storage.Segment, q *query.Query, out Outputs, preds 
 		// Predicate phase for this chunk.
 		sel = sel[:0]
 		if haveSel {
-			for i, pg := range pgs {
-				if i == 0 {
-					sel = FilterGroup(pg.g, pg.preds, start, n, sel)
-				} else {
-					sel = RefineSel(pg.g, pg.preds, sel)
-				}
-			}
+			sel = filter.sel(start, n, sel)
 			if stats != nil {
 				stats.IntermediateWords += len(sel) / 2
 			}
