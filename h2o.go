@@ -435,12 +435,14 @@ func (db *DB) execJoin(q *Query) (*Result, ExecInfo, error) {
 
 // ExecDelta answers a repairable aggregate query by rescanning only the
 // candidate segments whose versions differ from have (nil rescans all of
-// them), under the table engine's read lock. It implements the serving
+// them), under the table engine's read lock; a segment that only grew
+// since is scanned from its old row count on. It implements the serving
 // layer's server.DeltaBackend capability — the tier between an exact cache
 // hit and a full execution: repeat aggregates over a tail-append workload
-// are re-answered at O(changed segments) cost. ok=false means the engine
-// chose the full Execute path (not repairable, or an adaptation phase is
-// pending).
+// are re-answered at O(appended rows) cost. have must be prior.Versions()
+// of the partials payload later combined as exec.Repaired(prior,
+// ds.Fresh, ds.Reused). ok=false means the engine chose the full Execute
+// path (not repairable, or an adaptation phase is pending).
 func (db *DB) ExecDelta(q *Query, have map[int]uint64) (*DeltaScan, bool, error) {
 	h, err := db.handle(q.Table)
 	if err != nil {

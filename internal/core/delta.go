@@ -14,7 +14,8 @@ import (
 // result assembled as Repaired(prior, Fresh, Reused).Result() is exactly
 // consistent with it — the serving layer publishes under it.
 type DeltaScan struct {
-	// Fresh holds one partial per rescanned candidate segment.
+	// Fresh holds one partial per rescanned candidate segment — a suffix
+	// partial (SegPartial.Base set) for a segment that only grew.
 	Fresh *exec.PartialResult
 	// Reused lists the candidate segment indices whose versions matched the
 	// caller's have vector: their cached partials are still exact.
@@ -34,7 +35,9 @@ type DeltaScan struct {
 // segments whose versions differ from the caller's have vector, under the
 // shared read lock. have maps segment index to the version the caller's
 // cached partials were computed at (nil rescans every candidate — the cold
-// seed of a partials cache). The diff runs under the same lock as the scan
+// seed of a partials cache), and must be prior.Versions() of the payload
+// later passed to exec.Repaired: a segment that only grew since comes back
+// as a suffix partial that Repaired folds into prior's partial. The diff runs under the same lock as the scan
 // and the returned fingerprint, so a mutation can never slip between them:
 // the assembled result is always consistent with DeltaScan.Fingerprint,
 // even when that differs from whatever fingerprint the caller admitted

@@ -227,16 +227,17 @@ func BenchmarkStitchOffline(b *testing.B) {
 	}
 }
 
-// eventsSegment builds one column-major segment of rows tuples shaped like
-// an append-only events table: a0 an append-ordered timestamp, a1 64
-// distinct values, a2 4096 distinct values, a3..a7 uniform.
-func eventsSegment(rows int) *storage.Relation {
+// eventsSegment builds one column-major segment of rows tuples, with room
+// for segCap, shaped like an append-only events table: a0 an
+// append-ordered timestamp, a1 64 distinct values, a2 4096 distinct
+// values, a3..a7 uniform.
+func eventsSegment(rows, segCap int) *storage.Relation {
 	tb := data.GenerateTimeSeries(data.SyntheticSchema("events", 8), rows, 2014)
 	for r := 0; r < rows; r++ {
 		tb.Cols[1][r] &= 63
 		tb.Cols[2][r] &= 4095
 	}
-	return storage.BuildColumnMajorSeg(tb, rows)
+	return storage.BuildColumnMajorSeg(tb, segCap)
 }
 
 // BenchmarkExecDeltaColumnMajor times the delta-repair scan of one
@@ -247,8 +248,27 @@ func eventsSegment(rows int) *storage.Relation {
 // partial scan, not the fused single-group kernel.
 func BenchmarkExecDeltaColumnMajor(b *testing.B) {
 	const rows = 40_000
-	rel := eventsSegment(rows)
-	where := &expr.Cmp{Op: expr.Ge, L: &expr.Col{ID: 0}, R: &expr.Const{V: rows / 4}}
+	rel := eventsSegment(rows, rows)
+	for _, c := range eventsDeltaQueries(rows) {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(rows * 3 * 8)
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ExecDelta(rel, c.q, nil, 1, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// eventsDeltaQueries are the delta-repair shapes over an events segment
+// of rows tuples: a tail-window predicate (a0 >= rows/4) under the scalar
+// sum/count/max shape and its GROUP BY a1 variant.
+func eventsDeltaQueries(rows int) []struct {
+	name string
+	q    *query.Query
+} {
+	where := &expr.Cmp{Op: expr.Ge, L: &expr.Col{ID: 0}, R: &expr.Const{V: data.Value(rows / 4)}}
 	scalar := &query.Query{Table: "events", Where: where, Items: []query.SelectItem{
 		{Agg: &expr.Agg{Op: expr.AggSum, Arg: &expr.Col{ID: 3}}},
 		{Agg: &expr.Agg{Op: expr.AggCount, Arg: &expr.Col{ID: 0}}},
@@ -259,14 +279,37 @@ func BenchmarkExecDeltaColumnMajor(b *testing.B) {
 		{Agg: &expr.Agg{Op: expr.AggSum, Arg: &expr.Col{ID: 4}}},
 		{Agg: &expr.Agg{Op: expr.AggCount, Arg: &expr.Col{ID: 0}}},
 	}}
-	for _, c := range []struct {
+	return []struct {
 		name string
 		q    *query.Query
-	}{{"scalar", scalar}, {"grouped", grouped}} {
+	}{{"scalar", scalar}, {"grouped", grouped}}
+}
+
+// BenchmarkExecDeltaTailSuffix times the repair BenchmarkExecDeltaColumnMajor
+// sets up, one 64-row batch later: the same 40K-row column-major events
+// segment, now a partly full tail with cached partials, takes a 64-row
+// AppendBatch, and ExecDelta runs against the cached version vector. Only
+// the appended rows need scanning.
+func BenchmarkExecDeltaTailSuffix(b *testing.B) {
+	const rows, batch = 40_000, 64
+	appended := make([][]data.Value, batch)
+	for i := range appended {
+		appended[i] = []data.Value{data.Value(rows + i), data.Value(i & 63), data.Value(i), 3, 4, 5, 6, 7}
+	}
+	for _, c := range eventsDeltaQueries(rows) {
 		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(rows * 3 * 8)
+			rel := eventsSegment(rows, storage.DefaultSegmentCapacity)
+			prior, err := ExecPartials(rel, c.q, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := rel.AppendBatch(appended); err != nil {
+				b.Fatal(err)
+			}
+			have := prior.Versions()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ExecDelta(rel, c.q, nil, 1, nil); err != nil {
+				if _, _, err := ExecDelta(rel, c.q, have, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -382,25 +383,32 @@ func TestCrossStrategyEquivalence(t *testing.T) {
 	}
 }
 
-// eqMutate applies a batch of randomized mutations to rel: tail appends
-// (possibly rolling the tail over into a fresh segment) and segment-local
-// reorganizations (a stitched group added to a random non-empty segment,
-// bumping its version exactly as incremental adaptation does).
-func eqMutate(t testing.TB, rng *rand.Rand, rel *storage.Relation) {
+// eqMutate applies a batch of randomized mutations to rel: single-tuple
+// tail appends, batch appends of 1 to 2×eqSegCap rows (possibly rolling the
+// tail over into fresh segments) and segment-local reorganizations (a
+// stitched group added to a random non-empty segment, bumping its version
+// exactly as incremental adaptation does). val draws the non-key attribute
+// values of appended tuples.
+func eqMutate(t testing.TB, rng *rand.Rand, rel *storage.Relation, val func() data.Value) {
 	t.Helper()
+	tuple := func() []data.Value { return eqTuple(rel, val) }
 	for n := 1 + rng.Intn(3); n > 0; n-- {
 		switch rng.Intn(3) {
-		case 0, 1: // appends, occasionally a burst that seals the tail
+		case 0: // single-tuple appends, occasionally a burst that seals the tail
 			count := 1 + rng.Intn(2*eqSegCap/3)
 			for i := 0; i < count; i++ {
-				tuple := make([]data.Value, eqSchemaWidth)
-				tuple[0] = data.Value(rel.Rows) // keep attr 0 append-ordered
-				for a := 1; a < eqSchemaWidth; a++ {
-					tuple[a] = data.ValueLo + data.Value(rng.Int63n(int64(data.ValueHi-data.ValueLo)))
-				}
-				if err := rel.Append(tuple); err != nil {
+				if err := rel.Append(tuple()); err != nil {
 					t.Fatal(err)
 				}
+			}
+		case 1: // one batch, crossing a seal when it outgrows the tail's room
+			batch := make([][]data.Value, 1+rng.Intn(2*eqSegCap))
+			for i := range batch {
+				batch[i] = tuple()
+				batch[i][0] += data.Value(i)
+			}
+			if err := rel.AppendBatch(batch); err != nil {
+				t.Fatal(err)
 			}
 		case 2: // segment-local reorg
 			var nonEmpty []*storage.Segment
@@ -428,13 +436,51 @@ func eqMutate(t testing.TB, rng *rand.Rand, rel *storage.Relation) {
 	}
 }
 
+// eqTuple builds one tuple to append to rel: attribute 0 is the next row
+// position (keeping it append-ordered), the rest come from val.
+func eqTuple(rel *storage.Relation, val func() data.Value) []data.Value {
+	tup := make([]data.Value, eqSchemaWidth)
+	tup[0] = data.Value(rel.Rows)
+	for a := 1; a < eqSchemaWidth; a++ {
+		tup[a] = val()
+	}
+	return tup
+}
+
+// eqExtreme draws a value within 1000 of math.MaxInt64 or math.MinInt64,
+// so sums over a handful of rows wrap around.
+func eqExtreme(rng *rand.Rand) data.Value {
+	if rng.Intn(2) == 0 {
+		return math.MaxInt64 - data.Value(rng.Int63n(1000))
+	}
+	return math.MinInt64 + data.Value(rng.Int63n(1000))
+}
+
+// eqExtremeRelation builds a column-major relation with a partial tail
+// whose non-key attributes all sit at the int64 extremes.
+func eqExtremeRelation(rng *rand.Rand) *storage.Relation {
+	tb := data.Generate(data.SyntheticSchema("R", eqSchemaWidth), 3*eqSegCap+50, rng.Int63())
+	for r := 0; r < tb.Rows; r++ {
+		tb.Cols[0][r] = data.Value(r)
+		for a := 1; a < eqSchemaWidth; a++ {
+			tb.Cols[a][r] = eqExtreme(rng)
+		}
+	}
+	return storage.BuildColumnMajorSeg(tb, eqSegCap)
+}
+
 // TestDeltaRepairEquivalence extends the harness to the partial-result
 // layer: every randomized query that classifies as repairable has its
-// partials cached, the relation is mutated by random appends and
-// segment-local reorgs, and the query is then answered via cached partials
-// plus a delta rescan of only the changed candidates — the repaired result
-// must equal a fresh full scan of the mutated state, and the rescan set
-// must be disjoint from the version-matched reuse set.
+// partials cached, the relation is mutated by random appends, batch appends
+// and segment-local reorgs, and the query is then answered via cached
+// partials plus a delta rescan of only the changed candidates — the
+// repaired result must equal a fresh full scan of the mutated state, the
+// rescan set must be disjoint from the version-matched reuse set, and every
+// rescanned segment whose cached version the segment's history still knows
+// must come back as a suffix of that version. Two closing rounds append
+// one row each, so an unfiltered query extends its tail partial by a
+// suffix in every relation. The last relation holds values at the int64
+// extremes, so prefix and suffix sums wrap.
 func TestDeltaRepairEquivalence(t *testing.T) {
 	const (
 		relations       = 8
@@ -442,14 +488,22 @@ func TestDeltaRepairEquivalence(t *testing.T) {
 		mutationsPerRel = 4
 	)
 	rng := rand.New(rand.NewSource(20260730))
-	for r := 0; r < relations; r++ {
+	for r := 0; r <= relations; r++ {
 		rel := eqRelation(t, rng)
+		val := func() data.Value {
+			return data.ValueLo + data.Value(rng.Int63n(int64(data.ValueHi-data.ValueLo)))
+		}
+		if r == relations {
+			rel = eqExtremeRelation(rng)
+			val = func() data.Value { return eqExtreme(rng) }
+		}
 		installSnapshotLoader(rel)
 
 		// Collect repairable randomized queries (aggregate and grouped
 		// shapes without limits) and seed their partials. The first few
 		// slots insist on GROUP BY so grouped delta repair is exercised in
-		// every relation's batch regardless of the draw.
+		// every relation's batch regardless of the draw; the next insists
+		// on no predicate, so the tail is always one of its candidates.
 		type seeded struct {
 			q     *query.Query
 			prior *PartialResult
@@ -458,6 +512,9 @@ func TestDeltaRepairEquivalence(t *testing.T) {
 		for len(qs) < queriesPerRel {
 			q := eqQuery(rng, rel.Rows)
 			if len(qs) < 3 && len(q.GroupBy) == 0 {
+				continue
+			}
+			if len(qs) == 3 && q.Where != nil {
 				continue
 			}
 			if !Repairable(q) {
@@ -470,8 +527,13 @@ func TestDeltaRepairEquivalence(t *testing.T) {
 			qs = append(qs, seeded{q, prior})
 		}
 
-		for m := 0; m < mutationsPerRel; m++ {
-			eqMutate(t, rng, rel)
+		suffixes := 0
+		for m := 0; m < mutationsPerRel+2; m++ {
+			if m < mutationsPerRel {
+				eqMutate(t, rng, rel, val)
+			} else if err := rel.AppendBatch([][]data.Value{eqTuple(rel, val)}); err != nil {
+				t.Fatal(err)
+			}
 			// Demote a slice of the sealed segments so delta repair reads a
 			// mix of flat and encoded-resident candidates every round.
 			demoteFraction(rel, 0.5)
@@ -489,9 +551,21 @@ func TestDeltaRepairEquivalence(t *testing.T) {
 						t.Fatalf("%s: reused segment %d at version %d, cached %d", q, si, v, have[si])
 					}
 				}
-				for si := range fresh.Segs {
-					if hv, ok := have[si]; ok && hv == rel.Segments[si].Version() {
+				for si, sp := range fresh.Segs {
+					seg := rel.Segments[si]
+					hv, ok := have[si]
+					if ok && hv == seg.Version() {
 						t.Fatalf("%s: rescanned segment %d whose version never moved", q, si)
+					}
+					r0, known := seg.RowsAt(hv)
+					switch {
+					case ok && known && sp.Base != hv:
+						t.Fatalf("%s: segment %d grew from %d rows at cached version %d, but came back with base %d",
+							q, si, r0, hv, sp.Base)
+					case !(ok && known) && sp.Base != 0:
+						t.Fatalf("%s: segment %d came back as a suffix of unknown version %d", q, si, sp.Base)
+					case ok && known && r0 < seg.Rows:
+						suffixes++
 					}
 				}
 				repaired := Repaired(prior, fresh, reused)
@@ -507,6 +581,9 @@ func TestDeltaRepairEquivalence(t *testing.T) {
 				// as the serving layer republishes it.
 				qs[i].prior = repaired
 			}
+		}
+		if suffixes == 0 {
+			t.Fatalf("relation %d: no repair extended a cached partial by a suffix", r)
 		}
 	}
 }

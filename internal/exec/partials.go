@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"h2o/internal/data"
 	"h2o/internal/expr"
 	"h2o/internal/query"
@@ -36,15 +38,27 @@ import (
 //     concatenate rows in segment order, so a changed segment shifts every
 //     later row — there is nothing to retain.
 //
-// A SegPartial is valid exactly as long as its segment's version is
-// unchanged: segment versions come from a process-wide monotone clock and
-// bump on every mutation of that segment (tail appends, segment-local
-// reorganization), while residency changes (tiered-storage spill/fault)
-// never bump them — cached partials survive a spill cycle just as cached
-// results do. A segment whose version matches can also never have changed
-// its *candidacy*: zone maps only move under version-bumping mutations, so
-// an unchanged segment is a candidate for a query now iff it was when the
-// partial was computed.
+// A SegPartial is reused whole at an unchanged version, and extended by
+// its suffix after appends. Segment versions come from a process-wide
+// monotone clock and bump on every mutation of that segment (tail appends,
+// segment-local reorganization), while residency changes (tiered-storage
+// spill/fault) never bump them — cached partials survive a spill cycle just
+// as cached results do. A segment whose version matches can also never
+// have changed its *candidacy*: zone maps only move under version-bumping
+// mutations, so an unchanged segment is a candidate for a query now iff it
+// was when the partial was computed.
+//
+// A segment whose version moved is not necessarily rewritten. Rows below a
+// count the segment once held never change: appends only add rows,
+// reorganization copies values into new groups, and encoding and spill
+// preserve them. So when the segment's history (storage.Segment.RowsAt)
+// still knows the cached version, ExecDelta scans only the rows appended
+// since — or nothing at all, after a reorganization-only bump — and
+// Repaired folds that suffix into the cached partial. Every aggregate
+// merges exactly over a prefix/suffix split (int64 sums wrap identically
+// in either order), and zone maps only widen under appends, so a segment
+// that had a partial is still a candidate unless it is pruned now, which
+// drops it exactly as before.
 
 // SegPartial is one segment's contribution to a repairable query: the
 // per-item aggregate states folded over the segment's qualifying rows, and
@@ -53,8 +67,14 @@ import (
 // that retains them; combining always merges into fresh states.
 type SegPartial struct {
 	// Version is the segment's version at scan time; the partial is
-	// reusable exactly while the live segment still reports it.
+	// reusable whole exactly while the live segment still reports it.
 	Version uint64
+	// Base is non-zero on a suffix partial from ExecDelta: the states
+	// cover only the rows appended since version Base (none, after a
+	// reorganization-only bump), and Repaired folds them into the prior
+	// partial stamped Base. Versions start at 1, so zero means "whole
+	// segment".
+	Base uint64
 	// States holds one accumulator per select item, in item order. Nil for
 	// grouped queries, which use Groups instead.
 	States []*expr.AggState
@@ -136,18 +156,6 @@ func newPartialResult(q *query.Query) *PartialResult {
 	return p
 }
 
-// Merge overlays o's segment partials into p (o wins on a shared segment
-// index). Repairs use it to fold freshly rescanned segments over retained
-// ones; it never mutates the SegPartials themselves.
-func (p *PartialResult) Merge(o *PartialResult) {
-	if o == nil {
-		return
-	}
-	for si, sp := range o.Segs {
-		p.Segs[si] = sp
-	}
-}
-
 // Result combines every segment partial into the final result: one row for
 // ungrouped aggregates, one row per group (ordered ascending by key vector)
 // for grouped ones. Aggregate merging is commutative and associative, so map
@@ -217,9 +225,13 @@ func (p *PartialResult) Bytes() int64 {
 }
 
 // Repaired assembles the post-repair partials payload: the retained
-// segments' partials from prior plus every freshly rescanned partial. prior
-// may be nil (a cold seed has nothing to retain). The result shares
-// SegPartials with its inputs; none of them are mutated.
+// segments' partials from prior plus every freshly rescanned partial, with
+// each suffix partial folded into prior's partial of its segment. prior
+// may be nil (a cold seed has nothing to retain, and ExecDelta returns no
+// suffixes without a have vector). The result shares whole SegPartials
+// with its inputs and builds fresh accumulators for every fold; none of
+// the inputs are mutated. A suffix whose base prior does not hold panics:
+// the have vector passed to ExecDelta must be prior.Versions().
 func Repaired(prior, fresh *PartialResult, reused []int) *PartialResult {
 	out := &PartialResult{
 		Labels:  fresh.Labels,
@@ -236,9 +248,39 @@ func Repaired(prior, fresh *PartialResult, reused []int) *PartialResult {
 		}
 	}
 	for si, sp := range fresh.Segs {
+		if sp.Base != 0 {
+			sp = prior.extend(si, sp)
+		}
 		out.Segs[si] = sp
 	}
 	return out
+}
+
+// extend returns p's partial of segment si with the suffix partial sp
+// folded in, stamped at sp's version.
+func (p *PartialResult) extend(si int, sp *SegPartial) *SegPartial {
+	var base *SegPartial
+	if p != nil {
+		base = p.Segs[si]
+	}
+	if base == nil || base.Version != sp.Base {
+		panic(fmt.Sprintf("exec: suffix partial of segment %d extends version %d, which the prior payload does not hold", si, sp.Base))
+	}
+	if len(p.ItemKey) > 0 {
+		ga := newGroupedAcc(Outputs{GroupOps: p.Ops})
+		ga.mergeMap(base.Groups)
+		ga.mergeMap(sp.Groups)
+		return &SegPartial{Version: sp.Version, Groups: ga.m}
+	}
+	states := make([]*expr.AggState, len(p.Ops))
+	for i, op := range p.Ops {
+		states[i] = expr.NewAggState(op)
+		states[i].Merge(base.States[i])
+		if sp.States != nil {
+			states[i].Merge(sp.States[i])
+		}
+	}
+	return &SegPartial{Version: sp.Version, States: states}
 }
 
 // ExecPartials scans every candidate segment of rel for the repairable
@@ -250,11 +292,14 @@ func ExecPartials(rel *storage.Relation, q *query.Query, stats *StrategyStats) (
 	return fresh, err
 }
 
-// deltaTask is one segment ExecDelta must rescan.
+// deltaTask is one segment ExecDelta must rescan: rows [lo, Rows) of it,
+// with base the cached version a suffix (lo > 0) extends.
 type deltaTask struct {
-	si  int
-	seg *storage.Segment
-	v   uint64
+	si   int
+	seg  *storage.Segment
+	v    uint64
+	lo   int
+	base uint64
 }
 
 // ExecDelta is the delta-repair scan: it walks rel's segments exactly like
@@ -262,13 +307,17 @@ type deltaTask struct {
 // zone maps rule the conjunction out pruned — and, for each surviving
 // candidate, either *reuses* the caller's prior partial (the segment's
 // version matches have[si], so neither its rows nor its candidacy can have
-// changed) or *rescans* it into a fresh SegPartial. It returns the fresh
+// changed), *extends* it (the segment's history still knows have[si], so
+// only the rows appended since are scanned — none after a
+// reorganization-only bump — into a suffix partial with Base = have[si]),
+// or *rescans* it whole into a fresh SegPartial. It returns the fresh
 // partials and the indices of the reused candidates; combining
 // Repaired(prior, fresh, reused).Result() equals a cold full scan of the
 // current state.
 //
 // have is the version vector of the caller's cached partials (nil reuses
-// nothing — a full partial scan). workers > 1 fans the rescans out one
+// nothing — a full partial scan) and must be prior.Versions() of the
+// payload later passed to Repaired. workers > 1 fans the rescans out one
 // goroutine task per segment, exactly as the row pipeline's fan-out does —
 // partials are per-segment and order-independent, so the usual case of one changed
 // tail stays serial while a cold seed of a large relation uses every core.
@@ -286,9 +335,11 @@ func ExecDelta(rel *storage.Relation, q *query.Query, have map[int]uint64, worke
 		preds = nil
 	}
 
-	// Phase 1: classify segments — prune, reuse, or plan a rescan. Under
-	// the caller's read lock no version can move between this read and the
-	// scan below (mutations hold the exclusive lock).
+	// Phase 1: classify segments — prune, reuse, re-stamp, or plan a
+	// (suffix) rescan. Under the caller's read lock no version can move
+	// between this read and the scan below (mutations hold the exclusive
+	// lock).
+	fresh = newPartialResult(q)
 	var tasks []deltaTask
 	for si, seg := range rel.Segments {
 		if seg.Rows == 0 {
@@ -301,17 +352,25 @@ func ExecDelta(rel *storage.Relation, q *query.Query, have map[int]uint64, worke
 			continue
 		}
 		v := seg.Version()
-		if have != nil {
-			if hv, ok := have[si]; ok && hv == v {
-				reused = append(reused, si)
+		hv, cached := have[si]
+		if cached && hv == v {
+			reused = append(reused, si)
+			continue
+		}
+		t := deltaTask{si: si, seg: seg, v: v}
+		if r0, ok := seg.RowsAt(hv); cached && ok {
+			if r0 == seg.Rows {
+				// Reorganization only: same rows, same values. Re-stamp
+				// the cached partial without pinning or scanning.
+				fresh.Segs[si] = &SegPartial{Version: v, Base: hv}
 				continue
 			}
+			t.lo, t.base = r0, hv // only grew: scan the appended rows
 		}
-		tasks = append(tasks, deltaTask{si: si, seg: seg, v: v})
+		tasks = append(tasks, t)
 	}
 
 	// Phase 2: rescan the planned segments, serially or fanned out.
-	fresh = newPartialResult(q)
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
@@ -371,14 +430,16 @@ func encodedEligible(out Outputs, splittable bool) bool {
 	return out.Kind == OutAggregates || out.Kind == OutAggExpression || out.Kind == OutGrouped
 }
 
-// scanDeltaTask pins one planned segment, scans its partial and stamps the
-// version read during classification. Shapes the encoded kernel can serve
-// pin at encoded-or-better residency, so spilled segments of an encoded
-// tier repair their partials without materializing flat mini-tuples.
+// scanDeltaTask pins one planned segment, scans its partial — of the
+// suffix view when the task extends a cached partial — and stamps the
+// version read during classification. Whole-segment scans of shapes the
+// encoded kernel can serve pin at encoded-or-better residency, so spilled
+// segments of an encoded tier repair their partials without materializing
+// flat mini-tuples; a suffix view slices flat data, so it pins flat.
 func scanDeltaTask(t deltaTask, q *query.Query, out Outputs, preds []ColPred, splittable bool, stats *StrategyStats) (*SegPartial, bool, error) {
 	var faulted bool
 	var err error
-	if encodedEligible(out, splittable) {
+	if t.lo == 0 && encodedEligible(out, splittable) {
 		faulted, err = t.seg.AcquireEncoded()
 	} else {
 		faulted, err = t.seg.Acquire()
@@ -387,12 +448,16 @@ func scanDeltaTask(t deltaTask, q *query.Query, out Outputs, preds []ColPred, sp
 		return nil, false, err
 	}
 	t.seg.Touch()
-	sp, err := scanSegmentPartial(t.seg, q, out, preds, splittable, stats)
+	seg := t.seg
+	if t.lo > 0 {
+		seg = seg.Suffix(t.lo)
+	}
+	sp, err := scanSegmentPartial(seg, q, out, preds, splittable, stats)
 	t.seg.Release()
 	if err != nil {
 		return nil, false, err
 	}
-	sp.Version = t.v
+	sp.Version, sp.Base = t.v, t.base
 	return sp, faulted, nil
 }
 

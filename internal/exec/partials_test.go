@@ -211,7 +211,10 @@ func TestGroupedAccSingleKeyIndex(t *testing.T) {
 }
 
 // TestExecDeltaTailAppend: after tail appends, a delta scan rescans only
-// the mutated tail and the combined result matches a cold full scan.
+// the mutated tail and the combined result matches a cold full scan. Once
+// the tail has a cached partial, appends into it rescan only the appended
+// rows as a suffix, a reorganization-only bump re-stamps the partial
+// without scanning, and Repaired refuses a suffix whose base it lacks.
 func TestExecDeltaTailAppend(t *testing.T) {
 	const segCap = 128
 	rel := partialRelation(t, 4*segCap, segCap) // 4 sealed-capacity segments
@@ -257,6 +260,74 @@ func TestExecDeltaTailAppend(t *testing.T) {
 	if got := Repaired(prior, fresh, reused).Result(); !got.Equal(want) {
 		t.Fatalf("repaired result %v, cold full scan %v", got.Data, want.Data)
 	}
+	// A repair that opened the tail scanned it whole: there was nothing to
+	// extend.
+	if sp := fresh.Segs[4]; sp.Base != 0 {
+		t.Fatalf("new tail came back as a suffix of version %d", sp.Base)
+	}
+
+	// Appends into the partly full tail: only the new rows are scanned.
+	cached := Repaired(prior, fresh, reused)
+	tail := rel.Tail()
+	if err := rel.AppendBatch([][]data.Value{{1_000_010, 1, 2, 3}, {1_000_011, 4, 5, 6}}); err != nil {
+		t.Fatal(err)
+	}
+	have := cached.Versions()
+	st = StrategyStats{}
+	fresh, reused, err = ExecDelta(rel, q, have, 4, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reused) != 4 || len(fresh.Segs) != 1 || st.SegmentsScanned != 1 {
+		t.Fatalf("reused %v, fresh %d, scanned %d; want 4 reused and the tail alone rescanned",
+			reused, len(fresh.Segs), st.SegmentsScanned)
+	}
+	sp := fresh.Segs[4]
+	if sp == nil || sp.Base != have[4] || sp.Version != tail.Version() {
+		t.Fatalf("tail partial %+v, want a suffix of version %d stamped %d", sp, have[4], tail.Version())
+	}
+	if n := sp.States[0].Count; n != 2 {
+		t.Fatalf("suffix folded %d rows, want the 2 appended", n)
+	}
+	if want, err = Exec(rel, q, ExecOpts{Strategy: StrategyGeneric}); err != nil {
+		t.Fatal(err)
+	}
+	cached = Repaired(cached, fresh, reused)
+	if got := cached.Result(); !got.Equal(want) {
+		t.Fatalf("suffix repair %v, cold full scan %v", got.Data, want.Data)
+	}
+
+	// A reorganization of the tail bumps its version without adding rows:
+	// the partial is re-stamped, nothing is scanned.
+	g, err := storage.StitchSeg(tail, []data.AttrID{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tail.AddGroup(g); err != nil {
+		t.Fatal(err)
+	}
+	have = cached.Versions()
+	st = StrategyStats{}
+	fresh, reused, err = ExecDelta(rel, q, have, 1, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp := fresh.Segs[4]; sp == nil || sp.Base != have[4] || sp.Version != tail.Version() || st.SegmentsScanned != 0 {
+		t.Fatalf("tail partial %+v after %d scans, want a re-stamp of version %d at %d without scanning",
+			sp, st.SegmentsScanned, have[4], tail.Version())
+	}
+	if got := Repaired(cached, fresh, reused).Result(); !got.Equal(want) {
+		t.Fatalf("re-stamped repair %v, cold full scan %v", got.Data, want.Data)
+	}
+
+	// The seed payload holds no partial of the tail: folding a suffix into
+	// it is a caller bug, not a silent undercount.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Repaired folded a suffix whose base the prior payload lacks")
+		}
+	}()
+	Repaired(prior, fresh, reused)
 }
 
 // TestExecDeltaPrunedTail: when the appended rows fall outside the query's

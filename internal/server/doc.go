@@ -41,11 +41,11 @@
 //     stranded the result. A worker diffs the payload's segment-version
 //     vector against the live relation under the engine's read lock
 //     (DeltaBackend.ExecDelta), rescans only the changed or new candidate
-//     segments, and re-combines with the retained partials — O(changed
-//     segments) instead of O(candidate set). Repeat aggregates over a
-//     tail-append workload therefore cost one segment scan each
-//     (Stats.Repaired, Stats.RepairedSegments; ExecInfo.RepairedSegments
-//     per query). A miss with no payload still routes here: the full
+//     segments — of a segment that only grew, only the appended rows —
+//     and re-combines with the retained partials: O(changed rows) instead
+//     of O(candidate set). Repeat aggregates over a tail-append workload
+//     therefore cost one suffix scan each (Stats.Repaired,
+//     Stats.RepairedSegments; ExecInfo.RepairedSegments per query). A miss with no payload still routes here: the full
 //     partial scan that answers it seeds the payload for every later
 //     repair. The backend may decline (its adaptation machinery wants the
 //     exclusive lock this round), in which case the job falls through.

@@ -44,9 +44,11 @@ type Backend interface {
 type DeltaBackend interface {
 	// ExecDelta rescans the candidate segments of a repairable query whose
 	// versions differ from have (nil = all of them), under the same lock as
-	// the returned fingerprint. ok=false tells the server to fall back to
-	// Exec — the query is not repairable, or the backend's adaptive
-	// machinery needs the full path this round.
+	// the returned fingerprint. have must be prior.Versions() of the
+	// payload later passed to exec.Repaired, which folds any suffix
+	// partials into it. ok=false tells the server to fall back to Exec —
+	// the query is not repairable, or the backend's adaptive machinery
+	// needs the full path this round.
 	ExecDelta(q *query.Query, have map[int]uint64) (*core.DeltaScan, bool, error)
 }
 

@@ -78,6 +78,7 @@ func (r *Relation) tailWithRoom() *Segment {
 			g.Encoding()
 		}
 	}
+	tail.seal()
 	fresh := make([]*ColumnGroup, len(tail.Groups))
 	for i, g := range tail.Groups {
 		ng := NewGroupPadded(g.Attrs, 0, g.Stride-g.Width)
@@ -91,13 +92,24 @@ func (r *Relation) tailWithRoom() *Segment {
 
 // growFor pre-grows each group's backing array for n more tuples so a
 // batch append within one segment reallocates at most once per group.
+// Growth is geometric — at least double, never past SegCap rows — so a
+// stream of small batches copies the tail O(log SegCap) times over its
+// life instead of once per batch.
 func (s *Segment) growFor(n int) {
 	for _, g := range s.Groups {
 		need := len(g.Data) + n*g.Stride
-		if cap(g.Data) < need {
-			grown := make([]data.Value, len(g.Data), need)
-			copy(grown, g.Data)
-			g.Data = grown
+		if cap(g.Data) >= need {
+			continue
 		}
+		grow := 2 * cap(g.Data)
+		if limit := s.rel.SegCap * g.Stride; grow > limit {
+			grow = limit
+		}
+		if grow < need {
+			grow = need
+		}
+		grown := make([]data.Value, len(g.Data), grow)
+		copy(grown, g.Data)
+		g.Data = grown
 	}
 }

@@ -43,6 +43,14 @@ type Segment struct {
 	// version is this segment's slice of the process-wide version clock,
 	// advanced on any mutation of the segment (appends, group add/drop).
 	version atomic.Uint64
+	// history records (version, Rows) at every version bump, in version
+	// order, so RowsAt can say how many rows the segment held at a version
+	// a cached partial was computed at. Rows below that count never change
+	// (appends only add rows; reorganization copies values), which is what
+	// lets delta repair fold just the suffix. Written under the engine's
+	// exclusive lock, read under the shared one; trimmed to its last entry
+	// when the tail seals.
+	history []versionRows
 	// reads counts scans that actually touched this segment (pruned scans
 	// do not count) since the engine last reset it — the access-frequency
 	// signal behind hot/cold reorganization and eviction decisions.
@@ -78,7 +86,62 @@ func newSegment(rel *Relation, rows int, groups []*ColumnGroup) *Segment {
 // Version returns the segment's current version. Safe without locks.
 func (s *Segment) Version() uint64 { return s.version.Load() }
 
-func (s *Segment) bumpVersion() { s.version.Store(versionClock.Add(1)) }
+func (s *Segment) bumpVersion() {
+	v := versionClock.Add(1)
+	s.history = append(s.history, versionRows{version: v, rows: s.Rows})
+	s.version.Store(v)
+}
+
+// versionRows is one history entry: the segment held rows rows at version.
+type versionRows struct {
+	version uint64
+	rows    int
+}
+
+// RowsAt returns the row count the segment had at version v, and false
+// when v is not a version the retained history knows — never held by this
+// segment, or trimmed when the tail sealed. Callers hold the engine's
+// shared lock.
+func (s *Segment) RowsAt(v uint64) (int, bool) {
+	h := s.history
+	i := sort.Search(len(h), func(i int) bool { return h[i].version >= v })
+	if i < len(h) && h[i].version == v {
+		return h[i].rows, true
+	}
+	return 0, false
+}
+
+// seal trims the history to its last entry: a sealed segment never grows
+// again, so older row counts only serve partials computed before the
+// seal, and those fall back to a full rescan.
+func (s *Segment) seal() {
+	s.history = []versionRows{s.history[len(s.history)-1]}
+}
+
+// Suffix returns a read-only view of rows [lo, Rows): the same group set
+// and layout, each group sliced without copying. It has no zone maps (its
+// scans read every row), no version and no residency of its own — the
+// caller pins the parent segment around any scan of the view. Delta
+// repair scans a grown segment's suffix through it, so every per-segment
+// operator serves suffixes unchanged.
+func (s *Segment) Suffix(lo int) *Segment {
+	v := &Segment{
+		Groups:    make([]*ColumnGroup, len(s.Groups)),
+		Rows:      s.Rows - lo,
+		rel:       s.rel,
+		narrowest: make([]*ColumnGroup, len(s.narrowest)),
+		sig:       s.sig,
+	}
+	for i, g := range s.Groups {
+		v.Groups[i] = g.slice(lo, s.Rows)
+		for _, a := range g.Attrs {
+			if s.narrowest[a] == g {
+				v.narrowest[a] = v.Groups[i]
+			}
+		}
+	}
+	return v
+}
 
 // Touch records one scan of the segment. Execution kernels call it when a
 // segment is actually read (not pruned); safe under the shared read lock.

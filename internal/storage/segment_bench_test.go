@@ -81,18 +81,31 @@ func BenchmarkReorgFullRelation(b *testing.B) {
 
 // BenchmarkAppendBatchTail appends 1000-tuple batches; like single appends,
 // throughput must not depend on how many sealed segments sit below the tail.
+// The batch=64 case appends the serving workloads' 64-row batches to a
+// half-full tail, where per-batch cost must track the batch, not the tail.
 func BenchmarkAppendBatchTail(b *testing.B) {
-	batch := make([][]data.Value, 1000)
-	for i := range batch {
-		batch[i] = []data.Value{data.Value(i), 2, 3, 4}
+	mkBatch := func(n int) [][]data.Value {
+		batch := make([][]data.Value, n)
+		for i := range batch {
+			batch[i] = []data.Value{data.Value(i), 2, 3, 4}
+		}
+		return batch
 	}
-	for _, rows := range []int{benchSegCap, 16 * benchSegCap} {
-		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			_, rel := benchRelation(b, rows)
-			b.SetBytes(int64(len(batch)) * 4 * 8)
+	for _, c := range []struct {
+		name  string
+		rows  int
+		batch [][]data.Value
+	}{
+		{fmt.Sprintf("rows=%d", benchSegCap), benchSegCap, mkBatch(1000)},
+		{fmt.Sprintf("rows=%d", 16*benchSegCap), 16 * benchSegCap, mkBatch(1000)},
+		{fmt.Sprintf("rows=%d,batch=64", benchSegCap+benchSegCap/2), benchSegCap + benchSegCap/2, mkBatch(64)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			_, rel := benchRelation(b, c.rows)
+			b.SetBytes(int64(len(c.batch)) * 4 * 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := rel.AppendBatch(batch); err != nil {
+				if err := rel.AppendBatch(c.batch); err != nil {
 					b.Fatal(err)
 				}
 			}
