@@ -136,37 +136,15 @@ func GenerateTimeSeries(schema *Schema, rows int, seed int64) *Table {
 // DefaultOptions returns the paper's adaptive configuration.
 func DefaultOptions() Options { return core.DefaultOptions() }
 
-// table is what the catalog holds per registered name: a single engine, or
-// — when Options.Shards > 1 — a scatter-gather router over per-shard
-// engines (internal/shard). Both present the engine-shaped surface the
-// facade routes through, so every DB method works unchanged over either.
-type table interface {
-	Execute(q *query.Query) (*exec.Result, core.ExecInfo, error)
-	QueryFingerprint(q *query.Query) core.TouchFingerprint
-	QueryDelta(q *query.Query, have map[int]uint64) (*core.DeltaScan, bool, error)
-	Insert(tuples [][]data.Value) error
-	Version() uint64
-	SegmentVersions() []uint64
-	TierStats() core.TierStats
-	SetSegmentHeat(fn core.SegmentHeatFunc)
-	Close()
-}
-
-var (
-	_ table = (*core.Engine)(nil)
-	_ table = (*shard.Router)(nil)
-)
-
-// DB is a catalog of H2O engines, one per table, with a SQL front end. All
+// DB is a catalog of H2O tables, each a core.Table: a single engine, or —
+// when Options.Shards > 1 — a scatter-gather router over per-shard engines
+// (internal/shard). It implements server.Backend over the catalog. All
 // methods are safe for concurrent use: the catalog itself is guarded by a
 // read-write mutex, and each engine serializes its own mutations while
-// letting read-only queries run in parallel (see core.Engine). With
-// Options.Shards > 1 every registered table is split across that many
-// engines behind a scatter-gather router; the SQL and serving surfaces are
-// unchanged.
+// letting read-only queries run in parallel (see core.Engine).
 type DB struct {
 	mu      sync.RWMutex
-	tables  map[string]table
+	tables  map[string]core.Table
 	schemas sql.SchemaMap
 	opts    Options
 
@@ -185,6 +163,8 @@ type DB struct {
 	heatSrv *server.Server
 }
 
+var _ server.Backend = (*DB)(nil)
+
 // ErrClosed is returned by QueryCtx after Close has shut the database's
 // default serving layer down.
 var ErrClosed = server.ErrClosed
@@ -196,7 +176,7 @@ func NewDB() *DB { return NewDBWith(core.DefaultOptions()) }
 // opts.
 func NewDBWith(opts Options) *DB {
 	return &DB{
-		tables:  make(map[string]table),
+		tables:  make(map[string]core.Table),
 		schemas: make(sql.SchemaMap),
 		opts:    opts,
 	}
@@ -220,7 +200,7 @@ func (db *DB) CreateTableFrom(schema *Schema, rows int, seed int64) *Table {
 // stale-engine queries can fail — re-fetch through db.Engine
 // (db.Query/QueryCtx always do).
 func (db *DB) AddTable(t *Table) {
-	var h table
+	var h core.Table
 	if db.opts.Shards > 1 {
 		h = shard.New(t, db.opts)
 	} else {
@@ -231,7 +211,7 @@ func (db *DB) AddTable(t *Table) {
 
 // register installs a built table handle in the catalog, wires it to the
 // current heat server, and closes any handle it replaces.
-func (db *DB) register(name string, schema *Schema, h table) {
+func (db *DB) register(name string, schema *Schema, h core.Table) {
 	db.mu.Lock()
 	old := db.tables[name]
 	db.tables[name] = h
@@ -247,7 +227,7 @@ func (db *DB) register(name string, schema *Schema, h table) {
 }
 
 // handle returns the table handle behind a registered name.
-func (db *DB) handle(table string) (table, error) {
+func (db *DB) handle(table string) (core.Table, error) {
 	db.mu.RLock()
 	h, ok := db.tables[table]
 	db.mu.RUnlock()
@@ -313,7 +293,7 @@ func (db *DB) SegmentVersions(table string) ([]uint64, error) {
 // Fingerprint computes a query's candidate-touch fingerprint: the digest of
 // the segments the query may read (per zone-map pruning, no data access)
 // and their versions. The serving layer calls it at admission to address
-// its result cache; together with Exec this makes DB a server.Backend.
+// its result cache.
 func (db *DB) Fingerprint(q *Query) (TouchFingerprint, error) {
 	if len(q.Joins) > 0 {
 		return db.joinFingerprint(q)
@@ -436,13 +416,13 @@ func (db *DB) execJoin(q *Query) (*Result, ExecInfo, error) {
 // ExecDelta answers a repairable aggregate query by rescanning only the
 // candidate segments whose versions differ from have (nil rescans all of
 // them), under the table engine's read lock; a segment that only grew
-// since is scanned from its old row count on. It implements the serving
-// layer's server.DeltaBackend capability — the tier between an exact cache
-// hit and a full execution: repeat aggregates over a tail-append workload
-// are re-answered at O(appended rows) cost. have must be prior.Versions()
-// of the partials payload later combined as exec.Repaired(prior,
-// ds.Fresh, ds.Reused). ok=false means the engine chose the full Execute
-// path (not repairable, or an adaptation phase is pending).
+// since is scanned from its old row count on. It is the serving layer's
+// delta-repair tier, between an exact cache hit and a full execution:
+// repeat aggregates over a tail-append workload are re-answered at
+// O(appended rows) cost. have must be prior.Versions() of the partials
+// payload later combined as exec.Repaired(prior, ds.Fresh, ds.Reused).
+// ok=false means the engine chose the full Execute path (not repairable,
+// or an adaptation phase is pending).
 func (db *DB) ExecDelta(q *Query, have map[int]uint64) (*DeltaScan, bool, error) {
 	h, err := db.handle(q.Table)
 	if err != nil {
@@ -568,7 +548,7 @@ func (db *DB) Serve(cfg ServerConfig) *Server {
 func (db *DB) adoptHeatServer(srv *server.Server) {
 	db.mu.Lock()
 	db.heatSrv = srv
-	handles := make(map[string]table, len(db.tables))
+	handles := make(map[string]core.Table, len(db.tables))
 	for name, h := range db.tables {
 		handles[name] = h
 	}
@@ -584,7 +564,7 @@ func (db *DB) adoptHeatServer(srv *server.Server) {
 // ones). The closure holds the server, not the catalog, so a replaced
 // table's old engine keeps a working — merely stale — heat source until it
 // is closed.
-func wireSegmentHeat(h table, srv *server.Server, name string) {
+func wireSegmentHeat(h core.Table, srv *server.Server, name string) {
 	h.SetSegmentHeat(func() map[int]int { return srv.SegmentHeat(name) })
 }
 
@@ -631,7 +611,7 @@ func (db *DB) Close() {
 		srv.Close()
 	}
 	db.mu.Lock()
-	handles := make([]table, 0, len(db.tables))
+	handles := make([]core.Table, 0, len(db.tables))
 	for _, h := range db.tables {
 		handles = append(handles, h)
 	}
@@ -686,16 +666,7 @@ func (db *DB) LayoutSignature(name string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if r, ok := h.(*shard.Router); ok {
-		return r.LayoutSignature(), nil
-	}
-	e := h.(*core.Engine)
-	var sig string
-	err = e.View(func(rel *storage.Relation) error {
-		sig = rel.LayoutSignature()
-		return nil
-	})
-	return sig, err
+	return h.LayoutSignature(), nil
 }
 
 // SaveTable snapshots a table — data plus its current adapted layout — to a

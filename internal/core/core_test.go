@@ -340,23 +340,6 @@ func TestOracleMatchesReference(t *testing.T) {
 	}
 }
 
-func TestExecuteSQL(t *testing.T) {
-	tb := table(t)
-	e := NewH2O(tb, DefaultOptions())
-	parse := func(src string) (*query.Query, error) {
-		return nil, nil // never used: engine must call the parser we hand it
-	}
-	_ = parse
-	called := false
-	res, _, err := e.ExecuteSQL("select max(a1) from R", func(src string) (*query.Query, error) {
-		called = true
-		return query.Aggregation("R", expr.AggMax, []data.AttrID{1}, nil), nil
-	})
-	if err != nil || !called || res.Rows != 1 {
-		t.Fatalf("ExecuteSQL: res=%v called=%v err=%v", res, called, err)
-	}
-}
-
 func TestSelectivityEstimateLearning(t *testing.T) {
 	tb := table(t)
 	e := NewH2O(tb, DefaultOptions())

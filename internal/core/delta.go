@@ -57,10 +57,8 @@ func (e *Engine) QueryDelta(q *query.Query, have map[int]uint64) (ds *DeltaScan,
 	// The rescan may have paged spilled segments in; re-enforce the memory
 	// budget only after the scan's lock is released, exactly as Execute's
 	// epilogue does.
-	if ok && e.tier != nil {
-		e.mu.RLock()
-		e.tier.enforce()
-		e.mu.RUnlock()
+	if ok {
+		e.EnforceBudget()
 	}
 	return ds, ok, err
 }
@@ -99,6 +97,31 @@ func (e *Engine) queryDelta(q *query.Query, have map[int]uint64) (*DeltaScan, bo
 		e.stateMu.Unlock()
 	}
 
+	ds, err := e.scanPartials(q, have)
+	if err == exec.ErrUnsupported {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	return ds, true, nil
+}
+
+// ScanPartials is the unconditional partial scan: every candidate segment
+// of the repairable query q, bypassing the adaptive gate that can make
+// QueryDelta decline. The shard router's terminal fallback, after the full
+// path has had its chance to run a pending adaptation. Like QueryDelta it
+// re-enforces the memory budget once the scan's lock is released.
+func (e *Engine) ScanPartials(q *query.Query) (*DeltaScan, error) {
+	ds, err := e.scanPartials(q, nil)
+	e.EnforceBudget()
+	return ds, err
+}
+
+// scanPartials is the locked scan section QueryDelta and ScanPartials
+// share: rescan the candidate segments whose versions differ from have
+// (nil: all of them) under the shared read lock.
+func (e *Engine) scanPartials(q *query.Query, have map[int]uint64) (*DeltaScan, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	ds := &DeltaScan{}
@@ -107,10 +130,7 @@ func (e *Engine) queryDelta(q *query.Query, have map[int]uint64) (*DeltaScan, bo
 	// configured intra-query parallelism.
 	fresh, reused, err := exec.ExecDelta(e.rel, q, have, e.opts.Parallelism, &ds.Stats)
 	if err != nil {
-		if err == exec.ErrUnsupported {
-			return nil, false, nil
-		}
-		return nil, false, err
+		return nil, err
 	}
 	ds.Fresh = fresh
 	ds.Reused = reused
@@ -121,5 +141,5 @@ func (e *Engine) queryDelta(q *query.Query, have map[int]uint64) (*DeltaScan, bo
 	// Keep group recency honest — a repair reads covering groups just like
 	// a full scan would, and MaxGroups eviction must not starve them.
 	e.touchGroups(q)
-	return ds, true, nil
+	return ds, nil
 }

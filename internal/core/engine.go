@@ -355,6 +355,14 @@ func (e *Engine) View(fn func(*storage.Relation) error) error {
 	return fn(e.rel)
 }
 
+// LayoutSignature describes the relation's current physical layout, read
+// under the shared lock.
+func (e *Engine) LayoutSignature() string {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.rel.LayoutSignature()
+}
+
 // Version returns the relation's mutation counter: it advances on every
 // insert and every layout reorganization. Serving layers key result caches
 // on it. Safe to call without any engine lock.
@@ -391,15 +399,6 @@ func (e *Engine) windowSize() int {
 	return e.win.Size()
 }
 
-// ExecuteSQL parses and executes a SQL statement against the relation.
-func (e *Engine) ExecuteSQL(src string, parse func(string) (*query.Query, error)) (*exec.Result, ExecInfo, error) {
-	q, err := parse(src)
-	if err != nil {
-		return nil, ExecInfo{}, err
-	}
-	return e.Execute(q)
-}
-
 // Execute runs one query: it monitors the access pattern, periodically runs
 // the adaptation mechanism, lazily materializes a proposed layout when this
 // query benefits, picks the cheapest (layout, strategy) combination, obtains
@@ -416,11 +415,7 @@ func (e *Engine) Execute(q *query.Query) (*exec.Result, ExecInfo, error) {
 	// re-enforce the memory budget only after every lock execute held is
 	// released, under the shared lock — spill-file fsyncs never run under
 	// the exclusive lock and never stall concurrent readers.
-	if e.tier != nil {
-		e.mu.RLock()
-		e.tier.enforce()
-		e.mu.RUnlock()
-	}
+	e.EnforceBudget()
 	return res, info, err
 }
 

@@ -98,6 +98,40 @@ func TestTinyBudgetSpillsAllSealed(t *testing.T) {
 	}
 }
 
+// TestScanPartialsEnforcesBudget: the unconditional partial scan faults
+// every spilled candidate segment in, and — like Execute and QueryDelta —
+// re-enforces the memory budget before returning, so residency is back
+// within budget the moment the call ends. The disjunctive predicate keeps
+// every segment a candidate and forces flat (not encoded) pins, so the
+// faults really do grow the heap.
+func TestScanPartialsEnforcesBudget(t *testing.T) {
+	const rows, segCap = 4_000, 250 // 16 segments
+	full, tb := spillEngine(t, rows, segCap, 0)
+	budget := full.Relation().Bytes() / 4
+	e, _ := spillEngine(t, rows, segCap, budget)
+	e.EnforceBudget()
+	if ts := e.TierStats(); ts.SpilledSegments == 0 {
+		t.Fatalf("budget spilled nothing: %+v", ts)
+	}
+
+	q := query.Aggregation("R", expr.AggSum, []data.AttrID{1, 2},
+		&expr.Or{L: query.PredLt(1, 0), R: query.PredGt(2, 0)})
+	ds, err := e.ScanPartials(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ds.Fresh.Result().Equal(reference(tb, q)) {
+		t.Fatal("partial scan over spilled segments diverged from the reference")
+	}
+	ts := e.TierStats()
+	if ts.Faults == 0 {
+		t.Fatalf("scan over spilled segments faulted nothing: %+v", ts)
+	}
+	if ts.ResidentBytes > budget {
+		t.Fatalf("ResidentBytes = %d after ScanPartials, budget %d: %+v", ts.ResidentBytes, budget, ts)
+	}
+}
+
 // TestPrunedColdSegmentsNoDiskReads: a selective scan over append-ordered
 // data must answer from the tail region without faulting a single spilled
 // cold segment — zone maps stay resident, so pruning costs no I/O.

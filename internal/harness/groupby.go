@@ -92,7 +92,7 @@ func timeGroupByPoint(tb *data.Table, segCap int, q *query.Query, rounds, nKeys 
 	opts := core.DefaultOptions()
 	opts.Mode = core.ModeFrozen // only the appends mutate
 	eng := core.New(storage.BuildColumnMajorSeg(tb, segCap), opts)
-	srv := server.New(&repairBackend{eng}, server.Config{Workers: 2, PartialCacheBytes: partialBytes})
+	srv := server.New(server.TableBackend{Name: tb.Schema.Name, T: eng}, server.Config{Workers: 2, PartialCacheBytes: partialBytes})
 	defer srv.Close()
 	ctx := context.Background()
 

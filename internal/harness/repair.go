@@ -7,28 +7,11 @@ import (
 
 	"h2o/internal/core"
 	"h2o/internal/data"
-	"h2o/internal/exec"
 	"h2o/internal/expr"
 	"h2o/internal/query"
 	"h2o/internal/server"
 	"h2o/internal/storage"
 )
-
-// repairBackend adapts one engine to the full serving-layer capability set
-// (Backend + DeltaBackend + VersionBackend), as the h2o.DB facade does for
-// a catalog.
-type repairBackend struct{ e *core.Engine }
-
-func (b *repairBackend) Exec(q *query.Query) (*exec.Result, core.ExecInfo, error) {
-	return b.e.Execute(q)
-}
-func (b *repairBackend) Fingerprint(q *query.Query) (core.TouchFingerprint, error) {
-	return b.e.QueryFingerprint(q), nil
-}
-func (b *repairBackend) ExecDelta(q *query.Query, have map[int]uint64) (*core.DeltaScan, bool, error) {
-	return b.e.QueryDelta(q, have)
-}
-func (b *repairBackend) Version(string) (uint64, error) { return b.e.Version(), nil }
 
 // RunRepair measures the partial-result-reuse contract (not a paper
 // experiment): a repeated full-relation aggregate over a tail-append
@@ -97,7 +80,7 @@ func timeRepairPoint(tb *data.Table, segCap int, q *query.Query, rounds int, par
 	opts := core.DefaultOptions()
 	opts.Mode = core.ModeFrozen // only the appends mutate
 	eng := core.New(storage.BuildColumnMajorSeg(tb, segCap), opts)
-	srv := server.New(&repairBackend{eng}, server.Config{Workers: 2, PartialCacheBytes: partialBytes})
+	srv := server.New(server.TableBackend{Name: tb.Schema.Name, T: eng}, server.Config{Workers: 2, PartialCacheBytes: partialBytes})
 	defer srv.Close()
 	ctx := context.Background()
 

@@ -71,7 +71,7 @@ func RunShard(cfg Config) (*Table, error) {
 
 		// Repair latency through the serving layer: seed the partials
 		// payload, then alternate tail appends with repaired queries.
-		srv := server.New(shard.Backend{R: r}, server.Config{Workers: 2})
+		srv := server.New(server.TableBackend{Name: tb.Schema.Name, T: r}, server.Config{Workers: 2})
 		ctx := context.Background()
 		if _, _, err := srv.Query(ctx, q); err != nil {
 			srv.Close()

@@ -16,10 +16,10 @@
 // Every select is fingerprinted on admission (core.TouchFingerprint): the
 // query's predicates are pruned against each segment's zone maps — no data
 // access, no disk I/O even when segments are spilled — and the surviving
-// *candidate set* is digested together with those segments' versions. When
-// the backend exposes a per-table relation version (VersionBackend), the
-// fingerprint itself is memoized per (table, normalized query) at that
-// version, so hot patterns skip even the zone-map walk (Stats.MemoHits);
+// *candidate set* is digested together with those segments' versions. The
+// fingerprint itself is memoized per (table, normalized query) at the
+// backend's per-table relation version (Backend.Version), so hot patterns
+// skip even the zone-map walk (Stats.MemoHits);
 // versions come from a process-wide monotone clock and are never reused,
 // which makes the memo self-invalidating — a stale entry's version simply
 // cannot recur. The admitted query then falls through three tiers:
@@ -40,7 +40,7 @@
 //     only: the payload deliberately outlives the fingerprint that
 //     stranded the result. A worker diffs the payload's segment-version
 //     vector against the live relation under the engine's read lock
-//     (DeltaBackend.ExecDelta), rescans only the changed or new candidate
+//     (Backend.ExecDelta), rescans only the changed or new candidate
 //     segments — of a segment that only grew, only the appended rows —
 //     and re-combines with the retained partials: O(changed rows) instead
 //     of O(candidate set). Repeat aggregates over a tail-append workload
@@ -83,7 +83,7 @@
 // observed again.
 //
 // The package deliberately knows nothing about SQL or the catalog: it
-// executes logical queries against a Backend (implemented by the h2o.DB
-// facade), and the repair and memo tiers light up only when that backend
-// also implements the optional DeltaBackend / VersionBackend capabilities.
+// executes logical queries against a Backend — the h2o.DB facade for a
+// catalog, TableBackend for one core.Table (an engine or a shard router).
+// Every tier is on unless Config turns it off.
 package server

@@ -133,6 +133,60 @@ func TestDeltaRepairGrouped(t *testing.T) {
 	}
 }
 
+// decliningBackend declines every delta scan, as a backend that cannot
+// scan segment subsets would; everything else is the engine's.
+type decliningBackend struct{ *engineBackend }
+
+func (decliningBackend) ExecDelta(*query.Query, map[int]uint64) (*core.DeltaScan, bool, error) {
+	return nil, false, nil
+}
+
+// TestDecliningBackendAnswersThroughExec: when the backend declines every
+// delta scan, repeated repairable aggregates over a tail-append workload
+// fall through to Exec — correct results, and no query counts as repaired.
+func TestDecliningBackendAnswersThroughExec(t *testing.T) {
+	const segCap, segs, appends = 256, 4, 5
+	b := newSegmentedBackend(t, segs*segCap, segCap, frozenOptions())
+	s := New(decliningBackend{b}, Config{Workers: 2})
+	defer s.Close()
+	ctx := context.Background()
+
+	queries := []*query.Query{
+		query.Aggregation("R", expr.AggSum, []data.AttrID{1, 2}, nil),
+		query.GroupedAggregation("R", expr.AggSum, []data.AttrID{1}, []data.AttrID{3}, nil),
+	}
+	for i := 0; i <= appends; i++ {
+		if i > 0 {
+			if err := b.e.Insert([][]data.Value{{data.Value(70_000_000 + i), 7, 11, data.Value(i % 2)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range queries {
+			res, info, err := s.Query(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.CacheHit || info.Strategy == exec.StrategyDelta {
+				t.Fatalf("round %d %v: hit=%v strategy=%v, want a full execution", i, q, info.CacheHit, info.Strategy)
+			}
+			want, _, err := b.e.Execute(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Equal(want) {
+				t.Fatalf("round %d %v: got %v, want %v", i, q, res.Data, want.Data)
+			}
+		}
+	}
+	st := s.Stats()
+	if st.Repaired != 0 || st.RepairedSegments != 0 {
+		t.Fatalf("declining backend counted repairs: %+v", st)
+	}
+	if want := uint64((appends + 1) * len(queries)); st.Executed != want || st.CacheMisses != want {
+		t.Fatalf("Executed = %d, CacheMisses = %d, want %d each (stats %+v)", st.Executed, st.CacheMisses, want, st)
+	}
+}
+
 // TestDeltaRepairSelectiveQueries: a cold-segment aggregate never needs
 // repair across tail appends (its fingerprint is append-invariant — exact
 // hits), while a mid-range aggregate repairs only when its own segments

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strconv"
 	"strings"
@@ -19,9 +20,10 @@ import (
 // that has been shut down.
 var ErrClosed = errors.New("server: closed")
 
-// Backend executes logical queries and reports per-query touch
-// fingerprints. The h2o.DB facade implements it; tests implement it with
-// stubs.
+// Backend is the serving layer's view of a catalog of tables: it executes
+// logical queries, fingerprints them, delta-scans repairable ones and
+// reports relation versions. The h2o.DB facade implements it for a
+// catalog, TableBackend for a single core.Table, and tests with stubs.
 type Backend interface {
 	// Exec runs one logical query to completion. The returned
 	// ExecInfo.Fingerprint must describe the relation state the result was
@@ -33,33 +35,68 @@ type Backend interface {
 	// pruning only, no data access — and their versions. It must be cheap
 	// (O(segments), no I/O) and safe to call concurrently with Exec.
 	Fingerprint(q *query.Query) (core.TouchFingerprint, error)
-}
-
-// DeltaBackend is the optional capability behind delta repair. A Backend
-// that also implements it lets the server answer repairable aggregate
-// queries by rescanning only the segments that changed since their
-// partials were cached; a Backend without it (the test stubs, any engine
-// that cannot scan segment subsets) simply never repairs — every miss
-// takes the full Exec path.
-type DeltaBackend interface {
-	// ExecDelta rescans the candidate segments of a repairable query whose
-	// versions differ from have (nil = all of them), under the same lock as
-	// the returned fingerprint. have must be prior.Versions() of the
-	// payload later passed to exec.Repaired, which folds any suffix
-	// partials into it. ok=false tells the server to fall back to Exec —
-	// the query is not repairable, or the backend's adaptive machinery
-	// needs the full path this round.
+	// ExecDelta is the delta-repair tier: it rescans the candidate
+	// segments of a repairable query whose versions differ from have (nil
+	// = all of them), under the same lock as the returned fingerprint.
+	// have must be prior.Versions() of the payload later passed to
+	// exec.Repaired, which folds any suffix partials into it. ok=false
+	// tells the server to fall back to Exec — the query is not
+	// repairable, or the backend's adaptive machinery needs the full path
+	// this round.
 	ExecDelta(q *query.Query, have map[int]uint64) (*core.DeltaScan, bool, error)
+	// Version is a cheap (atomic-read) per-table relation version that
+	// bumps on every mutation and is never reused. Admission memoizes
+	// fingerprints under it, so hot query patterns skip the
+	// O(segments × predicate terms) zone-map walk while it is unchanged.
+	Version(table string) (uint64, error)
 }
 
-// VersionBackend is the optional capability behind admission-time
-// fingerprint memoization: a cheap (atomic-read) per-table relation
-// version that bumps on every mutation. With it, hot query patterns skip
-// the O(segments × predicate terms) zone-map walk on admission — the memo
-// is exact while the version is unchanged, and versions are never reused,
-// so a bump invalidates for free. The h2o.DB facade implements it.
-type VersionBackend interface {
-	Version(table string) (uint64, error)
+// TableBackend serves one table — a single engine or a shard router —
+// under Name, for deployments that put a Server directly over it (the
+// h2o.DB facade serves a whole catalog instead). Queries and versions for
+// any other table name fail.
+type TableBackend struct {
+	Name string
+	T    core.Table
+}
+
+var _ Backend = TableBackend{}
+
+func (b TableBackend) Exec(q *query.Query) (*exec.Result, core.ExecInfo, error) {
+	if err := b.check(q.Tables()...); err != nil {
+		return nil, core.ExecInfo{}, err
+	}
+	return b.T.Execute(q)
+}
+
+func (b TableBackend) Fingerprint(q *query.Query) (core.TouchFingerprint, error) {
+	if err := b.check(q.Tables()...); err != nil {
+		return core.TouchFingerprint{}, err
+	}
+	return b.T.QueryFingerprint(q), nil
+}
+
+func (b TableBackend) ExecDelta(q *query.Query, have map[int]uint64) (*core.DeltaScan, bool, error) {
+	if err := b.check(q.Tables()...); err != nil {
+		return nil, false, err
+	}
+	return b.T.QueryDelta(q, have)
+}
+
+func (b TableBackend) Version(table string) (uint64, error) {
+	if err := b.check(table); err != nil {
+		return 0, err
+	}
+	return b.T.Version(), nil
+}
+
+func (b TableBackend) check(tables ...string) error {
+	for _, t := range tables {
+		if t != b.Name {
+			return fmt.Errorf("server: unknown table %q", t)
+		}
+	}
+	return nil
 }
 
 // Config sizes the serving layer. Zero values select defaults.
@@ -82,13 +119,12 @@ type Config struct {
 	// PartialCacheBytes budgets the per-segment partial-aggregate payloads
 	// kept alongside cached results for delta repair. Default: 4 MiB.
 	// Negative disables partial caching (and with it delta repair); it is
-	// also off whenever the backend does not implement DeltaBackend or the
-	// result cache is disabled.
+	// also off whenever the result cache is disabled.
 	PartialCacheBytes int64
 	// MemoEntries bounds the admission fingerprint memo (per (table,
 	// normalized query) at a relation version). Default: 4096. Negative
-	// disables memoization; it is also off whenever the backend does not
-	// implement VersionBackend or the result cache is disabled.
+	// disables memoization; it is also off whenever the result cache is
+	// disabled.
 	MemoEntries int
 }
 
@@ -199,13 +235,9 @@ type Server struct {
 	cfg     Config
 	cache   *resultCache // nil when caching is disabled
 
-	// delta and partials enable the repair tier; both nil unless the
-	// backend implements DeltaBackend, caching is on and the partial
-	// budget is positive. ver and memo likewise gate fingerprint
-	// memoization on VersionBackend.
-	delta    DeltaBackend
+	// partials enables the repair tier and memo fingerprint memoization;
+	// each is nil unless caching is on and its budget is positive.
 	partials *partialCache
-	ver      VersionBackend
 	memo     *fpMemo
 
 	queue chan *job
@@ -238,12 +270,10 @@ func New(backend Backend, cfg Config) *Server {
 	}
 	if cfg.CacheEntries > 0 {
 		s.cache = newResultCache(cfg.CacheShards, cfg.CacheEntries)
-		if d, ok := backend.(DeltaBackend); ok && cfg.PartialCacheBytes > 0 {
-			s.delta = d
+		if cfg.PartialCacheBytes > 0 {
 			s.partials = newPartialCache(cfg.PartialCacheBytes)
 		}
-		if v, ok := backend.(VersionBackend); ok && cfg.MemoEntries > 0 {
-			s.ver = v
+		if cfg.MemoEntries > 0 {
 			s.memo = newFpMemo(cfg.MemoEntries)
 		}
 	}
@@ -457,7 +487,7 @@ func (s *Server) worker() {
 
 // fingerprint computes q's admission fingerprint, memoized under the
 // caller's (table, normalized query) composite key at the backend's
-// relation version when the backend exposes one. The version is read
+// relation version. The version is read
 // *before* the walk it guards: see fpMemo for why that order is what makes
 // a racing mutation harmless. A join query's memo version is the sum of
 // every input table's version — versions are monotone, so any mutation of
@@ -469,7 +499,7 @@ func (s *Server) fingerprint(q *query.Query, tqKey string) (core.TouchFingerprin
 	}
 	var ver uint64
 	for _, table := range q.Tables() {
-		v, err := s.ver.Version(table)
+		v, err := s.backend.Version(table)
 		if err != nil {
 			return core.TouchFingerprint{}, err
 		}
@@ -552,7 +582,7 @@ func (s *Server) serveDelta(j *job) bool {
 	if prior != nil {
 		have = prior.Versions()
 	}
-	ds, ok, err := s.delta.ExecDelta(j.q, have)
+	ds, ok, err := s.backend.ExecDelta(j.q, have)
 	if err != nil {
 		s.executed.Add(1)
 		j.done <- outcome{err: err}

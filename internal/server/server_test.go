@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,49 +16,51 @@ import (
 	"h2o/internal/storage"
 )
 
-// engineBackend adapts a single core.Engine to the Backend interface, the
-// way the facade does for a whole catalog.
+// engineBackend serves one core.Engine as table "R" through TableBackend
+// and keeps the engine at hand, so tests can mutate it directly.
 type engineBackend struct {
-	table string
-	e     *core.Engine
+	TableBackend
+	e *core.Engine
 }
 
-func (b *engineBackend) Exec(q *query.Query) (*exec.Result, core.ExecInfo, error) {
-	if q.Table != b.table {
-		return nil, core.ExecInfo{}, fmt.Errorf("unknown table %q", q.Table)
-	}
-	return b.e.Execute(q)
-}
-
-func (b *engineBackend) Fingerprint(q *query.Query) (core.TouchFingerprint, error) {
-	if q.Table != b.table {
-		return core.TouchFingerprint{}, fmt.Errorf("unknown table %q", q.Table)
-	}
-	return b.e.QueryFingerprint(q), nil
-}
-
-// ExecDelta and Version make engineBackend a DeltaBackend and a
-// VersionBackend, as the facade is: repairable aggregate queries take the
-// delta tier and admissions memoize their fingerprints, so the serving
-// tests exercise the production admission path end to end.
-func (b *engineBackend) ExecDelta(q *query.Query, have map[int]uint64) (*core.DeltaScan, bool, error) {
-	if q.Table != b.table {
-		return nil, false, fmt.Errorf("unknown table %q", q.Table)
-	}
-	return b.e.QueryDelta(q, have)
-}
-
-func (b *engineBackend) Version(table string) (uint64, error) {
-	if table != b.table {
-		return 0, fmt.Errorf("unknown table %q", table)
-	}
-	return b.e.Version(), nil
+func newEngineBackend(e *core.Engine) *engineBackend {
+	return &engineBackend{TableBackend: TableBackend{Name: "R", T: e}, e: e}
 }
 
 func newTestBackend(t testing.TB, rows int) *engineBackend {
 	t.Helper()
 	tb := data.Generate(data.SyntheticSchema("R", 8), rows, 5)
-	return &engineBackend{table: "R", e: core.New(storage.BuildColumnMajor(tb), core.DefaultOptions())}
+	return newEngineBackend(core.New(storage.BuildColumnMajor(tb), core.DefaultOptions()))
+}
+
+// TestTableBackendRejectsOtherTables: a TableBackend answers for its own
+// name only — every verb fails for any other table, joins included.
+func TestTableBackendRejectsOtherTables(t *testing.T) {
+	b := newTestBackend(t, 100).TableBackend
+	own := testQuery(0)
+	other := query.Aggregation("S", expr.AggMax, []data.AttrID{0}, nil)
+	join := testQuery(1)
+	join.Joins = []query.Join{query.JoinOn("S", 0, 0, 8)}
+	if _, _, err := b.Exec(own); err != nil {
+		t.Fatalf("Exec(R): %v", err)
+	}
+	if _, err := b.Version("R"); err != nil {
+		t.Fatalf("Version(R): %v", err)
+	}
+	for _, q := range []*query.Query{other, join} {
+		if _, _, err := b.Exec(q); err == nil {
+			t.Errorf("Exec(%v) succeeded", q)
+		}
+		if _, err := b.Fingerprint(q); err == nil {
+			t.Errorf("Fingerprint(%v) succeeded", q)
+		}
+		if _, _, err := b.ExecDelta(q, nil); err == nil {
+			t.Errorf("ExecDelta(%v) succeeded", q)
+		}
+	}
+	if _, err := b.Version("S"); err == nil {
+		t.Error("Version(S) succeeded")
+	}
 }
 
 func testQuery(attr int) *query.Query {
@@ -199,8 +200,9 @@ func TestContextCancellation(t *testing.T) {
 }
 
 // stubBackend lets tests script execution behavior. Its admission
-// fingerprint is derived from the digest counter, so bumping digest models
-// a mutation of segments the query touches.
+// fingerprint and its version are both derived from the digest counter, so
+// bumping digest models a mutation of segments the query touches — and
+// moves the version the fingerprint memo is keyed on. It never repairs.
 type stubBackend struct {
 	exec   func(q *query.Query) (*exec.Result, core.ExecInfo, error)
 	digest atomic.Uint64
@@ -214,6 +216,10 @@ func (b *stubBackend) Exec(q *query.Query) (*exec.Result, core.ExecInfo, error) 
 func (b *stubBackend) Fingerprint(*query.Query) (core.TouchFingerprint, error) {
 	return b.fp(), nil
 }
+func (b *stubBackend) ExecDelta(*query.Query, map[int]uint64) (*core.DeltaScan, bool, error) {
+	return nil, false, nil
+}
+func (b *stubBackend) Version(string) (uint64, error) { return b.digest.Load(), nil }
 
 // TestMidFlightMutationRepublishes is the regression test for the old
 // whole-relation re-check, which discarded the result on *any* version
@@ -366,7 +372,7 @@ func TestConcurrentClients(t *testing.T) {
 func newSegmentedBackend(t testing.TB, rows, segCap int, opts core.Options) *engineBackend {
 	t.Helper()
 	tb := data.GenerateTimeSeries(data.SyntheticSchema("R", 4), rows, 99)
-	return &engineBackend{table: "R", e: core.New(storage.BuildColumnMajorSeg(tb, segCap), opts)}
+	return newEngineBackend(core.New(storage.BuildColumnMajorSeg(tb, segCap), opts))
 }
 
 // frozenOptions disables adaptation so no background reorganization can

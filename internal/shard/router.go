@@ -18,9 +18,10 @@
 // every shard's component unmoved, and on repair admission only shards
 // whose component moved rescan — a tail append repairs exactly one shard.
 //
-// The router reaches shards only through the Conn interface, which
-// exchanges queries, results, fingerprints and partials — never storage
-// internals — keeping the seam network-ready.
+// The router holds its shard engines directly. The scatter-gather paths
+// call only their query-path methods — Execute, QueryFingerprint,
+// QueryDelta, ScanPartials — and exchange queries, results, fingerprints
+// and per-segment partials, never storage internals.
 //
 // Join queries are declined with exec.ErrUnsupported for now. The gather
 // seam they will use is the same one aggregates use today: build the join's
@@ -29,8 +30,7 @@
 // shard-local ExecJoin, and gather the per-shard partials under the
 // existing merge law — probe segments are disjoint across shards, so the
 // per-shard join partials merge exactly like single-relation ones. Only
-// the broadcast is new; Conn would grow one call carrying the serialized
-// build table.
+// the broadcast is new.
 package shard
 
 import (
@@ -47,14 +47,13 @@ import (
 	"h2o/internal/storage"
 )
 
-// Router scatter-gathers one logical table over N shards. It presents the
-// same surface as a core.Engine bound to the unsharded table (Execute,
-// QueryFingerprint, QueryDelta, Insert, Version, ...), so the facade and
-// the serving layer sit on either one interchangeably.
+// Router scatter-gathers one logical table over N shards. It implements
+// core.Table, as a core.Engine bound to the unsharded table does, so the
+// facade and the serving layer sit on either one interchangeably.
 type Router struct {
-	conns  []Conn
-	segCap int
-	width  int
+	engines []*core.Engine
+	segCap  int
+	width   int
 
 	// mu guards the append cursor. Placement must be deterministic in
 	// arrival order — chunk k of the logical append stream always lands on
@@ -66,6 +65,8 @@ type Router struct {
 	cur  int
 	fill int
 }
+
+var _ core.Table = (*Router)(nil)
 
 // New builds a router over opts.Shards in-process engines and deals t's
 // rows onto them in segment-sized round-robin chunks. Each shard engine
@@ -91,20 +92,13 @@ func New(t *data.Table, opts core.Options) *Router {
 		}
 		shardOpts.Parallelism = per
 	}
-	workers := shardOpts.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
 	r := &Router{
-		conns:  make([]Conn, n),
-		segCap: segCap,
-		width:  t.Schema.NumAttrs(),
+		engines: make([]*core.Engine, n),
+		segCap:  segCap,
+		width:   t.Schema.NumAttrs(),
 	}
 	for s, sub := range splitTable(t, n, segCap) {
-		r.conns[s] = &engineConn{
-			e:       core.New(storage.BuildColumnMajorSeg(sub, segCap), shardOpts),
-			workers: workers,
-		}
+		r.engines[s] = core.New(storage.BuildColumnMajorSeg(sub, segCap), shardOpts)
 	}
 	// Resume the append cursor at the chunk the initial deal left open:
 	// chunk L = (Rows-1)/segCap went to shard L%n with Rows-L*segCap rows.
@@ -143,28 +137,23 @@ func splitTable(t *data.Table, n, segCap int) []*data.Table {
 }
 
 // Shards returns the shard count.
-func (r *Router) Shards() int { return len(r.conns) }
+func (r *Router) Shards() int { return len(r.engines) }
 
-// EngineAt returns shard s's local engine, or nil when that shard is not
-// served in-process. Tests and tools use it; the query path never does.
-func (r *Router) EngineAt(s int) *core.Engine {
-	if ec, ok := r.conns[s].(*engineConn); ok {
-		return ec.e
-	}
-	return nil
-}
+// EngineAt returns shard s's engine. Tests and tools use it; the query
+// path never does.
+func (r *Router) EngineAt(s int) *core.Engine { return r.engines[s] }
 
 // scatter runs fn once per shard concurrently and returns the first error
 // in shard order.
-func (r *Router) scatter(fn func(s int, c Conn) error) error {
-	errs := make([]error, len(r.conns))
+func (r *Router) scatter(fn func(s int, e *core.Engine) error) error {
+	errs := make([]error, len(r.engines))
 	var wg sync.WaitGroup
-	for s, c := range r.conns {
+	for s, e := range r.engines {
 		wg.Add(1)
-		go func(s int, c Conn) {
+		go func(s int, e *core.Engine) {
 			defer wg.Done()
-			errs[s] = fn(s, c)
-		}(s, c)
+			errs[s] = fn(s, e)
+		}(s, e)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -219,15 +208,11 @@ func (r *Router) Execute(q *query.Query) (*exec.Result, core.ExecInfo, error) {
 // zone maps rule every segment out, and the per-shard partials merge under
 // the partials merge law.
 func (r *Router) execPartials(q, qx *query.Query) (*exec.Result, core.ExecInfo, error) {
-	scans := make([]*core.DeltaScan, len(r.conns))
-	fps := make([]core.TouchFingerprint, len(r.conns))
-	err := r.scatter(func(s int, c Conn) error {
+	scans := make([]*core.DeltaScan, len(r.engines))
+	fps := make([]core.TouchFingerprint, len(r.engines))
+	err := r.scatter(func(s int, e *core.Engine) error {
 		if s > 0 {
-			fp, err := c.Fingerprint(qx)
-			if err != nil {
-				return err
-			}
-			if fp.Segments == 0 {
+			if fp := e.QueryFingerprint(qx); fp.Segments == 0 {
 				// Pruned out entirely: skip the scan, but the shard's
 				// fingerprint still mixes into the combined key — growth
 				// into the candidate set must move the published
@@ -236,7 +221,7 @@ func (r *Router) execPartials(q, qx *query.Query) (*exec.Result, core.ExecInfo, 
 				return nil
 			}
 		}
-		ds, err := scanShardPartials(c, qx)
+		ds, err := scanShardPartials(e, qx)
 		if err != nil {
 			return err
 		}
@@ -259,20 +244,20 @@ func (r *Router) execPartials(q, qx *query.Query) (*exec.Result, core.ExecInfo, 
 // running the full Exec path once lets that adaptation (and any lazy
 // reorganization) happen, then the partial scan is retried. The terminal
 // fallback bypasses the adaptive gate — never the merge law.
-func scanShardPartials(c Conn, q *query.Query) (*core.DeltaScan, error) {
+func scanShardPartials(e *core.Engine, q *query.Query) (*core.DeltaScan, error) {
 	for attempt := 0; attempt < 2; attempt++ {
-		ds, ok, err := c.ExecDelta(q, nil)
+		ds, ok, err := e.QueryDelta(q, nil)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
 			return ds, nil
 		}
-		if _, _, err := c.Exec(q); err != nil {
+		if _, _, err := e.Execute(q); err != nil {
 			return nil, err
 		}
 	}
-	return c.ScanPartials(q)
+	return e.ScanPartials(q)
 }
 
 // execRows is the scatter-gather path for non-mergeable shapes
@@ -281,21 +266,17 @@ func scanShardPartials(c Conn, q *query.Query) (*core.DeltaScan, error) {
 // always executes so shape errors surface deterministically and the
 // output column labels have an anchor.
 func (r *Router) execRows(q *query.Query) (*exec.Result, core.ExecInfo, error) {
-	results := make([]*exec.Result, len(r.conns))
-	infos := make([]core.ExecInfo, len(r.conns))
-	fps := make([]core.TouchFingerprint, len(r.conns))
-	err := r.scatter(func(s int, c Conn) error {
+	results := make([]*exec.Result, len(r.engines))
+	infos := make([]core.ExecInfo, len(r.engines))
+	fps := make([]core.TouchFingerprint, len(r.engines))
+	err := r.scatter(func(s int, e *core.Engine) error {
 		if s > 0 {
-			fp, err := c.Fingerprint(q)
-			if err != nil {
-				return err
-			}
-			if fp.Segments == 0 {
+			if fp := e.QueryFingerprint(q); fp.Segments == 0 {
 				fps[s] = fp
 				return nil
 			}
 		}
-		res, info, err := c.Exec(q)
+		res, info, err := e.Execute(q)
 		if err != nil {
 			return err
 		}
@@ -305,7 +286,7 @@ func (r *Router) execRows(q *query.Query) (*exec.Result, core.ExecInfo, error) {
 	if err != nil {
 		return nil, core.ExecInfo{}, err
 	}
-	n := len(r.conns)
+	n := len(r.engines)
 	out := &exec.Result{Cols: results[0].Cols}
 	info := core.ExecInfo{
 		Strategy: infos[0].Strategy,
@@ -335,7 +316,7 @@ func (r *Router) execRows(q *query.Query) (*exec.Result, core.ExecInfo, error) {
 // metadata comes from the first scanned shard (always shard 0 on the
 // paths that call this).
 func (r *Router) merge(scans []*core.DeltaScan, fps []core.TouchFingerprint) (*exec.PartialResult, []int, core.ExecInfo) {
-	n := len(r.conns)
+	n := len(r.engines)
 	var (
 		fresh  *exec.PartialResult
 		reused []int
@@ -395,22 +376,11 @@ func trimLimit(q *query.Query, res *exec.Result) {
 // QueryFingerprint returns the combination of the per-shard candidate-touch
 // fingerprints, in shard order — the key the serving layer caches under.
 func (r *Router) QueryFingerprint(q *query.Query) core.TouchFingerprint {
-	fp, _ := r.Fingerprint(q)
-	return fp
-}
-
-// Fingerprint is QueryFingerprint with the error a remote shard conn could
-// produce (local conns never fail).
-func (r *Router) Fingerprint(q *query.Query) (core.TouchFingerprint, error) {
-	fps := make([]core.TouchFingerprint, len(r.conns))
-	for s, c := range r.conns {
-		fp, err := c.Fingerprint(q)
-		if err != nil {
-			return core.TouchFingerprint{}, err
-		}
-		fps[s] = fp
+	fps := make([]core.TouchFingerprint, len(r.engines))
+	for s, e := range r.engines {
+		fps[s] = e.QueryFingerprint(q)
 	}
-	return core.CombineFingerprints(fps), nil
+	return core.CombineFingerprints(fps)
 }
 
 // QueryDelta is the router's repair tier: have is keyed by global segment
@@ -426,7 +396,7 @@ func (r *Router) QueryDelta(q *query.Query, have map[int]uint64) (*core.DeltaSca
 		// the full path, where Execute rejects them with ErrUnsupported.
 		return nil, false, nil
 	}
-	n := len(r.conns)
+	n := len(r.engines)
 	haveS := make([]map[int]uint64, n)
 	for gi, v := range have {
 		s := gi % n
@@ -438,18 +408,14 @@ func (r *Router) QueryDelta(q *query.Query, have map[int]uint64) (*core.DeltaSca
 	scans := make([]*core.DeltaScan, n)
 	fps := make([]core.TouchFingerprint, n)
 	declined := make([]bool, n)
-	err := r.scatter(func(s int, c Conn) error {
+	err := r.scatter(func(s int, e *core.Engine) error {
 		if s > 0 {
-			fp, err := c.Fingerprint(q)
-			if err != nil {
-				return err
-			}
-			if fp.Segments == 0 {
+			if fp := e.QueryFingerprint(q); fp.Segments == 0 {
 				fps[s] = fp
 				return nil
 			}
 		}
-		ds, ok, err := c.ExecDelta(q, haveS[s])
+		ds, ok, err := e.QueryDelta(q, haveS[s])
 		if err != nil {
 			return err
 		}
@@ -500,7 +466,7 @@ func (r *Router) Insert(tuples [][]data.Value) error {
 	for len(tuples) > 0 {
 		room := r.segCap - r.fill
 		if room <= 0 {
-			r.cur = (r.cur + 1) % len(r.conns)
+			r.cur = (r.cur + 1) % len(r.engines)
 			r.fill = 0
 			room = r.segCap
 		}
@@ -508,7 +474,7 @@ func (r *Router) Insert(tuples [][]data.Value) error {
 		if nrows > room {
 			nrows = room
 		}
-		if err := r.conns[r.cur].Insert(tuples[:nrows]); err != nil {
+		if err := r.engines[r.cur].Insert(tuples[:nrows]); err != nil {
 			return err
 		}
 		r.fill += nrows
@@ -520,15 +486,11 @@ func (r *Router) Insert(tuples [][]data.Value) error {
 // Version returns the highest shard version. The version clock is
 // process-global and monotone, so any mutation on any shard mints a value
 // greater than everything issued before — the maximum is itself monotone
-// over the sharded table. A shard whose conn fails contributes nothing
-// (local conns never fail).
+// over the sharded table.
 func (r *Router) Version() uint64 {
 	var out uint64
-	for _, c := range r.conns {
-		v, err := c.Version()
-		if err == nil && v > out {
-			out = v
-		}
+	for _, e := range r.engines {
+		out = max(out, e.Version())
 	}
 	return out
 }
@@ -537,11 +499,11 @@ func (r *Router) Version() uint64 {
 // global segment space: out[li*N+s] = shard s's local segment li. Slots
 // past a shard's tail (the deal is ragged by up to one chunk) read 0.
 func (r *Router) SegmentVersions() []uint64 {
-	n := len(r.conns)
+	n := len(r.engines)
 	per := make([][]uint64, n)
 	length := 0
-	for s, c := range r.conns {
-		per[s] = c.SegmentVersions()
+	for s, e := range r.engines {
+		per[s] = e.SegmentVersions()
 		if len(per[s]) > 0 {
 			if l := (len(per[s])-1)*n + s + 1; l > length {
 				length = l
@@ -560,8 +522,8 @@ func (r *Router) SegmentVersions() []uint64 {
 // TierStats sums the per-shard storage-tier counters.
 func (r *Router) TierStats() core.TierStats {
 	var out core.TierStats
-	for _, c := range r.conns {
-		ts := c.TierStats()
+	for _, e := range r.engines {
+		ts := e.TierStats()
 		out.ResidentSegments += ts.ResidentSegments
 		out.EncodedSegments += ts.EncodedSegments
 		out.SpilledSegments += ts.SpilledSegments
@@ -584,8 +546,8 @@ func (r *Router) TierStats() core.TierStats {
 // reached.
 func (r *Router) Stats() core.Stats {
 	var out core.Stats
-	for _, c := range r.conns {
-		st := c.Stats()
+	for _, e := range r.engines {
+		st := e.Stats()
 		out.Queries += st.Queries
 		out.Adaptations += st.Adaptations
 		out.Reorgs += st.Reorgs
@@ -601,8 +563,8 @@ func (r *Router) Stats() core.Stats {
 // SetSegmentHeat distributes a global-segment-indexed heat feed to the
 // shards: shard s sees {li: heat[li*N+s]}.
 func (r *Router) SetSegmentHeat(fn core.SegmentHeatFunc) {
-	n := len(r.conns)
-	for s, c := range r.conns {
+	n := len(r.engines)
+	for s, e := range r.engines {
 		var local core.SegmentHeatFunc
 		if fn != nil {
 			s := s
@@ -617,36 +579,27 @@ func (r *Router) SetSegmentHeat(fn core.SegmentHeatFunc) {
 				return m
 			}
 		}
-		c.SetSegmentHeat(local)
+		e.SetSegmentHeat(local)
 	}
 }
 
 // LayoutSignature joins the shards' layout signatures, "s<i>:"-prefixed
 // and " | "-separated in shard order. Shards adapt independently, so the
-// signatures legitimately diverge. Shards not served in-process report "?".
+// signatures legitimately diverge.
 func (r *Router) LayoutSignature() string {
 	var b strings.Builder
-	for s := range r.conns {
+	for s, e := range r.engines {
 		if s > 0 {
 			b.WriteString(" | ")
 		}
-		fmt.Fprintf(&b, "s%d:", s)
-		e := r.EngineAt(s)
-		if e == nil {
-			b.WriteString("?")
-			continue
-		}
-		_ = e.View(func(rel *storage.Relation) error {
-			b.WriteString(rel.LayoutSignature())
-			return nil
-		})
+		fmt.Fprintf(&b, "s%d:%s", s, e.LayoutSignature())
 	}
 	return b.String()
 }
 
 // Close closes every shard.
 func (r *Router) Close() {
-	for _, c := range r.conns {
-		c.Close()
+	for _, e := range r.engines {
+		e.Close()
 	}
 }

@@ -298,9 +298,6 @@ func TestShardPlacement(t *testing.T) {
 	wantLocal := []int{2, 2, 2, 1} // chunks 0..6 deal as 0,1,2,3,0,1,2
 	for s := 0; s < n; s++ {
 		e := r.EngineAt(s)
-		if e == nil {
-			t.Fatalf("shard %d has no local engine", s)
-		}
 		if got := len(e.SegmentVersions()); got != wantLocal[s] {
 			t.Fatalf("shard %d has %d segments, want %d", s, got, wantLocal[s])
 		}
@@ -417,7 +414,7 @@ func TestShardTailAppendRepairsOneShard(t *testing.T) {
 	tb := data.GenerateTimeSeries(data.SyntheticSchema("R", tWidth), 8*tSegCap, 5)
 	r := New(tb, opts)
 	defer r.Close()
-	srv := server.New(Backend{R: r}, server.Config{Workers: 2})
+	srv := server.New(server.TableBackend{Name: "R", T: r}, server.Config{Workers: 2})
 	defer srv.Close()
 	ctx := context.Background()
 	q := query.Aggregation("R", expr.AggSum, []data.AttrID{1, 3}, nil)
@@ -465,7 +462,7 @@ func TestShardConcurrentStress(t *testing.T) {
 	tb := data.GenerateTimeSeries(data.SyntheticSchema("R", tWidth), 4*tSegCap, 3)
 	r := New(tb, opts)
 	defer r.Close()
-	srv := server.New(Backend{R: r}, server.Config{
+	srv := server.New(server.TableBackend{Name: "R", T: r}, server.Config{
 		Workers: 4, CacheShards: 1, CacheEntries: 4, PartialCacheBytes: 1 << 12, MemoEntries: 4,
 	})
 	defer srv.Close()
@@ -559,7 +556,7 @@ func BenchmarkShardRepair(b *testing.B) {
 	tb := data.GenerateTimeSeries(data.SyntheticSchema("R", tWidth), 32*tSegCap, 7)
 	r := New(tb, opts)
 	defer r.Close()
-	srv := server.New(Backend{R: r}, server.Config{Workers: 2})
+	srv := server.New(server.TableBackend{Name: "R", T: r}, server.Config{Workers: 2})
 	defer srv.Close()
 	ctx := context.Background()
 	q := query.Aggregation("R", expr.AggSum, []data.AttrID{1, 2}, nil)
