@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"h2o"
+	"h2o/internal/storage"
 )
 
 // TestServeCacheSurvivesSpill drives the tiered-storage contract through
@@ -111,5 +112,60 @@ func TestQueryCorrectUnderBudgetFacade(t *testing.T) {
 				t.Fatalf("%s: spilled result diverged", q)
 			}
 		}
+	}
+}
+
+// TestOldRowProjectionStaysEncoded: on a budgeted encoded-tier database, a
+// projection of a few old rows reads the demoted segment's encoded blocks
+// in place — reporting encoded-direct with header-skipped blocks — instead
+// of decoding the whole segment flat. The budget leaves room for one more
+// flat segment, so a flat decode would survive the query's eviction pass
+// (the never-read newer segment would be demoted in its place) and show up
+// as a resident segment 0.
+func TestOldRowProjectionStaysEncoded(t *testing.T) {
+	const rows = 3 * 65_536 // two sealed segments + a full tail
+	opts := h2o.DefaultOptions()
+	opts.EncodedTier = true
+	opts.SpillDir = t.TempDir()
+	probe := h2o.NewDBWith(opts)
+	probe.AddTable(h2o.GenerateTimeSeries(h2o.SyntheticSchema("R", 8), rows, 5))
+	eng, err := probe.Engine("R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resident int64
+	for _, seg := range eng.Relation().Segments {
+		resident += seg.ResidentBytes()
+	}
+	probe.Close()
+
+	opts.MemoryBudgetBytes = resident - 1 // one demotion satisfies it
+	db := h2o.NewDBWith(opts)
+	defer db.Close()
+	db.AddTable(h2o.GenerateTimeSeries(h2o.SyntheticSchema("R", 8), rows, 5))
+	if eng, err = db.Engine("R"); err != nil {
+		t.Fatal(err)
+	}
+	eng.EnforceBudget()
+	old := eng.Relation().Segments[0]
+	if old.State() != storage.SegEncoded {
+		t.Fatalf("coldest segment at state %v after enforcement, want encoded", old.State())
+	}
+
+	res, info, err := db.Query("select a2, a3 from R where a0 >= 1000 and a0 < 1128")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows != 128 {
+		t.Fatalf("got %d rows, want 128", res.Rows)
+	}
+	if info.Strategy.String() != "encoded-direct" {
+		t.Fatalf("old-row projection ran %v, want encoded-direct", info.Strategy)
+	}
+	if info.DecodeSkips == 0 {
+		t.Fatalf("no encoded block was skipped: %+v", info)
+	}
+	if old.State() == storage.SegResident {
+		t.Fatal("the projection decoded its segment flat")
 	}
 }

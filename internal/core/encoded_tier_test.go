@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"h2o/internal/data"
@@ -149,6 +151,63 @@ func TestEncodedTierSpillRoundTrip(t *testing.T) {
 	}
 	if ts.SpilledBytes > 0 && ts.SpillFileBytes*2 > ts.SpilledBytes {
 		t.Fatalf("spill files not compressed: %d on disk for %d flat bytes", ts.SpillFileBytes, ts.SpilledBytes)
+	}
+}
+
+// TestEncodedTierConcurrentScansRacingEviction is the -race coverage for
+// encoded-direct scans: readers run aggregates and projections (which pin
+// segments at the encoded rung and read their blocks in place) while the
+// main goroutine keeps demoting and spilling under a 1-byte budget and
+// appending rows. Results must stay exact throughout.
+func TestEncodedTierConcurrentScansRacingEviction(t *testing.T) {
+	const rows, segCap, readers, iters = 4_000, 250, 4, 30
+	e, tb := encodedEngine(t, rows, segCap, 1)
+	defer e.Close()
+	e.EnforceBudget()
+	queries := spillQueries()
+	expected := make([]*exec.Result, len(queries))
+	for i, q := range queries {
+		expected[i] = reference(tb, q)
+	}
+	var wg sync.WaitGroup
+	errCh := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				qi := (r + i) % len(queries)
+				res, _, err := e.Execute(queries[qi])
+				if err != nil {
+					errCh <- fmt.Errorf("reader %d iter %d: %w", r, i, err)
+					return
+				}
+				if !res.Equal(expected[qi]) {
+					errCh <- fmt.Errorf("reader %d iter %d: %s diverged while racing eviction", r, i, queries[qi])
+					return
+				}
+			}
+		}(r)
+	}
+	// a0=1000 falls outside every predicate of spillQueries, and zero
+	// a1/a2 keep the unpredicated sum unchanged.
+	tuple := []data.Value{1000, 0, 0, 0, 0, 0}
+	for i := 0; i < 2*iters; i++ {
+		e.EnforceBudget()
+		if i%4 == 0 {
+			if err := e.Insert([][]data.Value{tuple}); err != nil {
+				t.Error(err)
+				break
+			}
+		}
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+	if ts := e.TierStats(); ts.Demotions == 0 {
+		t.Fatalf("race window never demoted; test lost its teeth: %+v", ts)
 	}
 }
 

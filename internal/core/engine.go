@@ -138,10 +138,10 @@ type Options struct {
 	// build per-column encoded blocks (FOR, delta or RLE, picked per
 	// column at seal time), the memory-budget eviction ladder demotes
 	// flat segments to their encoded form before resorting to spill
-	// writes, and aggregate-shaped queries execute directly over the
-	// encoded blocks (exec.StrategyEncoded), skipping or folding whole
-	// blocks from their headers. Off by default: mutable tails and
-	// non-encoded relations behave exactly as before.
+	// writes, and aggregate-shaped queries and projections execute
+	// directly over the encoded blocks (exec.StrategyEncoded), skipping or
+	// folding whole blocks from their headers. Off by default: mutable
+	// tails and non-encoded relations behave exactly as before.
 	EncodedTier bool
 	// SegmentCapacity is the rows-per-segment of relations built *for* this
 	// options set by the facade (h2o.DB table registration). The engine
@@ -480,16 +480,17 @@ func (e *Engine) execute(q *query.Query) (*exec.Result, ExecInfo, error) {
 func (e *Engine) run(q *query.Query, info query.Info, start time.Time) (*exec.Result, ExecInfo, error) {
 	strategy, estCost := e.chooseStrategy(q, info)
 
-	// Encoded-direct fast path: with the encoded tier enabled,
-	// aggregate-shaped queries run straight over the per-column encoded
+	// Encoded-direct fast path: with the encoded tier enabled, aggregate
+	// and projection shapes run straight over the per-column encoded
 	// blocks of sealed segments — block headers prune or fold whole blocks
-	// without touching their payloads, and spilled segments fault in only
-	// their compact encoded form instead of rehydrating flat data. Shapes
-	// outside the encoded pipeline's reach (projections, unsplittable predicates)
-	// fall through to the cost-based paths below. ServesEncoded gates the
-	// attempt on some unpruned segment actually carrying encoded blocks (or
-	// living spilled), so an all-flat relation never reports
-	// StrategyEncoded.
+	// without touching their payloads, projections decode only their
+	// output columns in blocks with survivors, and spilled segments fault
+	// in only their compact encoded form instead of rehydrating flat data.
+	// Shapes outside the encoded pipeline's reach (expressions,
+	// unsplittable predicates) fall through to the cost-based paths below.
+	// ServesEncoded gates the attempt on some unpruned segment actually
+	// carrying encoded blocks (or living spilled), so an all-flat relation
+	// never reports StrategyEncoded.
 	if e.opts.EncodedTier && exec.ServesEncoded(e.rel, q) {
 		var st exec.StrategyStats
 		res, err := exec.Exec(e.rel, q, exec.ExecOpts{Strategy: exec.StrategyEncoded, Stats: &st})

@@ -260,9 +260,9 @@ func (tm *tierManager) enforce() {
 	if resident <= tm.budget {
 		return
 	}
-	// Cache heat walks every serving-cache entry under the caches' locks, so
-	// it is consulted only once eviction is certain — this pass runs in the
-	// epilogue of every query and insert on a budgeted engine.
+	// Cache heat is a snapshot copy of the serving layer's per-segment
+	// counts; it is consulted only once eviction is certain — this pass
+	// runs in the epilogue of every query and insert on a budgeted engine.
 	if tm.heat != nil {
 		heat := tm.heat()
 		for i := range cands {

@@ -26,10 +26,11 @@ const (
 	// reports it on delta-repaired queries; the cost-based chooser never
 	// selects it directly.
 	StrategyDelta
-	// StrategyEncoded answers aggregate-shaped queries directly over the
-	// per-column encoded blocks of sealed segments: block headers skip or
-	// fold whole blocks without decoding, and spilled segments fault in
-	// only their compact encoded form. The serving layer uses it on
+	// StrategyEncoded answers aggregate-shaped queries and projections
+	// directly over the per-column encoded blocks of sealed segments: block
+	// headers skip or fold whole blocks without decoding, projections
+	// decode only their output columns in blocks with survivors, and
+	// spilled segments fault in only their compact encoded form. The serving layer uses it on
 	// encoded-tier relations; the cost-based chooser never selects it
 	// directly.
 	StrategyEncoded

@@ -8,16 +8,18 @@ import (
 )
 
 // This file holds the encoded-direct strategy: aggregate-shaped queries
-// (OutAggregates, OutAggExpression, OutGrouped) with splittable conjunctive
-// predicates are answered straight from the per-column encoded blocks of
-// sealed segments (storage/encode.go), without materializing flat data.
-// Per 4096-row block the kernel classifies each predicate against the
-// block's exact min/max header: blocks no row of which can match are
-// skipped without touching their payload, fully-matching blocks fold
-// their exact min/max/sum/rows statistics into the aggregate states
-// without decoding, and only genuinely partial blocks pay a decode —
-// and then only for the columns the query actually reads. On mmap-backed
-// spill files a skipped block's payload pages are never faulted in at all.
+// (OutAggregates, OutAggExpression, OutGrouped) and projections with
+// splittable conjunctive predicates are answered straight from the
+// per-column encoded blocks of sealed segments (storage/encode.go), without
+// materializing flat data. Per 4096-row block the kernel classifies each
+// predicate against the block's exact min/max header: blocks no row of
+// which can match are skipped without touching their payload,
+// fully-matching blocks fold their exact min/max/sum/rows statistics into
+// the aggregate states without decoding, and only genuinely partial blocks
+// pay a decode — and then only for the columns the query actually reads.
+// A projection decodes its projected columns only in blocks with
+// survivors. On mmap-backed spill files a skipped block's payload pages
+// are never faulted in at all.
 
 // encCol binds one attribute to its encoded column with a one-block
 // decode cache: within a block, predicates and folds that touch the same
@@ -39,6 +41,18 @@ type encCol struct {
 // serves per-block decodes through the per-attribute cache.
 type encReader struct {
 	cols map[data.AttrID]*encCol
+	some []int // blockSel scratch: indices of partially matching predicates
+}
+
+// readAttrs lists the attributes an encoded scan reads: the output
+// columns, then the predicate columns.
+func readAttrs(cols []data.AttrID, preds []ColPred) []data.AttrID {
+	attrs := make([]data.AttrID, 0, len(cols)+len(preds))
+	attrs = append(attrs, cols...)
+	for i := range preds {
+		attrs = append(attrs, preds[i].Attr)
+	}
+	return attrs
 }
 
 // newEncReader binds attrs against the cached encodings of seg's
@@ -181,6 +195,59 @@ func (er *encReader) block(a data.AttrID, bi int, stats *StrategyStats) []data.V
 	return c.vals
 }
 
+// blockSel classifies block bi against preds from the blocks' exact
+// min/max headers and builds the block-relative selection of its
+// qualifying rows into sel's storage. live is false when no row qualifies;
+// a block a header rules out is counted as a decode skip. haveSel is
+// false when every row qualifies — no predicate was indeterminate, so no
+// payload was read and sel is empty. preds must come from a successful
+// SplitConjunction.
+func (er *encReader) blockSel(bi int, preds []ColPred, sel []int32, stats *StrategyStats) (out []int32, haveSel, live bool) {
+	er.some = er.some[:0]
+	for pi := range preds {
+		switch er.blockOf(preds[pi].Attr, bi).Match(preds[pi].Op, preds[pi].Val) {
+		case storage.MatchNone:
+			if stats != nil {
+				stats.DecodeSkips++
+			}
+			return sel[:0], false, false
+		case storage.MatchSome:
+			er.some = append(er.some, pi)
+		}
+	}
+	if len(er.some) == 0 {
+		return sel[:0], false, true
+	}
+	// The first indeterminate predicate scans the encoded payload directly
+	// (run-wise over RLE, unpack-compare over FOR/delta) — or the flat
+	// column when the group is resident — later ones refine against block
+	// values.
+	p := &preds[er.some[0]]
+	sel = sel[:0]
+	if er.cols[p.Attr].flat != nil {
+		sel = appendMatchesVals(p.Op, er.block(p.Attr, bi, stats), p.Val, sel)
+	} else {
+		b := er.blockOf(p.Attr, bi)
+		sel = b.AppendMatches(p.Op, p.Val, sel)
+		if stats != nil {
+			stats.EncodedBytes += int64(len(b.Words)) * 8
+		}
+	}
+	for _, pi := range er.some[1:] {
+		p := &preds[pi]
+		vals := er.block(p.Attr, bi, stats)
+		w := 0
+		for _, r := range sel {
+			if expr.Compare(p.Op, vals[r], p.Val) {
+				sel[w] = r
+				w++
+			}
+		}
+		sel = sel[:w]
+	}
+	return sel, true, len(sel) > 0
+}
+
 // foldSelected folds vals at the selected block-relative rows into st,
 // accumulating a block-local run and committing it through AddSummary:
 // one tight gather loop per aggregate instead of a per-row Add with its
@@ -227,12 +294,7 @@ func encodedSegmentScan(seg *storage.Segment, out Outputs, preds []ColPred, stat
 	default:
 		return false, nil
 	}
-	needed := make([]data.AttrID, 0, len(foldAttrs)+len(preds))
-	needed = append(needed, foldAttrs...)
-	for i := range preds {
-		needed = append(needed, preds[i].Attr)
-	}
-	er, ok, err := newEncReader(seg, needed)
+	er, ok, err := newEncReader(seg, readAttrs(foldAttrs, preds))
 	if err != nil || !ok {
 		return false, err
 	}
@@ -254,7 +316,6 @@ func encodedSegmentScan(seg *storage.Segment, out Outputs, preds []ColPred, stat
 
 	nBlocks := (seg.Rows + storage.EncBlockRows - 1) / storage.EncBlockRows
 	selBuf := make([]int32, 0, storage.EncBlockRows)
-	someIdx := make([]int, 0, len(preds))
 	var exprCols [][]data.Value
 	if out.Kind == OutAggExpression {
 		exprCols = make([][]data.Value, len(out.ExprAttrs))
@@ -264,63 +325,9 @@ func encodedSegmentScan(seg *storage.Segment, out Outputs, preds []ColPred, stat
 		if r := seg.Rows - bi*storage.EncBlockRows; r < n {
 			n = r
 		}
-
-		// Classify the block against each predicate from its exact
-		// min/max header: zone-map-style skipping inside the segment.
-		skip := false
-		someIdx = someIdx[:0]
-		for pi := range preds {
-			switch er.blockOf(preds[pi].Attr, bi).Match(preds[pi].Op, preds[pi].Val) {
-			case storage.MatchNone:
-				skip = true
-			case storage.MatchSome:
-				someIdx = append(someIdx, pi)
-			}
-			if skip {
-				break
-			}
-		}
-		if skip {
-			if stats != nil {
-				stats.DecodeSkips++
-			}
+		sel, haveSel, live := er.blockSel(bi, preds, selBuf, stats)
+		if !live {
 			continue
-		}
-
-		// Partially matching predicates build a block-relative selection
-		// vector: the first one scans the encoded payload directly
-		// (run-wise over RLE, unpack-compare over FOR/delta) — or the
-		// flat column when the group is resident — later ones refine it
-		// against block values.
-		haveSel := false
-		sel := selBuf[:0]
-		if len(someIdx) > 0 {
-			p := &preds[someIdx[0]]
-			if er.cols[p.Attr].flat != nil {
-				sel = appendMatchesVals(p.Op, er.block(p.Attr, bi, stats), p.Val, sel)
-			} else {
-				b := er.blockOf(p.Attr, bi)
-				sel = b.AppendMatches(p.Op, p.Val, sel)
-				if stats != nil {
-					stats.EncodedBytes += int64(len(b.Words)) * 8
-				}
-			}
-			haveSel = true
-			for _, pi := range someIdx[1:] {
-				p := &preds[pi]
-				vals := er.block(p.Attr, bi, stats)
-				w := 0
-				for _, r := range sel {
-					if expr.Compare(p.Op, vals[r], p.Val) {
-						sel[w] = r
-						w++
-					}
-				}
-				sel = sel[:w]
-			}
-			if len(sel) == 0 {
-				continue
-			}
 		}
 
 		switch out.Kind {
@@ -403,6 +410,68 @@ func encodedSegmentScan(seg *storage.Segment, out Outputs, preds []ColPred, stat
 		}
 	}
 	return true, nil
+}
+
+// encodedProjectionScan materializes one pinned segment's qualifying rows
+// of out.ProjAttrs block by block: header-ruled-out blocks are skipped,
+// the selection is built from the predicate columns, and the projected
+// columns are decoded only in blocks with survivors. Rows are appended in
+// segment order, so the partial matches the flat kernels' bit for bit.
+// With limit > 0 the scan stops after the first block that brings the
+// segment's row count to limit (the engine truncates the merged result).
+// ok is false — with no rows emitted — when some needed group holds no
+// encoding; the caller then falls back to a flat scan.
+func encodedProjectionScan(seg *storage.Segment, out Outputs, preds []ColPred, limit int, stats *StrategyStats) (p *partial, ok bool, err error) {
+	er, ok, err := newEncReader(seg, readAttrs(out.ProjAttrs, preds))
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	w := len(out.ProjAttrs)
+	p = &partial{}
+	nBlocks := (seg.Rows + storage.EncBlockRows - 1) / storage.EncBlockRows
+	selBuf := make([]int32, 0, storage.EncBlockRows)
+	for bi := 0; bi < nBlocks && (limit <= 0 || p.rows < limit); bi++ {
+		sel, haveSel, live := er.blockSel(bi, preds, selBuf, stats)
+		if !live {
+			continue
+		}
+		n := len(sel)
+		if !haveSel {
+			n = min(storage.EncBlockRows, seg.Rows-bi*storage.EncBlockRows)
+		}
+		base := len(p.data)
+		p.data = append(p.data, make([]data.Value, n*w)...)
+		for j, a := range out.ProjAttrs {
+			vals := er.block(a, bi, stats)
+			dst := p.data[base+j:]
+			if haveSel {
+				for i, r := range sel {
+					dst[i*w] = vals[r]
+				}
+			} else {
+				for r, v := range vals[:n] {
+					dst[r*w] = v
+				}
+			}
+		}
+		p.rows += n
+	}
+	return p, true, nil
+}
+
+// encodedProjectionPartial is the encoded pipeline's projection operator:
+// the block kernel when the segment's needed groups hold encodings,
+// otherwise a nested flat pin and the hybrid selection-vector kernel.
+func encodedProjectionPartial(seg *storage.Segment, q *query.Query, out Outputs, preds []ColPred, limit int, stats *StrategyStats) (*partial, error) {
+	p, ok, err := encodedProjectionScan(seg, out, preds, limit, stats)
+	if err != nil || ok {
+		return p, err
+	}
+	if _, err := seg.Acquire(); err != nil {
+		return nil, err
+	}
+	defer seg.Release()
+	return hybridSegPartial(seg, q, out, preds, stats)
 }
 
 // ServesEncoded reports whether the encoded-direct pipeline would win on

@@ -556,28 +556,38 @@ func buildBitmap(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipelin
 }
 
 // buildEncoded is the encoded-direct pipeline: aggregate-shaped queries
-// fold straight over the per-column encoded blocks of sealed segments.
-// Routing is per segment — segments whose needed groups hold encodings
-// take the block-header fold operator, flat segments (the mutable tail,
-// never-sealed residents) take the flat filter operator — so a query over
-// a mixed relation is served segment by segment instead of declining
-// whole-query when pruning leaves only flat segments.
+// fold and projections materialize straight from the per-column encoded
+// blocks of sealed segments. Routing is per segment — segments whose
+// needed groups hold encodings take the block operators, flat segments
+// (the mutable tail, never-sealed residents) take the flat operators — so
+// a query over a mixed relation is served segment by segment instead of
+// declining whole-query when pruning leaves only flat segments.
 func buildEncoded(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline, error) {
 	out := Classify(q)
-	if out.Kind != OutAggregates && out.Kind != OutAggExpression && out.Kind != OutGrouped {
+	switch out.Kind {
+	case OutAggregates, OutAggExpression, OutGrouped, OutProjection:
+	default:
 		return nil, ErrUnsupported
 	}
 	preds, splittable := SplitConjunction(q.Where)
 	if !splittable {
 		return nil, ErrUnsupported
 	}
+	limit := limitFor(out, q)
+	scan := func(c *segCtx) (*partial, error) {
+		return encodedSegPartial(c.seg, q, out, preds, c.stats)
+	}
+	if out.Kind == OutProjection {
+		scan = func(c *segCtx) (*partial, error) {
+			return encodedProjectionPartial(c.seg, q, out, preds, limit, c.stats)
+		}
+	}
 	return &pipeline{
 		out:        out,
 		preds:      preds,
+		limit:      limit,
 		encodedPin: true,
-		scan: func(c *segCtx) (*partial, error) {
-			return encodedSegPartial(c.seg, q, out, preds, c.stats)
-		},
+		scan:       scan,
 	}, nil
 }
 

@@ -94,16 +94,16 @@ func TestEvictIndexSkipAndDead(t *testing.T) {
 // TestShardEvictionIsLRU: the result cache evicts its least-recently-used
 // entry, counting lock-free get bumps as recency.
 func TestShardEvictionIsLRU(t *testing.T) {
-	s := &shard{items: make(map[string]*entry), cap: 3}
+	s := &shard{items: make(map[string]*entry), cap: 3, heat: newSegmentHeat()}
 	res := &exec.Result{}
-	s.put("a", res, core.ExecInfo{})
-	s.put("b", res, core.ExecInfo{})
-	s.put("c", res, core.ExecInfo{})
+	s.put("", "a", res, core.ExecInfo{})
+	s.put("", "b", res, core.ExecInfo{})
+	s.put("", "c", res, core.ExecInfo{})
 	// Touch "a": "b" becomes the LRU entry.
 	if _, _, ok := s.get("a"); !ok {
 		t.Fatal("get a missed")
 	}
-	s.put("d", res, core.ExecInfo{})
+	s.put("", "d", res, core.ExecInfo{})
 	if _, ok := s.items["b"]; ok {
 		t.Fatalf("b survived; items=%d", len(s.items))
 	}
@@ -209,11 +209,11 @@ func BenchmarkCacheEviction(b *testing.B) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("1:R:%032d:q", i)
 	}
-	c := newResultCache(1, cap)
+	c := newResultCache(1, cap, newSegmentHeat())
 	res := &exec.Result{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.put(keys[i%len(keys)], res, core.ExecInfo{})
+		c.put("", keys[i%len(keys)], res, core.ExecInfo{})
 	}
 }
 
@@ -226,12 +226,12 @@ func BenchmarkCacheEvictionWithHits(b *testing.B) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("1:R:%032d:q", i)
 	}
-	c := newResultCache(1, cap)
+	c := newResultCache(1, cap, newSegmentHeat())
 	res := &exec.Result{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := keys[i%len(keys)]
-		c.put(k, res, core.ExecInfo{})
+		c.put("", k, res, core.ExecInfo{})
 		c.get(k)
 		c.get(keys[(i*7)%len(keys)])
 	}

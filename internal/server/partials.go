@@ -26,6 +26,7 @@ func partialKey(table, normQuery string) string {
 // writers on the states themselves. last is the LRU tick of the most
 // recent access, updated atomically on the read path.
 type pentry struct {
+	table string // heat accounting: the table the key is built from
 	p     *exec.PartialResult
 	bytes int64
 	last  atomic.Uint64
@@ -36,7 +37,9 @@ type pentry struct {
 // by *bytes*, not entries — payloads scale with segment count, so an
 // entry cap would let a few wide relations blow the budget. A single
 // mutex suffices: the cache is only touched on misses of repairable
-// queries, each of which just paid (at least) a segment scan.
+// queries, each of which just paid (at least) a segment scan. Every
+// insert, replacement and eviction moves the retained segments' counts in
+// heat under mu.
 type partialCache struct {
 	mu    sync.Mutex
 	items map[string]*pentry
@@ -44,12 +47,13 @@ type partialCache struct {
 	bytes int64
 	cap   int64
 	tick  atomic.Uint64
+	heat  *segmentHeat
 
 	evicted atomic.Uint64
 }
 
-func newPartialCache(capBytes int64) *partialCache {
-	return &partialCache{items: make(map[string]*pentry), cap: capBytes}
+func newPartialCache(capBytes int64, heat *segmentHeat) *partialCache {
+	return &partialCache{items: make(map[string]*pentry), cap: capBytes, heat: heat}
 }
 
 // get returns the payload cached under key, or nil.
@@ -64,11 +68,12 @@ func (c *partialCache) get(key string) *exec.PartialResult {
 	return e.p
 }
 
-// put installs (or replaces) the payload under key, then evicts
+// put installs (or replaces) the payload under key, built from table's
+// name, then evicts
 // least-recently-used payloads until the byte budget holds. A payload
 // larger than the whole budget is not admitted at all — caching it would
 // evict everything else for one entry that can never stay.
-func (c *partialCache) put(key string, p *exec.PartialResult) {
+func (c *partialCache) put(table, key string, p *exec.PartialResult) {
 	b := p.Bytes()
 	if b > c.cap {
 		return
@@ -78,8 +83,10 @@ func (c *partialCache) put(key string, p *exec.PartialResult) {
 	old, replaced := c.items[key]
 	if replaced {
 		c.bytes -= old.bytes
+		c.heat.addPartial(old.table, old.p, -1)
 	}
-	e := &pentry{p: p, bytes: b}
+	c.heat.addPartial(table, p, 1)
+	e := &pentry{table: table, p: p, bytes: b}
 	e.last.Store(c.tick.Add(1))
 	c.items[key] = e
 	c.bytes += b
@@ -91,7 +98,9 @@ func (c *partialCache) put(key string, p *exec.PartialResult) {
 		if victim == "" {
 			return
 		}
-		c.bytes -= c.items[victim].bytes
+		v := c.items[victim]
+		c.bytes -= v.bytes
+		c.heat.addPartial(v.table, v.p, -1)
 		delete(c.items, victim)
 		c.evicted.Add(1)
 	}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -239,6 +237,9 @@ type Server struct {
 	// each is nil unless caching is on and its budget is positive.
 	partials *partialCache
 	memo     *fpMemo
+	// heat counts the segment references of both caches' live entries;
+	// the caches maintain it (see segmentHeat).
+	heat *segmentHeat
 
 	queue chan *job
 	done  chan struct{} // closed by Close
@@ -267,11 +268,12 @@ func New(backend Backend, cfg Config) *Server {
 		cfg:     cfg,
 		queue:   make(chan *job, cfg.QueueDepth),
 		done:    make(chan struct{}),
+		heat:    newSegmentHeat(),
 	}
 	if cfg.CacheEntries > 0 {
-		s.cache = newResultCache(cfg.CacheShards, cfg.CacheEntries)
+		s.cache = newResultCache(cfg.CacheShards, cfg.CacheEntries, s.heat)
 		if cfg.PartialCacheBytes > 0 {
-			s.partials = newPartialCache(cfg.PartialCacheBytes)
+			s.partials = newPartialCache(cfg.PartialCacheBytes, s.heat)
 		}
 		if cfg.MemoEntries > 0 {
 			s.memo = newFpMemo(cfg.MemoEntries)
@@ -325,38 +327,12 @@ func (s *Server) CacheSize() int {
 // (wired through the facade as a core.SegmentHeatFunc) to steer eviction
 // away from segments that many cached entries depend on — spilling those
 // would turn their future repairs and revalidations into disk faults. The
-// snapshot takes each cache shard's read lock briefly and calls no backend
-// code, so it is safe to invoke from inside an eviction pass.
+// caches keep the counts current as entries come and go, so the snapshot
+// is O(segments) under one short mutex that no cache lock is ever taken
+// under, and it calls no backend code: it is safe to invoke from inside an
+// eviction pass.
 func (s *Server) SegmentHeat(table string) map[int]int {
-	heat := make(map[int]int)
-	prefix := strconv.Itoa(len(table)) + ":" + table + ":"
-	if s.cache != nil {
-		for _, sh := range s.cache.shards {
-			sh.mu.RLock()
-			for k, e := range sh.items {
-				if !strings.HasPrefix(k, prefix) {
-					continue
-				}
-				for _, si := range e.info.SegmentsTouched {
-					heat[si]++
-				}
-			}
-			sh.mu.RUnlock()
-		}
-	}
-	if s.partials != nil {
-		s.partials.mu.Lock()
-		for k, e := range s.partials.items {
-			if !strings.HasPrefix(k, prefix) {
-				continue
-			}
-			for si := range e.p.Versions() {
-				heat[si]++
-			}
-		}
-		s.partials.mu.Unlock()
-	}
-	return heat
+	return s.heat.snapshot(table)
 }
 
 // Query serves one logical query: answered from the result cache when an
@@ -554,7 +530,7 @@ func (s *Server) serve(j *job) {
 func (s *Server) publish(j *job, res *exec.Result, info core.ExecInfo) {
 	if fp := info.Fingerprint; fp.Valid() {
 		pubKey := cacheKey(j.q.Table, j.norm, fp)
-		s.cache.put(pubKey, res, info)
+		s.cache.put(j.q.Table, pubKey, res, info)
 		if pubKey != j.key {
 			s.republished.Add(1)
 		}
@@ -616,7 +592,7 @@ func (s *Server) serveDelta(j *job) bool {
 	}
 	s.publish(j, res, info)
 	if ds.Fingerprint.Valid() {
-		s.partials.put(j.pkey, merged)
+		s.partials.put(j.q.Table, j.pkey, merged)
 	}
 	j.done <- outcome{res: res, info: info}
 	return true

@@ -576,3 +576,51 @@ func BenchmarkShardRepair(b *testing.B) {
 		}
 	}
 }
+
+// TestShardHeatRemap: Router.SetSegmentHeat must hand shard s of N exactly
+// {li: heat[li*N+s]}. Each shard gets a budget one byte short of its
+// resident data, so one eviction pass spills exactly its coldest sealed
+// segment — the one its heat view ranks lowest. The global feed gives each
+// shard a different coldest local segment, so any other mapping spills a
+// wrong one somewhere.
+func TestShardHeatRemap(t *testing.T) {
+	const segCap, perShard = 64, 4 // local segment 3 is each shard's tail
+	for _, n := range []int{2, 3} {
+		tb := data.Generate(data.SyntheticSchema("R", 4), n*perShard*segCap, 11)
+		opts := tOptions()
+		opts.Shards = n
+		opts.SegmentCapacity = segCap
+		probe := New(tb, opts)
+		var resident int64
+		for _, seg := range probe.EngineAt(0).Relation().Segments {
+			resident += seg.ResidentBytes()
+		}
+		probe.Close()
+		for round := 0; round < perShard-1; round++ {
+			target := func(s int) int { return (round + s) % (perShard - 1) }
+			global := map[int]int{}
+			for gi := 0; gi < n*(perShard-1); gi++ {
+				li, s := gi/n, gi%n
+				global[gi] = 1 + (li-target(s)+perShard-1)%(perShard-1)
+			}
+			opts.MemoryBudgetBytes = resident - 1
+			opts.SpillDir = t.TempDir()
+			r := New(tb, opts)
+			r.SetSegmentHeat(func() map[int]int { return global })
+			for s := 0; s < n; s++ {
+				e := r.EngineAt(s)
+				e.EnforceBudget()
+				var spilled []int
+				for li, seg := range e.Relation().Segments {
+					if seg.State() == storage.SegSpilled {
+						spilled = append(spilled, li)
+					}
+				}
+				if len(spilled) != 1 || spilled[0] != target(s) {
+					t.Fatalf("N=%d round %d: shard %d spilled local segments %v, want [%d] (global heat %v)", n, round, s, spilled, target(s), global)
+				}
+			}
+			r.Close()
+		}
+	}
+}
