@@ -355,12 +355,44 @@ func (db *DB) joinEngines(q *Query) (left, right *core.Engine, err error) {
 	return engines[0], engines[1], nil
 }
 
+// viewJoin runs fn over a join's left and right relations inside one
+// locked section, so a fingerprint and a scan taken in fn describe the same
+// state. Two engines nest read locks in table-name order — the same order
+// for every join, so concurrent joins over the same pair cannot deadlock;
+// a self-join takes a single read lock (View is not reentrant).
+func viewJoin(q *Query, left, right *core.Engine, fn func(lrel, rrel *storage.Relation) error) error {
+	if left == right {
+		return left.View(func(rel *storage.Relation) error { return fn(rel, rel) })
+	}
+	first, second := left, right
+	swapped := q.Joins[0].Table < q.Table
+	if swapped {
+		first, second = right, left
+	}
+	return first.View(func(a *storage.Relation) error {
+		return second.View(func(b *storage.Relation) error {
+			if swapped {
+				return fn(b, a)
+			}
+			return fn(a, b)
+		})
+	})
+}
+
+// joinStateFingerprint is joinFingerprint over relations the caller holds
+// stable: the combination the result or partials are published under.
+func joinStateFingerprint(q *Query, lrel, rrel *storage.Relation) TouchFingerprint {
+	lp, lsplit, rp, rsplit := exec.JoinSidePreds(q, lrel.Schema.NumAttrs())
+	return core.CombineFingerprints([]core.TouchFingerprint{
+		core.TouchFingerprintPreds(lrel, lp, lsplit),
+		core.TouchFingerprintPreds(rrel, rp, rsplit),
+	})
+}
+
 // execJoin executes a join query over two engines (or one, self-joined).
 // Fingerprint and execution happen inside the same locked section, so the
 // published fingerprint describes exactly the state the result was computed
-// from. Two engines nest read locks in table-name order — the same order
-// for every join execution, so concurrent joins over the same pair cannot
-// deadlock; a self-join takes a single read lock (View is not reentrant).
+// from.
 func (db *DB) execJoin(q *Query) (*Result, ExecInfo, error) {
 	left, right, err := db.joinEngines(q)
 	if err != nil {
@@ -370,33 +402,12 @@ func (db *DB) execJoin(q *Query) (*Result, ExecInfo, error) {
 	var res *Result
 	var st exec.StrategyStats
 	var fp TouchFingerprint
-	run := func(lrel, rrel *storage.Relation) error {
-		lp, lsplit, rp, rsplit := exec.JoinSidePreds(q, lrel.Schema.NumAttrs())
-		fp = core.CombineFingerprints([]core.TouchFingerprint{
-			core.TouchFingerprintPreds(lrel, lp, lsplit),
-			core.TouchFingerprintPreds(rrel, rp, rsplit),
-		})
+	err = viewJoin(q, left, right, func(lrel, rrel *storage.Relation) error {
+		fp = joinStateFingerprint(q, lrel, rrel)
 		var err error
 		res, err = exec.ExecJoin(lrel, rrel, q, exec.ExecOpts{Workers: db.opts.Parallelism, Stats: &st})
 		return err
-	}
-	if left == right {
-		err = left.View(func(rel *storage.Relation) error { return run(rel, rel) })
-	} else {
-		first, second := left, right
-		swapped := q.Joins[0].Table < q.Table
-		if swapped {
-			first, second = right, left
-		}
-		err = first.View(func(a *storage.Relation) error {
-			return second.View(func(b *storage.Relation) error {
-				if swapped {
-					return run(b, a)
-				}
-				return run(a, b)
-			})
-		})
-	}
+	})
 	if err != nil {
 		return nil, ExecInfo{}, err
 	}
@@ -421,14 +432,45 @@ func (db *DB) execJoin(q *Query) (*Result, ExecInfo, error) {
 // repeat aggregates over a tail-append workload are re-answered at
 // O(appended rows) cost. have must be prior.Versions() of the partials
 // payload later combined as exec.Repaired(prior, ds.Fresh, ds.Reused).
-// ok=false means the engine chose the full Execute path (not repairable,
-// or an adaptation phase is pending).
+// A join query (exec.JoinRepairable) repairs on its probe side the same
+// way, against a rebuilt build side (see execJoinDelta). ok=false means
+// the full Exec path must answer instead: the query is not repairable (a
+// self-join, say), or an adaptation phase is pending.
 func (db *DB) ExecDelta(q *Query, have map[int]uint64) (*DeltaScan, bool, error) {
+	if len(q.Joins) > 0 {
+		return db.execJoinDelta(q, have)
+	}
 	h, err := db.handle(q.Table)
 	if err != nil {
 		return nil, false, err
 	}
 	return h.QueryDelta(q, have)
+}
+
+// execJoinDelta is ExecDelta for a join: exec.ExecJoinDelta under the same
+// name-ordered read locks as execJoin, with the combined fingerprint taken
+// inside them, so the repaired result publishes under the same key a full
+// join of that state would. Like execJoin it neither observes nor triggers
+// adaptation, and sharded inputs fail with joinEngines' error.
+func (db *DB) execJoinDelta(q *Query, have map[int]uint64) (*DeltaScan, bool, error) {
+	if !exec.JoinRepairable(q) {
+		return nil, false, nil
+	}
+	left, right, err := db.joinEngines(q)
+	if err != nil {
+		return nil, false, err
+	}
+	ds := &DeltaScan{}
+	err = viewJoin(q, left, right, func(lrel, rrel *storage.Relation) error {
+		ds.Fingerprint = joinStateFingerprint(q, lrel, rrel)
+		var err error
+		ds.Fresh, ds.Reused, err = exec.ExecJoinDelta(lrel, rrel, q, have, db.opts.Parallelism, &ds.Stats)
+		return err
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return ds, true, nil
 }
 
 // Tables lists the registered table names.

@@ -3,11 +3,14 @@ package h2o_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"h2o"
+	"h2o/internal/exec"
+	"h2o/internal/storage"
 )
 
 // joinTables registers the standard join fixture: R is append-ordered
@@ -63,8 +66,9 @@ func TestJoinFacadeEndToEnd(t *testing.T) {
 // invalidation acceptance test: a cached join result survives appends to
 // segments outside its candidate sets (the probe-pruned R tail), while an
 // append to *either* input's candidate set — including the un-predicated S
-// side — invalidates it. Joins are cached whole and never delta-repaired,
-// so a miss means full recomputation, observable through ServeStats.
+// side — invalidates it. A miss re-answers the join (by probe-side delta
+// repair when only R moved, by a full partial scan after the S append) and
+// counts as a miss in ServeStats either way.
 func TestJoinInvalidationFacade(t *testing.T) {
 	const (
 		segCap  = 1024
@@ -277,5 +281,306 @@ func TestJoinConcurrentStress(t *testing.T) {
 	}
 	if res.At(0, 0) <= 0 {
 		t.Fatalf("final join count = %d, want positive", res.At(0, 0))
+	}
+}
+
+// repairTables registers the join-repair fixture: R (4 attributes, a0 the
+// row position, a1 a key in [0, 64)) spans three sealed 1024-row segments
+// and a partial tail; S (3 attributes, a0 a key in [0, 64) with
+// duplicates, a1 in [0, 8)) is a 200-row dimension table.
+func repairTables(t *testing.T, opts h2o.Options) *h2o.DB {
+	t.Helper()
+	opts.SegmentCapacity = 1024
+	db := h2o.NewDBWith(opts)
+	rTab := h2o.GenerateTimeSeries(h2o.SyntheticSchema("R", 4), 3*1024+300, 42)
+	for r := 0; r < rTab.Rows; r++ {
+		rTab.Cols[1][r] = int64(r*7) % 64
+	}
+	sTab := h2o.Generate(h2o.SyntheticSchema("S", 3), 200, 7)
+	for r := 0; r < sTab.Rows; r++ {
+		sTab.Cols[0][r] = int64(r) % 64
+		sTab.Cols[1][r] = int64(r) % 8
+	}
+	db.AddTable(rTab)
+	db.AddTable(sTab)
+	return db
+}
+
+// repairJoins are the repairable join shapes the facade tests drive. The
+// last puts the appended table on the right, so S, now the left input,
+// builds.
+var repairJoins = []string{
+	"select count(a0), sum(S.a2) from R join S on a1 = S.a0",
+	"select S.a1, sum(a2), count(a0) from R join S on a1 = S.a0 group by S.a1",
+	"select sum(a2 + S.a2) from R join S on a1 = S.a0",
+	"select min(a3), max(S.a2), avg(a2) from R join S on a1 = S.a0 where a3 > 0",
+	"select count(a0), sum(R.a2) from S join R on a0 = R.a1 where a1 < 6",
+}
+
+// insertR appends one row to R with join key k.
+func insertR(t *testing.T, db *h2o.DB, pos, k int) {
+	t.Helper()
+	if _, _, err := db.QueryCtx(context.Background(), fmt.Sprintf("insert into R values (%d, %d, %d, %d)", pos, k, pos%97, pos%31-15)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJoinRepairFacade: after each append to R every join shape is
+// answered by probe-side repair through QueryCtx, bit for bit equal to a
+// full join; an append to S changes the build side, so the next answers
+// reuse nothing, and the round after repairs again.
+func TestJoinRepairFacade(t *testing.T) {
+	opts := h2o.DefaultOptions()
+	opts.Mode = h2o.ModeFrozen
+	db := repairTables(t, opts)
+	defer db.Close()
+	ctx := context.Background()
+
+	check := func(round string, wantRepair bool) {
+		t.Helper()
+		for _, src := range repairJoins {
+			got, info, err := db.QueryCtx(ctx, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := db.Query(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s: %s\n got %v\nwant %v", round, src, got.Data, want.Data)
+			}
+			if info.Strategy.String() != "delta-repair" {
+				t.Fatalf("%s: %s ran %v, want delta-repair", round, src, info.Strategy)
+			}
+			if repaired := info.RepairedSegments > 0; repaired != wantRepair {
+				t.Fatalf("%s: %s repaired %d segments, want repair=%v", round, src, info.RepairedSegments, wantRepair)
+			}
+		}
+	}
+	check("seed", false)
+	pos := 3*1024 + 300
+	const rounds = 12
+	for i := 0; i < rounds; i++ {
+		for n := 0; n <= i%3; n++ {
+			insertR(t, db, pos, pos%64)
+			pos++
+		}
+		check(fmt.Sprintf("append %d", i), true)
+	}
+	if _, _, err := db.QueryCtx(ctx, "insert into S values (9000, 5, 3)"); err != nil {
+		t.Fatal(err)
+	}
+	check("build append", false)
+	insertR(t, db, pos, 5)
+	check("append after build append", true)
+
+	if st := db.ServeStats(); st.Repaired != uint64(len(repairJoins)*(rounds+1)) {
+		t.Fatalf("Repaired = %d, want %d (stats %+v)", st.Repaired, len(repairJoins)*(rounds+1), st)
+	}
+}
+
+// TestJoinRepairAddsNoHeat: join result entries touch no segment, and join
+// payloads retain none, so join traffic — misses, repairs and republishes —
+// leaves the per-segment cache heat of both inputs unchanged.
+func TestJoinRepairAddsNoHeat(t *testing.T) {
+	db := repairTables(t, h2o.DefaultOptions())
+	defer db.Close()
+	srv := db.Serve(h2o.ServerConfig{Workers: 2})
+	defer srv.Close()
+	ctx := context.Background()
+	query := func(src string) {
+		t.Helper()
+		q, err := db.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := srv.Query(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query("select sum(a2) from R where a0 < 2000")
+	query("select max(a1) from S")
+	heatR, heatS := srv.SegmentHeat("R"), srv.SegmentHeat("S")
+	if len(heatR) == 0 || len(heatS) == 0 {
+		t.Fatalf("single-table entries left no heat: R %v, S %v", heatR, heatS)
+	}
+	pos := 3*1024 + 300
+	for i := 0; i < 4; i++ {
+		for _, src := range repairJoins {
+			query(src)
+		}
+		insertR(t, db, pos+i, i)
+	}
+	if st := srv.Stats(); st.Repaired == 0 {
+		t.Fatalf("join traffic never repaired: %+v", st)
+	}
+	if got := srv.SegmentHeat("R"); !reflect.DeepEqual(got, heatR) {
+		t.Fatalf("R heat %v after joins, %v before", got, heatR)
+	}
+	if got := srv.SegmentHeat("S"); !reflect.DeepEqual(got, heatS) {
+		t.Fatalf("S heat %v after joins, %v before", got, heatS)
+	}
+}
+
+// TestJoinRepairConcurrent is the -race mix for join repair: one writer
+// appends to R while readers repeat every join shape through QueryCtx.
+// Gated readers hold a read gate across each QueryCtx answer and the
+// db.Exec it is compared to, and the writer appends under the write gate,
+// so every gated answer must equal db.Exec's. Ungated readers race the
+// appends; their join count over a growing R must never fall.
+func TestJoinRepairConcurrent(t *testing.T) {
+	db := repairTables(t, h2o.DefaultOptions())
+	defer db.Close()
+	ctx := context.Background()
+	qs := make([]*h2o.Query, len(repairJoins))
+	for i, src := range repairJoins {
+		q, err := db.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs[i] = q
+	}
+
+	var gate sync.RWMutex
+	var wg sync.WaitGroup
+	errCh := make(chan error, 8)
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				src := repairJoins[(c+i)%len(repairJoins)]
+				gate.RLock()
+				got, _, err := db.QueryCtx(ctx, src)
+				var want *h2o.Result
+				if err == nil {
+					want, _, err = db.Exec(qs[(c+i)%len(qs)])
+				}
+				gate.RUnlock()
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if !got.Equal(want) {
+					errCh <- fmt.Errorf("reader %d: %s answered %v, db.Exec %v", c, src, got.Data, want.Data)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Add(1)
+	go func() { // ungated: count(a0) over R ⋈ S only grows as R grows
+		defer wg.Done()
+		last := int64(-1)
+		for i := 0; i < 40; i++ {
+			res, _, err := db.QueryCtx(ctx, repairJoins[0])
+			if err != nil {
+				errCh <- err
+				return
+			}
+			n := res.At(0, 0)
+			if n < last {
+				errCh <- fmt.Errorf("ungated join count fell from %d to %d", last, n)
+				return
+			}
+			last = n
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 30; i++ {
+			pos := 3*1024 + 300 + i
+			gate.Lock()
+			_, _, err := db.QueryCtx(ctx, fmt.Sprintf("insert into R values (%d, %d, 1, 2)", pos, i%64))
+			gate.Unlock()
+			if err != nil {
+				errCh <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Error(err)
+	}
+}
+
+// TestJoinRepairRefusals pins which queries each delta path refuses. The
+// single-relation path (exec.Repairable, exec.ExecDelta) refuses every
+// join; exec.JoinRepairable refuses a LIMIT, projections, bare
+// expressions, more than one join and self-joins; DB.ExecDelta declines
+// (ok=false) whatever JoinRepairable refuses and fails over sharded inputs
+// with the join-over-sharded-tables error.
+func TestJoinRepairRefusals(t *testing.T) {
+	db := repairTables(t, h2o.DefaultOptions())
+	defer db.Close()
+	sopts := h2o.DefaultOptions()
+	sopts.Shards = 2
+	sharded := h2o.NewDBWith(sopts)
+	defer sharded.Close()
+	sharded.CreateTableFrom(h2o.SyntheticSchema("R", 4), 1_000, 1)
+	sharded.CreateTableFrom(h2o.SyntheticSchema("S", 3), 500, 2)
+
+	const agg = "select count(a0), sum(S.a2) from R join S on a1 = S.a0"
+	twoJoins := func(q *h2o.Query) { q.Joins = append(q.Joins, q.Joins[0]) }
+	cases := []struct {
+		name      string
+		db        *h2o.DB
+		src       string
+		edit      func(*h2o.Query)
+		repairs   bool   // exec.JoinRepairable and DB.ExecDelta's ok
+		deltaErr  string // DB.ExecDelta's error, when it fails
+		singleRel bool   // run exec.ExecDelta on R's relation
+	}{
+		{name: "aggregate join", db: db, src: agg, repairs: true, singleRel: true},
+		{name: "grouped join", db: db, src: repairJoins[1], repairs: true, singleRel: true},
+		{name: "limit", db: db, src: agg + " limit 5", singleRel: true},
+		{name: "projection", db: db, src: "select a0, S.a1 from R join S on a1 = S.a0"},
+		{name: "bare expression", db: db, src: "select a0 + S.a1 from R join S on a1 = S.a0"},
+		{name: "two joins", db: db, src: agg, edit: twoJoins},
+		{name: "self-join", db: db, src: "select count(a0) from R join R on a1 = R.a0", singleRel: true},
+		{name: "sharded inputs", db: sharded, src: "select sum(a1) from R join S on a0 = S.a0", repairs: true, deltaErr: "do not support joins"},
+	}
+	for _, c := range cases {
+		q, err := c.db.Parse(c.src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if c.edit != nil {
+			c.edit(q)
+		}
+		if exec.Repairable(q) {
+			t.Errorf("%s: exec.Repairable accepted a join", c.name)
+		}
+		if got := exec.JoinRepairable(q); got != c.repairs {
+			t.Errorf("%s: exec.JoinRepairable = %v, want %v", c.name, got, c.repairs)
+		}
+		if c.singleRel {
+			eng, err := c.db.Engine("R")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = eng.View(func(rel *storage.Relation) error {
+				_, _, err := exec.ExecDelta(rel, q, nil, 1, nil)
+				return err
+			})
+			if err != exec.ErrUnsupported {
+				t.Errorf("%s: exec.ExecDelta err = %v, want ErrUnsupported", c.name, err)
+			}
+		}
+		ds, ok, err := c.db.ExecDelta(q, nil)
+		switch {
+		case c.deltaErr != "":
+			if err == nil || !strings.Contains(err.Error(), c.deltaErr) {
+				t.Errorf("%s: DB.ExecDelta err = %v, want %q", c.name, err, c.deltaErr)
+			}
+		case err != nil:
+			t.Errorf("%s: DB.ExecDelta: %v", c.name, err)
+		case ok != c.repairs || (ok && ds.Fresh.Deps == nil):
+			t.Errorf("%s: DB.ExecDelta ok = %v, want %v", c.name, ok, c.repairs)
+		}
 	}
 }

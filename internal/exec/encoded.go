@@ -75,8 +75,8 @@ func newEncReader(seg *storage.Segment, attrs []data.AttrID) (er *encReader, ok 
 		}
 		off, _ := g.Offset(a)
 		c := &encCol{col: e.Cols[off], bi: -1}
-		if g.Data != nil {
-			c.flat, c.off, c.stride = g.Data, off, g.Stride
+		if flat := seg.FlatData(g); flat != nil {
+			c.flat, c.off, c.stride = flat, off, g.Stride
 		}
 		er.cols[a] = c
 	}

@@ -37,6 +37,11 @@ import (
 // in left-major order (probe = left), so they always build the right side.
 // When pruning empties the build side — or the build filter leaves an
 // empty hash table — the probe side is never scanned at all.
+//
+// ExecJoinDelta runs the same plan (planJoin) and probe kernel per probe
+// segment for delta repair: aggregate and grouped joins keep one partial
+// per probe segment, so a probe-side append folds only the appended rows
+// (see the partials contract in partials.go).
 
 // joinSplit is the per-side decomposition of a join query's WHERE clause.
 // Right-side zone-map predicates are rebased to the right relation's local
@@ -237,23 +242,26 @@ func (f *sideFilter) sel(lo, hi int, buf []int32) []int32 {
 // joinHashTable is the build side materialized for probing: the tuples
 // passing the build-side filter in (segment, row) order, their join keys,
 // the need-only arena holding only the attributes the query reads after
-// the join, and the key directory over them.
+// the join, the key directory over them, and the candidate segments they
+// were read from.
 type joinHashTable struct {
 	width int            // stored attributes per tuple
 	arena []data.Value   // width words per tuple, insertion order
 	keys  []data.Value   // join key per tuple, insertion order
 	dir   *joinDirectory // key -> tuples, each chain in insertion order
+	deps  map[int]uint64 // build candidate segment index -> version
 }
 
 // buildJoinHashTable scans the side's segments in order (skipping empty
 // and zone-map-pruned ones), filters each with the side's kernels and
 // appends the survivors' keys and need attributes (combined ids, all on
-// this side, in arena slot order) to the table. Build-side segments count
+// this side, in arena slot order) to the table, recording each scanned
+// segment's version in deps. Build-side segments count
 // into stats' scan/prune/fault counters but not its Touched list — the
 // touch set is per-relation and a join spans two (see ExecJoin). probeRows
 // is the probe side's candidate row count, which sizes the directory.
 func buildJoinHashTable(s *joinSide, need []data.AttrID, probeRows int, stats *StrategyStats) (*joinHashTable, error) {
-	ht := &joinHashTable{width: len(need)}
+	ht := &joinHashTable{width: len(need), deps: make(map[int]uint64)}
 	scan := s.scanAttrs(need)
 	local := make([]data.AttrID, 0, len(need)+1)
 	local = append(local, s.key)
@@ -261,7 +269,7 @@ func buildJoinHashTable(s *joinSide, need []data.AttrID, probeRows int, stats *S
 		local = append(local, a-s.base)
 	}
 	buf := make([]int32, 0, VectorSize)
-	for _, seg := range s.rel.Segments {
+	for si, seg := range s.rel.Segments {
 		if seg.Rows == 0 {
 			continue
 		}
@@ -269,6 +277,7 @@ func buildJoinHashTable(s *joinSide, need []data.AttrID, probeRows int, stats *S
 			stats.SegmentsPruned++
 			continue
 		}
+		ht.deps[si] = seg.Version()
 		faulted, err := seg.Acquire()
 		if err != nil {
 			return nil, err
@@ -432,13 +441,14 @@ func joinedNeed(q *query.Query, out Outputs, residual expr.Pred) []data.AttrID {
 	return need
 }
 
-// ExecJoin executes a single equi-join query over the left and right
-// relations. The query's attributes live in the combined namespace; the
-// output shape is whatever Classify reports for the combined query, merged
-// with the same machinery as single-relation pipelines. LIMIT is applied
-// here (the single-relation engines apply it post-Exec; join results don't
-// pass through them).
-func ExecJoin(left, right *storage.Relation, q *query.Query, opts ExecOpts) (*Result, error) {
+// planJoin is the setup ExecJoin and ExecJoinDelta share: it validates the
+// join clause, classifies the output, splits the WHERE clause by side,
+// chooses the build side greedily, resolves every attribute read after the
+// join to a build arena slot or a probe binding, and builds the hash table.
+// The returned probe's ht stays nil when zone maps empty the build side:
+// the build never runs (its pruned segments are counted into stats here),
+// and no row can join.
+func planJoin(left, right *storage.Relation, q *query.Query, stats *StrategyStats) (*joinProbe, error) {
 	if len(q.Joins) != 1 {
 		return nil, fmt.Errorf("exec: ExecJoin serves exactly one join clause, query has %d", len(q.Joins))
 	}
@@ -467,30 +477,6 @@ func ExecJoin(left, right *storage.Relation, q *query.Query, opts ExecOpts) (*Re
 	if !orderSensitive && buildCand > probeCand {
 		build, probe = probe, build
 		buildCand, buildPruned, probeCand = probeCand, probePruned, buildCand
-	}
-
-	stats := &StrategyStats{}
-	defer func() {
-		if opts.Stats != nil {
-			s := opts.Stats
-			s.SegmentsScanned += stats.SegmentsScanned
-			s.SegmentsPruned += stats.SegmentsPruned
-			s.SegmentsFaulted += stats.SegmentsFaulted
-			s.IntermediateWords += stats.IntermediateWords
-			s.DecodeSkips += stats.DecodeSkips
-			s.EncodedBytes += stats.EncodedBytes
-			// Touched stays empty: the list is indexed per relation and a
-			// join spans two, so join executions report counts only.
-		}
-	}()
-
-	// Early termination: zone maps emptied the build side, so no row can
-	// join — the probe side is never touched (its cold segments stay cold).
-	// The build side's pruned segments are recorded here; when the build
-	// actually runs, buildJoinHashTable counts them itself.
-	if buildCand == 0 {
-		stats.SegmentsPruned += buildPruned
-		return trimJoinLimit(mergePartials(out, nil), q), nil
 	}
 
 	// Every attribute read after the join resolves once, here, to an arena
@@ -522,27 +508,167 @@ func ExecJoin(left, right *storage.Relation, q *query.Query, opts ExecOpts) (*Re
 		jp.colOf[probe.base+a] = joinCol{slot: -1, probe: i}
 	}
 
+	// Early termination: zone maps emptied the build side, so no row can
+	// join — the probe side is never touched (its cold segments stay cold).
+	// The build side's pruned segments are recorded here; when the build
+	// actually runs, buildJoinHashTable counts them itself.
+	if buildCand == 0 {
+		stats.SegmentsPruned += buildPruned
+		return jp, nil
+	}
 	ht, err := buildJoinHashTable(build, buildNeed, probeCand, stats)
 	if err != nil {
 		return nil, err
 	}
 	stats.IntermediateWords += len(ht.arena)
-	if len(ht.keys) == 0 {
-		return trimJoinLimit(mergePartials(out, nil), q), nil
-	}
 	jp.ht = ht
+	return jp, nil
+}
 
-	p := &pipeline{out: out, limit: jp.limit, scan: jp.scan}
-	if probe.split {
-		p.preds = probe.cols
+// ExecJoin executes a single equi-join query over the left and right
+// relations. The query's attributes live in the combined namespace; the
+// output shape is whatever Classify reports for the combined query, merged
+// with the same machinery as single-relation pipelines. LIMIT is applied
+// here (the single-relation engines apply it post-Exec; join results don't
+// pass through them).
+func ExecJoin(left, right *storage.Relation, q *query.Query, opts ExecOpts) (*Result, error) {
+	stats := &StrategyStats{}
+	defer func() {
+		if opts.Stats != nil {
+			s := opts.Stats
+			s.SegmentsScanned += stats.SegmentsScanned
+			s.SegmentsPruned += stats.SegmentsPruned
+			s.SegmentsFaulted += stats.SegmentsFaulted
+			s.IntermediateWords += stats.IntermediateWords
+			s.DecodeSkips += stats.DecodeSkips
+			s.EncodedBytes += stats.EncodedBytes
+			// Touched stays empty: the list is indexed per relation and a
+			// join spans two, so join executions report counts only.
+		}
+	}()
+	jp, err := planJoin(left, right, q, stats)
+	if err != nil {
+		return nil, err
+	}
+	if jp.empty() {
+		return trimJoinLimit(mergePartials(jp.out, nil), q), nil
+	}
+	p := &pipeline{out: jp.out, limit: jp.limit, scan: jp.scan}
+	if jp.side.split {
+		p.preds = jp.side.cols
 	}
 	popts := opts
 	popts.Stats = stats
-	res, err := p.run(probe.rel, popts)
+	res, err := p.run(jp.side.rel, popts)
 	if err != nil {
 		return nil, err
 	}
 	return trimJoinLimit(res, q), nil
+}
+
+// JoinRepairable reports whether the join query q can be maintained by
+// probe-side delta repair (ExecJoinDelta): exactly one join between two
+// distinct tables, no LIMIT, and an aggregate or grouped output that
+// ExecJoin serves (OutAggregates, OutAggExpression or OutGrouped). Such a
+// result is a merge of per-probe-segment partials over one build hash
+// table, so with the build side unchanged an append to the probe side
+// folds only the appended rows: Δ(R ⋈ S) = ΔR ⋈ S. A self-join is refused:
+// every append to its probe side is an append to its build side too.
+func JoinRepairable(q *query.Query) bool {
+	if q == nil || q.Limit != 0 || len(q.Joins) != 1 || q.Joins[0].Table == q.Table {
+		return false
+	}
+	switch Classify(q).Kind {
+	case OutAggregates, OutAggExpression, OutGrouped:
+		return true
+	}
+	return false
+}
+
+// ExecJoinDelta is ExecDelta for a join query: per-probe-segment partials
+// over a freshly built hash table. It rebuilds the build side's directory
+// every call — the build side is the smaller by construction — and then
+// walks the probe side exactly as ExecDelta walks a relation: empty and
+// pruned segments skipped, a segment at an unchanged version reused, one
+// whose bump was reorganization only re-stamped, one that only grew
+// scanned from its old row count on, everything else rescanned whole.
+//
+// The payload's Deps record the build side's candidate segments at their
+// versions, and Versions() carries them into have under negative keys.
+// Probe partials are reused only when the current build candidates equal
+// those entries exactly; otherwise have is ignored and every probe
+// candidate is scanned whole. Versions come from one process-wide clock,
+// so that equality proves the same build relation, in the same state,
+// chosen as the build side again: an append to the build side, a replaced
+// table and a flipped greedy choice each reuse nothing.
+//
+// The caller must hold both relations stable. Stats receives the build and
+// probe scan counters but no touch set: Touched is indexed per relation
+// and a join spans two. Queries JoinRepairable refuses return
+// ErrUnsupported.
+func ExecJoinDelta(left, right *storage.Relation, q *query.Query, have map[int]uint64, workers int, stats *StrategyStats) (fresh *PartialResult, reused []int, err error) {
+	if !JoinRepairable(q) {
+		return nil, nil, ErrUnsupported
+	}
+	if stats == nil {
+		stats = &StrategyStats{}
+	}
+	jp, err := planJoin(left, right, q, stats)
+	if err != nil {
+		return nil, nil, err
+	}
+	fresh = newPartialResult(q)
+	fresh.Deps = map[int]uint64{}
+	if jp.ht != nil {
+		fresh.Deps = jp.ht.deps
+	}
+	if jp.empty() {
+		return fresh, nil, nil
+	}
+	if !depsMatch(have, fresh.Deps) {
+		have = nil
+	}
+	var preds []ColPred
+	if jp.side.split {
+		preds = jp.side.cols
+	}
+	tasks, reused := planDelta(jp.side.rel, preds, have, fresh, stats)
+	err = runDelta(tasks, workers, fresh, stats, func(t deltaTask, st *StrategyStats) (*SegPartial, bool, error) {
+		faulted, err := t.seg.Acquire()
+		if err != nil {
+			return nil, false, err
+		}
+		t.seg.Touch()
+		p, err := jp.scan(&segCtx{si: t.si, seg: t.seg, lo: t.lo, hi: t.seg.Rows, stats: st})
+		t.seg.Release()
+		if err != nil {
+			return nil, false, err
+		}
+		sp := segPartialOf(p)
+		sp.Version, sp.Base = t.v, t.base
+		return sp, faulted, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	stats.SegmentsScanned += len(tasks) // counted, not touched: Touched is per relation
+	return fresh, reused, nil
+}
+
+// depsMatch reports whether have's negative entries, a prior join
+// payload's build dependencies, are exactly deps.
+func depsMatch(have, deps map[int]uint64) bool {
+	n := 0
+	for k, v := range have {
+		if k >= 0 {
+			continue
+		}
+		n++
+		if dv, ok := deps[-k-1]; !ok || dv != v {
+			return false
+		}
+	}
+	return n == len(deps)
 }
 
 // joinCol locates one combined attribute of a joined row: the build
@@ -561,6 +687,12 @@ type joinProbe struct {
 	colOf    []joinCol     // combined id -> location, for attributes read after the join
 	residual expr.Pred
 	limit    int
+}
+
+// empty reports whether no row can join: zone maps emptied the build side,
+// or its filter left the hash table empty.
+func (jp *joinProbe) empty() bool {
+	return jp.ht == nil || len(jp.ht.keys) == 0
 }
 
 // scan probes one pinned segment: filter rows [c.lo, c.hi) one VectorSize

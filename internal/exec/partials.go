@@ -59,6 +59,19 @@ import (
 // in either order), and zone maps only widen under appends, so a segment
 // that had a partial is still a candidate unless it is pruned now, which
 // drops it exactly as before.
+//
+// Joins follow the same contract on their probe side (JoinRepairable,
+// ExecJoinDelta). An aggregate or grouped single equi-join merges
+// per-probe-segment partials over one build hash table, so with the build
+// side unchanged an append to the probe side folds only the appended
+// rows: Δ(R ⋈ S) = ΔR ⋈ S. A join payload's Segs are keyed by probe
+// segment, and its Deps record the build side's candidate segments at
+// their versions. Versions() emits a dependency on build segment si under
+// the negative key -(si+1), so the build side travels in the same have
+// vector as the probe side. ExecJoinDelta reuses nothing unless the
+// current build candidates equal those entries exactly; one process-wide
+// version clock makes that equality prove the same build relation, in the
+// same state, chosen as the build side again.
 
 // SegPartial is one segment's contribution to a repairable query: the
 // per-item aggregate states folded over the segment's qualifying rows, and
@@ -101,8 +114,13 @@ type PartialResult struct {
 	// Outputs.GroupBy/ItemKey); both are nil for ungrouped queries.
 	GroupBy []data.AttrID
 	ItemKey []int
-	// Segs maps segment index to that segment's partial.
+	// Segs maps segment index to that segment's partial — a probe-side
+	// segment index for a join payload.
 	Segs map[int]*SegPartial
+	// Deps is non-nil exactly on join payloads: the build side's candidate
+	// segments at the versions the partials were computed against, keyed by
+	// segment index. Versions() emits them under negative keys.
+	Deps map[int]uint64
 }
 
 // Repairable reports whether q's result can be maintained by delta repair:
@@ -111,11 +129,10 @@ type PartialResult struct {
 // query must carry no LIMIT. Grouped queries are repairable when their
 // select shape classifies as OutGrouped — aggregates plus bare group-key
 // columns — since per-segment group maps merge key-wise under the same
-// decomposition law. Join queries are not repairable: a join result does
-// not decompose into per-segment partials of one relation (a changed
-// segment on either side perturbs matches across every segment of the
-// other), so joins are cached whole and invalidated by their fingerprint
-// pair instead. See the partials contract at the top of this file.
+// decomposition law. Join queries are not repairable here: ExecDelta scans
+// one relation, and a join's partials are per probe segment over a build
+// hash table of the other — JoinRepairable and ExecJoinDelta serve them.
+// See the partials contract at the top of this file.
 func Repairable(q *query.Query) bool {
 	if q == nil || q.Limit != 0 || len(q.Items) == 0 || len(q.Joins) > 0 {
 		return false
@@ -189,11 +206,16 @@ func (p *PartialResult) Result() *Result {
 }
 
 // Versions snapshots the segment-version vector the partials were computed
-// at, keyed by segment index — the `have` argument of a later ExecDelta.
+// at, keyed by segment index — the `have` argument of a later ExecDelta or
+// ExecJoinDelta. A join payload's build dependencies ride along under
+// negative keys: build segment si at key -(si+1).
 func (p *PartialResult) Versions() map[int]uint64 {
-	out := make(map[int]uint64, len(p.Segs))
+	out := make(map[int]uint64, len(p.Segs)+len(p.Deps))
 	for si, sp := range p.Segs {
 		out[si] = sp.Version
+	}
+	for si, v := range p.Deps {
+		out[-(si + 1)] = v
 	}
 	return out
 }
@@ -201,8 +223,9 @@ func (p *PartialResult) Versions() map[int]uint64 {
 // Bytes estimates the payload's memory footprint for cache budgeting: map
 // bookkeeping plus one accumulator per (segment, item) — or, for grouped
 // payloads, per (segment, group, aggregate item) plus the encoded keys, so
-// a high-cardinality grouped payload is charged for every group it retains.
-// It is a sizing estimate, not an exact heap measurement.
+// a high-cardinality grouped payload is charged for every group it retains,
+// plus one map slot per build dependency of a join payload. It is a sizing
+// estimate, not an exact heap measurement.
 func (p *PartialResult) Bytes() int64 {
 	if p == nil {
 		return 0
@@ -211,9 +234,11 @@ func (p *PartialResult) Bytes() int64 {
 		segOverhead   = 64 // map slot + SegPartial header + states slice header
 		stateOverhead = 48 // AggState struct + pointer
 		groupOverhead = 56 // group-map slot + key string header + states slice header
+		depOverhead   = 24 // Deps map slot: index + version
 	)
+	total := int64(len(p.Deps)) * depOverhead
 	if len(p.ItemKey) > 0 {
-		total := int64(len(p.Segs)) * segOverhead
+		total += int64(len(p.Segs)) * segOverhead
 		keyBytes := int64(len(p.GroupBy)) * 8
 		perGroup := groupOverhead + keyBytes + stateOverhead*int64(len(p.Ops))
 		for _, sp := range p.Segs {
@@ -221,7 +246,7 @@ func (p *PartialResult) Bytes() int64 {
 		}
 		return total
 	}
-	return int64(len(p.Segs)) * (segOverhead + stateOverhead*int64(len(p.Ops)))
+	return total + int64(len(p.Segs))*(segOverhead+stateOverhead*int64(len(p.Ops)))
 }
 
 // Repaired assembles the post-repair partials payload: the retained
@@ -231,7 +256,8 @@ func (p *PartialResult) Bytes() int64 {
 // suffixes without a have vector). The result shares whole SegPartials
 // with its inputs and builds fresh accumulators for every fold; none of
 // the inputs are mutated. A suffix whose base prior does not hold panics:
-// the have vector passed to ExecDelta must be prior.Versions().
+// the have vector passed to ExecDelta must be prior.Versions(). A join
+// payload's Deps come from fresh: they name the build side the scan read.
 func Repaired(prior, fresh *PartialResult, reused []int) *PartialResult {
 	out := &PartialResult{
 		Labels:  fresh.Labels,
@@ -239,6 +265,7 @@ func Repaired(prior, fresh *PartialResult, reused []int) *PartialResult {
 		GroupBy: fresh.GroupBy,
 		ItemKey: fresh.ItemKey,
 		Segs:    make(map[int]*SegPartial, len(reused)+len(fresh.Segs)),
+		Deps:    fresh.Deps,
 	}
 	if prior != nil {
 		for _, si := range reused {
@@ -335,12 +362,29 @@ func ExecDelta(rel *storage.Relation, q *query.Query, have map[int]uint64, worke
 		preds = nil
 	}
 
-	// Phase 1: classify segments — prune, reuse, re-stamp, or plan a
-	// (suffix) rescan. Under the caller's read lock no version can move
-	// between this read and the scan below (mutations hold the exclusive
-	// lock).
+	// Under the caller's read lock no version can move between the
+	// classification and the scan (mutations hold the exclusive lock).
 	fresh = newPartialResult(q)
-	var tasks []deltaTask
+	tasks, reused := planDelta(rel, preds, have, fresh, stats)
+	err = runDelta(tasks, workers, fresh, stats, func(t deltaTask, st *StrategyStats) (*SegPartial, bool, error) {
+		return scanDeltaTask(t, q, out, preds, splittable, st)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, t := range tasks {
+		stats.touch(t.si)
+	}
+	return fresh, reused, nil
+}
+
+// planDelta is a delta scan's classification phase over rel's segments:
+// empty segments are skipped and segments preds prune are counted and
+// skipped. Every other candidate is reused (its version matches have),
+// re-stamped in fresh without a scan (a reorganization-only bump), or
+// planned as a task: a suffix scan when it only grew since have's version,
+// a whole rescan otherwise.
+func planDelta(rel *storage.Relation, preds []ColPred, have map[int]uint64, fresh *PartialResult, stats *StrategyStats) (tasks []deltaTask, reused []int) {
 	for si, seg := range rel.Segments {
 		if seg.Rows == 0 {
 			continue
@@ -369,54 +413,46 @@ func ExecDelta(rel *storage.Relation, q *query.Query, have map[int]uint64, worke
 		}
 		tasks = append(tasks, t)
 	}
+	return tasks, reused
+}
 
-	// Phase 2: rescan the planned segments, serially or fanned out.
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			sp, faulted, err := scanDeltaTask(t, q, out, preds, splittable, stats)
-			if err != nil {
-				return nil, nil, err
-			}
-			stats.touch(t.si)
-			if stats != nil && faulted {
-				stats.SegmentsFaulted++
-			}
-			fresh.Segs[t.si] = sp
-		}
-		return fresh, reused, nil
-	}
-
+// runDelta is a delta scan's scan phase: scan computes each planned task's
+// partial, serially or fanned out over workers — partials are per-segment
+// and order-independent, so the usual case of one changed tail stays
+// serial while a cold seed of a large relation uses every core — and each
+// lands in fresh. Per-task stats keep the workers race-free; they fold
+// into stats after the join. Scanned segments are the caller's to count.
+func runDelta(tasks []deltaTask, workers int, fresh *PartialResult, stats *StrategyStats, scan func(t deltaTask, st *StrategyStats) (*SegPartial, bool, error)) error {
 	partials := make([]*SegPartial, len(tasks))
 	faulted := make([]bool, len(tasks))
-	// Per-task stats keep the workers race-free; the encoded-kernel
-	// counters fold into the caller's stats after the join.
 	taskStats := make([]StrategyStats, len(tasks))
-	err = claimLoop(len(tasks), workers, nil, func(ti int) error {
-		sp, f, err := scanDeltaTask(tasks[ti], q, out, preds, splittable, &taskStats[ti])
+	run := func(ti int) error {
+		sp, f, err := scan(tasks[ti], &taskStats[ti])
 		if err != nil {
 			return err
 		}
 		partials[ti], faulted[ti] = sp, f
 		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+	}
+	if workers = min(workers, len(tasks)); workers > 1 {
+		if err := claimLoop(len(tasks), workers, nil, run); err != nil {
+			return err
+		}
+	} else {
+		for ti := range tasks {
+			if err := run(ti); err != nil {
+				return err
+			}
+		}
 	}
 	for ti, sp := range partials {
-		stats.touch(tasks[ti].si)
-		if stats != nil {
-			if faulted[ti] {
-				stats.SegmentsFaulted++
-			}
-			stats.DecodeSkips += taskStats[ti].DecodeSkips
-			stats.EncodedBytes += taskStats[ti].EncodedBytes
+		if stats != nil && faulted[ti] {
+			stats.SegmentsFaulted++
 		}
+		foldCounters(stats, &taskStats[ti])
 		fresh.Segs[tasks[ti].si] = sp
 	}
-	return fresh, reused, nil
+	return nil
 }
 
 // encodedEligible reports whether the encoded block kernel can serve the

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sync"
 	"testing"
 
 	"h2o/internal/data"
@@ -167,5 +168,47 @@ func TestReorgPagesInBeforeStitching(t *testing.T) {
 		if !hot[si] && si < len(rel.Segments)-3 && seg.Resident() {
 			t.Fatalf("cold pruned segment %d was paged in during reorg", si)
 		}
+	}
+}
+
+// TestEncodedPinRacesFlatPin: a reader holding an encoded pin binds a
+// demoted segment's columns while a flat pin decodes the same groups in.
+// The reader's look at the flat data must be ordered with the decode; run
+// with -race, an unordered read is reported. The reader pins first and
+// keeps binding while the flat pin runs, so the decode lands inside its
+// pin.
+func TestEncodedPinRacesFlatPin(t *testing.T) {
+	rel := storage.BuildColumnMajorSeg(data.GenerateTimeSeries(data.SyntheticSchema("R", 3), 2*eqSegCap, 5), eqSegCap)
+	seg := rel.Segments[0]
+	attrs := []data.AttrID{0, 1, 2}
+	for i := 0; i < 100; i++ {
+		if !seg.DemoteToEncoded() {
+			t.Fatalf("round %d: sealed segment did not demote", i)
+		}
+		pinned := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := seg.AcquireEncoded()
+			close(pinned)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer seg.Release()
+			for j := 0; j < 50; j++ {
+				if _, ok, err := newEncReader(seg, attrs); err != nil || !ok {
+					t.Errorf("encoded reader: ok=%v err=%v", ok, err)
+					return
+				}
+			}
+		}()
+		<-pinned
+		if _, err := seg.Acquire(); err != nil {
+			t.Fatal(err)
+		}
+		seg.Release()
+		wg.Wait()
 	}
 }

@@ -45,10 +45,16 @@
 //     and re-combines with the retained partials: O(changed rows) instead
 //     of O(candidate set). Repeat aggregates over a tail-append workload
 //     therefore cost one suffix scan each (Stats.Repaired,
-//     Stats.RepairedSegments; ExecInfo.RepairedSegments per query). A miss with no payload still routes here: the full
-//     partial scan that answers it seeds the payload for every later
-//     repair. The backend may decline (its adaptation machinery wants the
-//     exclusive lock this round), in which case the job falls through.
+//     Stats.RepairedSegments; ExecInfo.RepairedSegments per query). A
+//     query counts as repaired when it reused a cached partial or
+//     extended one by a suffix. An aggregate or grouped single equi-join
+//     (exec.JoinRepairable) takes the same tier: its payload holds
+//     per-probe-segment partials plus the build side's segment versions,
+//     so a probe-side append folds only the appended rows. A miss with no
+//     payload still routes here: the full partial scan that answers it
+//     seeds the payload for every later repair. The backend may decline
+//     (its adaptation machinery wants the exclusive lock this round), in
+//     which case the job falls through.
 //
 //  3. Full execution. Everything else runs the backend's complete path —
 //     monitoring, adaptation, online reorganization, cost-based strategy

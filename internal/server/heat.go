@@ -9,12 +9,14 @@ import (
 // segmentHeat is the per-table count, per segment index, of the live
 // cached artifacts that reference the segment: result-cache entries count
 // the segments their execution read (ExecInfo.SegmentsTouched), partials
-// payloads every segment they retain a partial for. The caches maintain it
-// where entries come and go — admission, in-place republish, replacement
-// and eviction — under the cache lock each of those points already holds,
-// so at every quiescent point the counts equal a walk over every live
-// entry (stale-fingerprint entries included: they stay live until the LRU
-// recycles them). Lock order is cache lock -> mu; snapshot takes mu alone.
+// payloads every segment they retain a partial for. Joins add nothing: a
+// join result touches no segment and a join payload retains none here. The
+// caches maintain it where entries come and go — admission, in-place
+// republish, replacement and eviction — under the cache lock each of those
+// points already holds, so at every quiescent point the counts equal a walk
+// over every live entry (stale-fingerprint entries included: they stay live
+// until the LRU recycles them). Lock order is cache lock -> mu; snapshot
+// takes mu alone.
 type segmentHeat struct {
 	mu     sync.Mutex
 	tables map[string][]int32
@@ -46,7 +48,13 @@ func (h *segmentHeat) addSegs(table string, segs []int, d int32) {
 }
 
 // addPartial adds d to the count of every segment p retains a partial for.
+// A join payload (non-nil Deps) adds nothing, as join result entries touch
+// nothing: its segments span two relations, and only the probe side's are
+// keyed in Segs.
 func (h *segmentHeat) addPartial(table string, p *exec.PartialResult, d int32) {
+	if p.Deps != nil {
+		return
+	}
 	segs := make([]int, 0, len(p.Segs))
 	for si := range p.Segs {
 		segs = append(segs, si)

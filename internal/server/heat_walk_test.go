@@ -20,7 +20,8 @@ import (
 // walkHeat is the reference the incremental counters must equal: a full
 // walk over every live result-cache entry and partials payload whose key
 // names table, counting each entry's touched segments and each payload's
-// retained segments.
+// retained segments. A join payload — its key's normalized query carries
+// a join clause — counts nothing.
 func walkHeat(s *Server, table string) map[int]int {
 	heat := make(map[int]int)
 	prefix := strconv.Itoa(len(table)) + ":" + table + ":"
@@ -41,7 +42,7 @@ func walkHeat(s *Server, table string) map[int]int {
 	if s.partials != nil {
 		s.partials.mu.Lock()
 		for k, e := range s.partials.items {
-			if !strings.HasPrefix(k, prefix) {
+			if !strings.HasPrefix(k, prefix) || strings.Contains(k, " join ") {
 				continue
 			}
 			for si := range e.p.Versions() {
@@ -78,7 +79,8 @@ func randomSegs(rng *rand.Rand, n int) []int {
 
 // TestSegmentHeatMatchesWalk drives the two caches directly with a seeded
 // random mix — admissions, in-place republishes under a different touch
-// set, partials replacements, payloads over the byte budget, and the LRU
+// set, partials replacements, payloads over the byte budget, join payloads
+// (probe partials plus build dependencies, which add no heat), and the LRU
 // and byte-budget evictions small capacities force — over two tables whose
 // names are prefixes of each other. After every step the incremental
 // counters must equal the full walk.
@@ -109,6 +111,16 @@ func TestSegmentHeatMatchesWalk(t *testing.T) {
 					p := &exec.PartialResult{Ops: []expr.AggOp{expr.AggSum}, Segs: map[int]*exec.SegPartial{}}
 					for _, si := range randomSegs(rng, segs) {
 						p.Segs[si] = &exec.SegPartial{Version: 1}
+					}
+					if rng.Intn(3) == 0 {
+						// A join payload: the same key space, but the
+						// normalized query names the build table, and the
+						// payload records the build side's segments.
+						norm += " join S"
+						p.Deps = map[int]uint64{}
+						for _, si := range randomSegs(rng, 4) {
+							p.Deps[si] = 1
+						}
 					}
 					s.partials.put(table, partialKey(table, norm), p)
 					what = fmt.Sprintf("partials put %s/%s over %d segments (%d bytes)", table, norm, len(p.Segs), p.Bytes())

@@ -358,3 +358,43 @@ func TestDeltaRepairStress(t *testing.T) {
 		t.Fatalf("post-stress count = %d, want %d", res.At(0, 0), want)
 	}
 }
+
+// TestDeltaRepairTailOnlyWindow: a window whose only candidate is the
+// partial tail reuses no cached partial, but each append is folded from the
+// tail's suffix into the cached one — a repair, counted as one repaired
+// segment, with results equal to a full scan.
+func TestDeltaRepairTailOnlyWindow(t *testing.T) {
+	const segCap, segs, appends = 256, 8, 4
+	b := newSegmentedBackend(t, segs*segCap+100, segCap, frozenOptions())
+	s := New(b, Config{Workers: 2})
+	defer s.Close()
+	ctx := context.Background()
+
+	q := query.Aggregation("R", expr.AggSum, []data.AttrID{1}, query.PredGt(0, segs*segCap-1))
+	if _, info, err := s.Query(ctx, q); err != nil || info.RepairedSegments != 0 {
+		t.Fatalf("seed query: err=%v repaired=%d", err, info.RepairedSegments)
+	}
+	for i := 0; i < appends; i++ {
+		if err := b.e.Insert([][]data.Value{{data.Value(10_000_000 + i), 3, 4, 5}}); err != nil {
+			t.Fatal(err)
+		}
+		res, info, err := s.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Strategy != exec.StrategyDelta || info.RepairedSegments != 1 {
+			t.Fatalf("append %d: strategy %v, RepairedSegments %d; want %v and 1",
+				i, info.Strategy, info.RepairedSegments, exec.StrategyDelta)
+		}
+		want, _, err := b.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Equal(want) {
+			t.Fatalf("append %d: repaired %v, full scan %v", i, res.Data, want.Data)
+		}
+	}
+	if st := s.Stats(); st.Repaired != appends || st.RepairedSegments != appends {
+		t.Fatalf("Repaired, RepairedSegments = %d, %d; want %d, %d", st.Repaired, st.RepairedSegments, appends, appends)
+	}
+}

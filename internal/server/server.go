@@ -401,9 +401,11 @@ func (s *Server) Query(ctx context.Context, q *query.Query) (*exec.Result, core.
 		// the fingerprint-less (table, query) key may still hold exact
 		// per-segment contributions; the worker will rescan only the
 		// segments whose versions moved (or seed the payload with a full
-		// partial scan when there is none). Tier 3 — the full Exec path —
-		// is what everything else takes.
-		if s.partials != nil && exec.Repairable(q) {
+		// partial scan when there is none). A repairable join's key names
+		// both tables (the normalized query carries its join clause) and
+		// its payload holds per-probe-segment partials. Tier 3 — the full
+		// Exec path — is what everything else takes.
+		if s.partials != nil && (exec.Repairable(q) || exec.JoinRepairable(q)) {
 			pkey = tqKey
 		}
 	}
@@ -582,10 +584,11 @@ func (s *Server) serveDelta(j *job) bool {
 		EncodedBytes:    ds.Stats.EncodedBytes,
 		Duration:        time.Since(start),
 	}
-	// A repair proper reused at least one cached partial; a cold seed (or a
-	// payload whose every candidate changed) is a full partial scan and
-	// counts as neither repaired nor rescued work.
-	if len(ds.Reused) > 0 {
+	// A repair proper reused at least one cached partial or extended one by
+	// a suffix; a cold seed (or a payload whose every candidate was
+	// rescanned whole) is a full partial scan and counts as neither
+	// repaired nor rescued work.
+	if len(ds.Reused) > 0 || extendsCached(ds.Fresh) {
 		info.RepairedSegments = len(ds.Fresh.Segs)
 		s.repaired.Add(1)
 		s.repairedSegs.Add(uint64(len(ds.Fresh.Segs)))
@@ -596,4 +599,16 @@ func (s *Server) serveDelta(j *job) bool {
 	}
 	j.done <- outcome{res: res, info: info}
 	return true
+}
+
+// extendsCached reports whether any fresh partial extends a cached one: a
+// suffix of a segment that only grew, or a re-stamp after a
+// reorganization-only bump.
+func extendsCached(fresh *exec.PartialResult) bool {
+	for _, sp := range fresh.Segs {
+		if sp.Base != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -133,6 +133,17 @@ func (s *Segment) AcquireEncoded() (faulted bool, err error) {
 	return faulted, nil
 }
 
+// FlatData returns g's flat data, or nil when only its encoding is
+// resident. A reader holding an encoded pin (AcquireEncoded) must read a
+// group's Data through it: a concurrent flat pin (Acquire) may decode the
+// data in, and this read is ordered with that write by the residency lock.
+// The result stays valid until the caller's pin is released.
+func (s *Segment) FlatData(g *ColumnGroup) []data.Value {
+	s.resMu.Lock()
+	defer s.resMu.Unlock()
+	return g.Data
+}
+
 // DemoteToEncoded drops the segment's flat data, keeping only the encoded
 // form in memory — the cheap first rung of eviction (no I/O; a later
 // flat access pays a decode, not a disk read). It refuses — returning
