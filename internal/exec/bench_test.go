@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -312,6 +313,60 @@ func BenchmarkExecDeltaTailSuffix(b *testing.B) {
 				if _, _, err := ExecDelta(rel, c.q, have, 1, nil); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// benchGroups keeps BenchmarkGroupedFold's partials alive.
+var benchGroups map[string][]*expr.AggState
+
+// BenchmarkGroupedFold times one column-major 40K-row events segment's
+// grouped fold into a segment partial (fold plus canonical group map),
+// with three quarters of the rows selected and sum, count, min and max
+// per group: GROUP BY a key of 64 values and of 4096 values (dense
+// directories), of 4096 values spread over int64 (hashed), and of two
+// keys of 64 and 16 values (a hashed key vector).
+func BenchmarkGroupedFold(b *testing.B) {
+	const rows = 40_000
+	tb := data.GenerateTimeSeries(data.SyntheticSchema("events", 8), rows, 2014)
+	rng := rand.New(rand.NewSource(2015))
+	pool := make([]data.Value, 4096)
+	for i := range pool {
+		pool[i] = data.Value(rng.Uint64())
+	}
+	for r := 0; r < rows; r++ {
+		tb.Cols[1][r] &= 63
+		tb.Cols[2][r] &= 4095
+		tb.Cols[6][r] = pool[rng.Intn(len(pool))]
+		tb.Cols[7][r] &= 15
+	}
+	seg := storage.BuildColumnMajorSeg(tb, rows).Segments[0]
+	sel := make([]int32, 0, rows)
+	for r := rows / 4; r < rows; r++ {
+		sel = append(sel, int32(r))
+	}
+	agg := func(op expr.AggOp, a data.AttrID) query.SelectItem {
+		return query.SelectItem{Agg: &expr.Agg{Op: op, Arg: &expr.Col{ID: a}}}
+	}
+	for _, c := range []struct {
+		name string
+		keys []data.AttrID
+	}{{"dense64", []data.AttrID{1}}, {"dense4096", []data.AttrID{2}}, {"sparse", []data.AttrID{6}}, {"twokey", []data.AttrID{1, 7}}} {
+		q := &query.Query{Table: "events"}
+		for _, k := range c.keys {
+			q.GroupBy = append(q.GroupBy, expr.Col{ID: k})
+			q.Items = append(q.Items, query.SelectItem{Expr: &expr.Col{ID: k}})
+		}
+		q.Items = append(q.Items, agg(expr.AggSum, 3), agg(expr.AggCount, 0), agg(expr.AggMin, 4), agg(expr.AggMax, 5))
+		out := Classify(q)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ga := newGroupedAcc(out)
+				if err := foldGroupedSel(seg, out, ga, sel, true); err != nil {
+					b.Fatal(err)
+				}
+				benchGroups = ga.groups()
 			}
 		})
 	}

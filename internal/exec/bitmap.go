@@ -201,13 +201,12 @@ func bitmapSegPartial(seg *storage.Segment, q *query.Query, out Outputs, preds [
 				for w != 0 {
 					bit := bits.TrailingZeros64(w)
 					w &= w - 1
-					folder.fold(ga, base+bit)
+					folder.push(ga, base+bit)
 				}
 			}
+			folder.flush(ga)
 		} else {
-			for r := 0; r < seg.Rows; r++ {
-				folder.fold(ga, r)
-			}
+			folder.foldRange(ga, 0, seg.Rows)
 		}
 		return &partial{groups: ga}, nil
 	}

@@ -304,14 +304,12 @@ func encodedSegmentScan(seg *storage.Segment, out Outputs, preds []ColPred, stat
 	// expression must see row values.
 	summable := out.ExprAgg == expr.AggSum || out.ExprAgg == expr.AggAvg || out.ExprAgg == expr.AggCount
 
-	// Grouped folds evaluate keys and aggregate arguments through an
-	// accessor over the current block's decoded columns.
-	var curBi, curRow int
-	var get expr.Accessor
-	var keyBuf []data.Value
+	// Grouped folds bind keys and aggregate arguments to the current
+	// block's decoded columns.
+	var gf *groupedFolder
 	if out.Kind == OutGrouped {
-		keyBuf = make([]data.Value, len(out.GroupBy))
-		get = func(a data.AttrID) data.Value { return er.block(a, curBi, stats)[curRow] }
+		gf = newGroupedFolder(out, make([]colBinding, maxAttr(foldAttrs)+1), seg.Rows)
+		gf.bound(seg)
 	}
 
 	nBlocks := (seg.Rows + storage.EncBlockRows - 1) / storage.EncBlockRows
@@ -384,28 +382,13 @@ func encodedSegmentScan(seg *storage.Segment, out Outputs, preds []ColPred, stat
 			}
 
 		case OutGrouped:
-			curBi = bi
+			for _, a := range foldAttrs {
+				gf.binds[a] = colBinding{d: er.block(a, bi, stats), stride: 1}
+			}
 			if haveSel {
-				for _, r := range sel {
-					curRow = int(r)
-					for i, a := range out.GroupBy {
-						keyBuf[i] = get(a)
-					}
-					sts := ga.statesFor(keyBuf)
-					for i, e := range out.GroupArgs {
-						sts[i].Add(e.Eval(get))
-					}
-				}
+				gf.foldSel(ga, sel)
 			} else {
-				for curRow = 0; curRow < n; curRow++ {
-					for i, a := range out.GroupBy {
-						keyBuf[i] = get(a)
-					}
-					sts := ga.statesFor(keyBuf)
-					for i, e := range out.GroupArgs {
-						sts[i].Add(e.Eval(get))
-					}
-				}
+				gf.foldRange(ga, 0, n)
 			}
 		}
 	}

@@ -24,7 +24,22 @@ import (
 const (
 	eqSchemaWidth = 6
 	eqSegCap      = 128
+	// eqSpreadAttr is the attribute eqSpreadKey may spread over int64.
+	eqSpreadAttr = eqSchemaWidth - 1
 )
+
+// eqSpreadKey overwrites col with a dozen distinct values spread over the
+// whole int64 domain, both extremes included: a group key no dense
+// directory can span.
+func eqSpreadKey(rng *rand.Rand, col []data.Value) {
+	pool := []data.Value{math.MinInt64, math.MaxInt64, -1, 0}
+	for len(pool) < 12 {
+		pool = append(pool, data.Value(rng.Uint64()))
+	}
+	for r := range col {
+		col[r] = pool[rng.Intn(len(pool))]
+	}
+}
 
 // eqRelation builds one randomized relation: random size (including zero
 // rows and exact segment-boundary sizes), random base layout, random
@@ -40,6 +55,9 @@ func eqRelation(t testing.TB, rng *rand.Rand) *storage.Relation {
 		tb = data.GenerateTimeSeries(schema, rows, rng.Int63()) // zone-map-prunable
 	} else {
 		tb = data.Generate(schema, rows, rng.Int63())
+	}
+	if rng.Intn(2) == 0 {
+		eqSpreadKey(rng, tb.Cols[eqSpreadAttr])
 	}
 
 	var rel *storage.Relation
@@ -115,26 +133,7 @@ func eqPredConst(rng *rand.Rand, attr data.AttrID, rows int) data.Value {
 // random limit.
 func eqQuery(rng *rand.Rand, rows int) *query.Query {
 	attrs := query.RandomAttrs(eqSchemaWidth, 1+rng.Intn(3), rng.Intn)
-
-	var where expr.Pred
-	cmp := func() expr.Pred {
-		a := data.AttrID(rng.Intn(eqSchemaWidth))
-		ops := []expr.CmpOp{expr.Lt, expr.Le, expr.Gt, expr.Ge}
-		return &expr.Cmp{Op: ops[rng.Intn(len(ops))], L: &expr.Col{ID: a},
-			R: &expr.Const{V: eqPredConst(rng, a, rows)}}
-	}
-	switch rng.Intn(4) {
-	case 0: // no predicate
-	case 1:
-		where = cmp()
-	case 2:
-		where = &expr.And{Terms: []expr.Pred{cmp(), cmp()}}
-	case 3:
-		// Disjunction: non-splittable — only the generic interpreter and
-		// the parallel scan's interpreted filter support it; the rest must
-		// cleanly report ErrUnsupported, never a wrong answer.
-		where = &expr.Or{L: cmp(), R: cmp()}
-	}
+	where := eqWhere(rng, rows)
 
 	var q *query.Query
 	switch rng.Intn(6) {
@@ -190,6 +189,92 @@ func eqQuery(rng *rand.Rand, rows int) *query.Query {
 		q.Limit = 1 + rng.Intn(6)
 	}
 	return q
+}
+
+// eqWhere draws a random predicate shape over rows: none, a single
+// comparison, a conjunction or a disjunction.
+func eqWhere(rng *rand.Rand, rows int) expr.Pred {
+	var where expr.Pred
+	cmp := func() expr.Pred {
+		a := data.AttrID(rng.Intn(eqSchemaWidth))
+		ops := []expr.CmpOp{expr.Lt, expr.Le, expr.Gt, expr.Ge}
+		return &expr.Cmp{Op: ops[rng.Intn(len(ops))], L: &expr.Col{ID: a},
+			R: &expr.Const{V: eqPredConst(rng, a, rows)}}
+	}
+	switch rng.Intn(4) {
+	case 0: // no predicate
+	case 1:
+		where = cmp()
+	case 2:
+		where = &expr.And{Terms: []expr.Pred{cmp(), cmp()}}
+	case 3:
+		// Disjunction: non-splittable — only the generic interpreter and
+		// the parallel scan's interpreted filter support it; the rest must
+		// cleanly report ErrUnsupported, never a wrong answer.
+		where = &expr.Or{L: cmp(), R: cmp()}
+	}
+	return where
+}
+
+// eqGroupedShapes draws the three grouped shapes every harness relation
+// runs besides its random queries: GROUP BY the possibly int64-spread key
+// eqSpreadAttr (a hashed directory), a two-key GROUP BY, and an aggregate
+// whose argument is an expression rather than a column sum (folded
+// through a per-row evaluation buffer). Each carries every aggregate
+// operator and a random predicate; none has a LIMIT, so all are
+// repairable.
+func eqGroupedShapes(rng *rand.Rand, rows int) []*query.Query {
+	col := func(a data.AttrID) *expr.Col { return &expr.Col{ID: a} }
+	shape := func(keys []data.AttrID, arg func() expr.Expr) *query.Query {
+		q := &query.Query{Table: "R", Where: eqWhere(rng, rows)}
+		for _, k := range keys {
+			q.GroupBy = append(q.GroupBy, expr.Col{ID: k})
+			q.Items = append(q.Items, query.SelectItem{Expr: col(k)})
+		}
+		for _, op := range []expr.AggOp{expr.AggSum, expr.AggMax, expr.AggMin, expr.AggCount, expr.AggAvg} {
+			q.Items = append(q.Items, query.SelectItem{Agg: &expr.Agg{Op: op, Arg: arg()}})
+		}
+		return q
+	}
+	randCol := func() expr.Expr { return col(data.AttrID(rng.Intn(eqSchemaWidth))) }
+	arith := func() expr.Expr {
+		ops := []expr.ArithOp{expr.Sub, expr.Mul, expr.Div}
+		return &expr.Arith{Op: ops[rng.Intn(len(ops))], L: randCol(), R: randCol()}
+	}
+	return []*query.Query{
+		shape([]data.AttrID{eqSpreadAttr}, randCol),
+		shape(query.RandomAttrs(eqSchemaWidth, 2, rng.Intn), randCol),
+		shape(query.RandomAttrs(eqSchemaWidth, 1, rng.Intn), arith),
+	}
+}
+
+// refGroupedExec answers a grouped query without the grouped kernels: the
+// generic strategy projects every attribute of the qualifying rows, and
+// the row-at-a-time reference fold groups them.
+func refGroupedExec(t *testing.T, rel *storage.Relation, q *query.Query) *Result {
+	t.Helper()
+	n := rel.Schema.NumAttrs()
+	all := make([]data.AttrID, n)
+	for a := range all {
+		all[a] = a
+	}
+	rows, err := Exec(rel, query.Projection("R", all, q.Where), ExecOpts{Strategy: StrategyGeneric})
+	if err != nil {
+		t.Fatalf("reference projection for %s: %v", q, err)
+	}
+	cols := make([][]data.Value, n)
+	for a := range cols {
+		cols[a] = make([]data.Value, rows.Rows)
+		for r := range cols[a] {
+			cols[a][r] = rows.At(r, a)
+		}
+	}
+	sel := make([]int32, rows.Rows)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	out := Classify(q)
+	return trimLimit(q, refGroupedResult(out, refGroupedFold(out, cols, sel)))
 }
 
 // trimLimit truncates a materialized result to q.Limit rows, mirroring the
@@ -329,6 +414,11 @@ func checkEquivalence(t *testing.T, rng *rand.Rand, rel *storage.Relation, q *qu
 		t.Fatalf("reference execution failed for %s: %v", q, err)
 	}
 	want = trimLimit(q, want)
+	if len(q.GroupBy) > 0 {
+		if ref := refGroupedExec(t, rel, q); !want.Equal(ref) {
+			t.Fatalf("generic grouped %s diverged from the row-at-a-time fold:\n got %v\nwant %v", q, want.Data, ref.Data)
+		}
+	}
 
 	for _, s := range eqStrategies(rng) {
 		// Re-establish the residency mix before each strategy: the previous
@@ -376,6 +466,9 @@ func TestCrossStrategyEquivalence(t *testing.T) {
 				installSnapshotLoader(rel)
 				for i := 0; i < queriesPerRel; i++ {
 					q := eqQuery(rng, rel.Rows)
+					checkEquivalence(t, rng, rel, q, residentFrac)
+				}
+				for _, q := range eqGroupedShapes(rng, rel.Rows) {
 					checkEquivalence(t, rng, rel, q, residentFrac)
 				}
 			}
@@ -526,6 +619,13 @@ func TestDeltaRepairEquivalence(t *testing.T) {
 			}
 			qs = append(qs, seeded{q, prior})
 		}
+		for _, q := range eqGroupedShapes(rng, rel.Rows) {
+			prior, err := ExecPartials(rel, q, nil)
+			if err != nil {
+				t.Fatalf("seed %s: %v", q, err)
+			}
+			qs = append(qs, seeded{q, prior})
+		}
 
 		suffixes := 0
 		for m := 0; m < mutationsPerRel+2; m++ {
@@ -576,6 +676,12 @@ func TestDeltaRepairEquivalence(t *testing.T) {
 				if got := repaired.Result(); !got.Equal(want) {
 					t.Fatalf("repair diverged on %s after mutation %d:\n got %v\nwant %v",
 						q, m, got.Data, want.Data)
+				}
+				if len(q.GroupBy) > 0 {
+					if ref := refGroupedExec(t, rel, q); !want.Equal(ref) {
+						t.Fatalf("generic grouped %s diverged from the row-at-a-time fold after mutation %d:\n got %v\nwant %v",
+							q, m, want.Data, ref.Data)
+					}
 				}
 				// The repaired payload becomes the next round's cache, just
 				// as the serving layer republishes it.

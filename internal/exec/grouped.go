@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"h2o/internal/data"
@@ -10,13 +12,23 @@ import (
 )
 
 // This file holds the grouped-aggregation machinery shared by every
-// strategy: a per-scan group accumulator (group key → AggState vector), an
-// order-preserving key codec so sorting encoded keys sorts key vectors, a
-// fused kernel binding for single-covering-group scans (the row strategies)
-// and an accessor-based folder for multi-group layouts (column, hybrid,
-// vectorized, bitmap, generic). All strategies emit groups ordered ascending
-// by key vector, so grouped results are bit-identical across strategies and
-// the delta-repair path, and LIMIT on a grouped query is a deterministic
+// strategy. A per-scan accumulator (groupedAcc) hands each group a dense
+// id through a key directory (keyDir: dense key - lo for a small single-key
+// span, hashed otherwise) and keeps the group states in typed int64 arrays
+// indexed by id: one row count shared by every aggregate, and one array per
+// sum, avg, min or max aggregate. A folder (groupedFolder) binds the keys
+// and aggregate arguments to one segment's layout — or one column group,
+// or one encoded block — and folds a selection one VectorSize chunk at a
+// time: the chunk's group ids are computed once, then each aggregate runs
+// one tight loop over its argument values. Every strategy folds through
+// it; only the join's joined rows (foldJoined) fold one at a time.
+//
+// The canonical map form, encoded group key → one expr.AggState per
+// aggregate, is built once per finished accumulator by groups(), for the
+// SegPartial payloads of delta repair; groupedResult reads the typed
+// arrays directly. All strategies emit groups ordered ascending by key
+// vector, so grouped results are bit-identical across strategies and the
+// delta-repair path, and LIMIT on a grouped query is a deterministic
 // prefix of groups.
 
 // encodeGroupKey appends the order-preserving fixed-width encoding of key to
@@ -43,81 +55,322 @@ func decodeGroupKey(k string, dst []data.Value) []data.Value {
 	return dst
 }
 
-// groupedAcc accumulates one scan's groups: encoded key → one AggState per
-// aggregate select item, in item order. m is the canonical map that
-// partials and groupedResult read; one indexes the same state vectors of
-// single-key groups by their raw key value, so the per-row lookup of the
-// common one-key GROUP BY skips the key encoding and string hash.
+// denseMinSlots is the span a single-key directory is always dense for,
+// whatever the row count: 4096 ids of count plus three aggregates are
+// 128 KiB of state.
+const denseMinSlots = 4096
+
+// groupedAcc accumulates one scan's groups: a key directory handing out
+// group ids, and per id a row count and one typed state per aggregate
+// select item, in item order. A group is live once its count is positive.
+// min and max arrays start at their operator's identity (MaxInt64,
+// MinInt64), so a compare needs no first-value flag.
 type groupedAcc struct {
-	ops  []expr.AggOp
-	m    map[string][]*expr.AggState
-	one  map[data.Value][]*expr.AggState
-	kbuf []byte
+	ops   []expr.AggOp
+	dir   keyDir
+	count []int64        // id -> rows folded
+	vals  [][]data.Value // aggregate -> id -> sum (sum, avg), min or max; nil for count
 }
 
 func newGroupedAcc(out Outputs) *groupedAcc {
-	return &groupedAcc{ops: out.GroupOps, m: make(map[string][]*expr.AggState)}
-}
-
-func (ga *groupedAcc) fresh() []*expr.AggState {
-	sts := make([]*expr.AggState, len(ga.ops))
-	for i, op := range ga.ops {
-		sts[i] = expr.NewAggState(op)
+	return &groupedAcc{
+		ops:  out.GroupOps,
+		dir:  keyDir{width: len(out.GroupBy)},
+		vals: make([][]data.Value, len(out.GroupOps)),
 	}
-	return sts
 }
 
-// statesFor returns the aggregate vector for the key, creating fresh states
-// on first sight. The returned slice may be empty for key-only (DISTINCT-
-// like) grouped queries; the group's existence is still recorded.
-func (ga *groupedAcc) statesFor(key []data.Value) []*expr.AggState {
-	if len(key) == 1 {
-		if sts, ok := ga.one[key[0]]; ok {
-			return sts
+// identity is op's starting state: the value every fold of op leaves
+// unchanged.
+func identity(op expr.AggOp) data.Value {
+	switch op {
+	case expr.AggMin:
+		return math.MaxInt64
+	case expr.AggMax:
+		return math.MinInt64
+	}
+	return 0
+}
+
+// extend grows the state arrays to n ids.
+func (ga *groupedAcc) extend(n int) {
+	ga.count = grow(ga.count, n, 0)
+	for j, op := range ga.ops {
+		if op != expr.AggCount {
+			ga.vals[j] = grow(ga.vals[j], n, identity(op))
 		}
 	}
-	ga.kbuf = encodeGroupKey(ga.kbuf[:0], key)
-	sts, ok := ga.m[string(ga.kbuf)]
-	if !ok {
-		sts = ga.fresh()
-		ga.m[string(ga.kbuf)] = sts
-	}
-	if len(key) == 1 {
-		// Index the canonical entry — created here or earlier by mergeMap —
-		// so both maps always share one state vector per group.
-		if ga.one == nil {
-			ga.one = make(map[data.Value][]*expr.AggState)
-		}
-		ga.one[key[0]] = sts
-	}
-	return sts
 }
 
-// mergeMap folds a group map into ga key-wise, always into fresh or
-// ga-owned states — the source map's states are never mutated, which is
-// what lets cached SegPartial group maps be shared across repairs.
+// grow extends s to n values, the new ones set to fill.
+func grow(s []data.Value, n int, fill data.Value) []data.Value {
+	if len(s) >= n {
+		return s
+	}
+	s = slices.Grow(s, n-len(s))
+	for len(s) < n {
+		s = append(s, fill)
+	}
+	return s
+}
+
+// plan gives an unplanned accumulator its directory for a fold of about
+// rows rows whose single key lies in [lo, hi]: dense when the span is
+// below max(rows, denseMinSlots), hashed otherwise and for key vectors.
+func (ga *groupedAcc) plan(lo, hi data.Value, rows int) {
+	if n, ok := denseSpan(lo, hi, max(rows, denseMinSlots)); ok && ga.dir.width == 1 {
+		ga.dir = denseKeyDir(lo, n)
+		ga.extend(n)
+		return
+	}
+	hint := min(rows, denseMinSlots)
+	ga.dir = hashedKeyDir(ga.dir.width, hint)
+	ga.count = make([]int64, 0, hint)
+}
+
+// toHashed converts a dense directory to a hashed one over its live
+// groups, compacting the state arrays to the new ids.
+func (ga *groupedAcc) toHashed() {
+	live := ga.live()
+	ga.dir.toHashed(live)
+	for i, id := range live {
+		ga.count[i] = ga.count[id]
+		for _, s := range ga.vals {
+			if s != nil {
+				s[i] = s[id]
+			}
+		}
+	}
+	ga.count = ga.count[:len(live)]
+	for j, s := range ga.vals {
+		if s != nil {
+			ga.vals[j] = s[:len(live)]
+		}
+	}
+}
+
+// live returns the ids of the live groups, ascending.
+func (ga *groupedAcc) live() []int32 {
+	var ids []int32
+	for id, c := range ga.count {
+		if c > 0 {
+			ids = append(ids, int32(id))
+		}
+	}
+	return ids
+}
+
+// id returns the group id of key vector kv, creating the group on first
+// sight; the caller counts the row. An unplanned directory becomes hashed,
+// and a dense one converts when kv falls outside its span.
+func (ga *groupedAcc) id(kv []data.Value) int32 {
+	d := &ga.dir
+	if !d.planned() {
+		*d = hashedKeyDir(d.width, 16)
+	}
+	if d.dense {
+		if u := uint64(kv[0]) - uint64(d.lo); u < uint64(d.n) {
+			return int32(u)
+		}
+		ga.toHashed()
+	}
+	id := d.intern(kv)
+	if int(id) == len(ga.count) {
+		ga.extend(int(id) + 1)
+	}
+	return id
+}
+
+// ids sets ids[i] to the group id of row i's key vector (keys holds the
+// vectors back to back) and counts every row into its group. A dense
+// directory that meets a key outside its span converts to hashed before
+// any id of the chunk is used.
+func (ga *groupedAcc) ids(keys []data.Value, ids []int32) {
+	if ga.dir.dense && !ga.denseIDs(keys, ids) {
+		ga.toHashed()
+	}
+	w := ga.dir.width
+	switch {
+	case ga.dir.dense:
+	case w == 1: // a hit is one hash and a probe of stored keys
+		for i, k := range keys {
+			id := ga.dir.findHashed(k)
+			if id < 0 {
+				id = ga.id(keys[i : i+1])
+			}
+			ids[i] = id
+		}
+	default:
+		for i := range ids {
+			ids[i] = ga.id(keys[i*w : (i+1)*w])
+		}
+	}
+	count := ga.count
+	for _, id := range ids {
+		count[id]++
+	}
+}
+
+// denseIDs is ids' dense loop: false, with ids partly written, when a key
+// lies outside the span.
+func (ga *groupedAcc) denseIDs(keys []data.Value, ids []int32) bool {
+	lo, n := uint64(ga.dir.lo), uint64(ga.dir.n)
+	ids = ids[:len(keys)]
+	for i, k := range keys {
+		u := uint64(k) - lo
+		if u >= n {
+			return false
+		}
+		ids[i] = int32(u)
+	}
+	return true
+}
+
+// chunkOrder is 0, 1, …, VectorSize-1: the selection that reads a chunk
+// buffer in row order.
+var chunkOrder = func() []int32 {
+	s := make([]int32, VectorSize)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}()
+
+// fold folds the value of row sel[i], read through b, into group ids[i] of
+// aggregate j: one loop per operator over the typed state array. Count
+// aggregates have no array: the shared count already holds them.
+func (ga *groupedAcc) fold(j int, ids []int32, b *colBinding, sel []int32) {
+	s := ga.vals[j]
+	d, stride, off := b.d, b.stride, b.off
+	sel = sel[:len(ids)]
+	switch ga.ops[j] {
+	case expr.AggSum, expr.AggAvg:
+		for i, id := range ids {
+			s[id] += d[int(sel[i])*stride+off]
+		}
+	case expr.AggMin:
+		for i, id := range ids {
+			s[id] = min(s[id], d[int(sel[i])*stride+off])
+		}
+	case expr.AggMax:
+		for i, id := range ids {
+			s[id] = max(s[id], d[int(sel[i])*stride+off])
+		}
+	}
+}
+
+// add folds one value into group id of aggregate j; a no-op for count.
+func (ga *groupedAcc) add(j int, id int32, v data.Value) {
+	s := ga.vals[j]
+	switch ga.ops[j] {
+	case expr.AggSum, expr.AggAvg:
+		s[id] += v
+	case expr.AggMin:
+		s[id] = min(s[id], v)
+	case expr.AggMax:
+		s[id] = max(s[id], v)
+	}
+}
+
+// mergeAcc folds another accumulator's live groups into ga through ga's
+// directory; o is not modified. An unplanned ga adopts a dense o's span.
+func (ga *groupedAcc) mergeAcc(o *groupedAcc) {
+	if !ga.dir.planned() && o.dir.dense {
+		ga.dir = o.dir
+		ga.extend(o.dir.n)
+	}
+	kv := make([]data.Value, 0, o.dir.width)
+	for oid, c := range o.count {
+		if c == 0 {
+			continue
+		}
+		kv = o.dir.key(int32(oid), kv[:0])
+		id := ga.id(kv)
+		ga.count[id] += c
+		for j, s := range o.vals {
+			if s != nil {
+				ga.add(j, id, s[oid])
+			}
+		}
+	}
+}
+
+// mergeMap folds a canonical group map into ga through ga's directory;
+// the map's states are never mutated, which is what lets cached
+// SegPartial group maps be shared across repairs.
 func (ga *groupedAcc) mergeMap(m map[string][]*expr.AggState) {
+	var kv []data.Value
 	for k, src := range m {
-		sts, ok := ga.m[k]
-		if !ok {
-			sts = ga.fresh()
-			ga.m[k] = sts
+		kv = decodeGroupKey(k, kv[:0])
+		id := ga.id(kv)
+		if len(src) == 0 {
+			ga.count[id]++ // a key-only group: any positive count marks it live
+			continue
 		}
-		for i := range sts {
-			sts[i].Merge(src[i])
+		ga.count[id] += src[0].Count
+		for j, st := range src {
+			if st.Count > 0 {
+				ga.add(j, id, st.Acc)
+			}
 		}
 	}
+}
+
+// groups builds the canonical map of the live groups: encoded group key →
+// one AggState per aggregate, each set by AddSummary from the typed state.
+// All groups' states share two allocations.
+func (ga *groupedAcc) groups() map[string][]*expr.AggState {
+	live := ga.live()
+	m := make(map[string][]*expr.AggState, len(live))
+	w := len(ga.ops)
+	block := make([]expr.AggState, len(live)*w)
+	ptrs := make([]*expr.AggState, len(live)*w)
+	var kv []data.Value
+	var kb []byte
+	for g, id := range live {
+		sts := ptrs[g*w : (g+1)*w : (g+1)*w]
+		for j, op := range ga.ops {
+			var v data.Value
+			if ga.vals[j] != nil {
+				v = ga.vals[j][id]
+			}
+			st := &block[g*w+j]
+			st.Op = op
+			st.AddSummary(v, v, v, ga.count[id])
+			sts[j] = st
+		}
+		kv = ga.dir.key(id, kv[:0])
+		kb = encodeGroupKey(kb[:0], kv)
+		m[string(kb)] = sts
+	}
+	return m
 }
 
 // groupedResult materializes the accumulated groups as a Result with one row
 // per group, ordered ascending by key vector. Key items read from the
-// decoded key; aggregate items finalize their states.
+// directory; aggregate items finalize their typed states.
 func groupedResult(out Outputs, ga *groupedAcc) *Result {
-	keys := make([]string, 0, len(ga.m))
-	for k := range ga.m {
-		keys = append(keys, k)
+	live := ga.live()
+	w := ga.dir.width
+	keys := make([]data.Value, 0, len(live)*w)
+	for _, id := range live {
+		keys = ga.dir.key(id, keys)
 	}
-	sort.Strings(keys)
+	order := make([]int, len(live))
+	for i := range order {
+		order[i] = i
+	}
+	if !ga.dir.dense { // dense ids already ascend by key
+		sort.Slice(order, func(a, b int) bool {
+			ka, kb := keys[order[a]*w:order[a]*w+w], keys[order[b]*w:order[b]*w+w]
+			for i := range ka {
+				if ka[i] != kb[i] {
+					return ka[i] < kb[i]
+				}
+			}
+			return false
+		})
+	}
 	aggIdx := make([]int, len(out.ItemKey))
 	n := 0
 	for i, ki := range out.ItemKey {
@@ -128,19 +381,22 @@ func groupedResult(out Outputs, ga *groupedAcc) *Result {
 	}
 	res := &Result{
 		Cols: out.Labels,
-		Rows: len(keys),
-		Data: make([]data.Value, 0, len(keys)*len(out.Labels)),
+		Rows: len(live),
+		Data: make([]data.Value, 0, len(live)*len(out.Labels)),
 	}
-	kv := make([]data.Value, 0, len(out.GroupBy))
-	for _, k := range keys {
-		kv = decodeGroupKey(k, kv[:0])
-		sts := ga.m[k]
+	for _, o := range order {
+		id, kv := live[o], keys[o*w:o*w+w]
 		for i, ki := range out.ItemKey {
 			if ki >= 0 {
 				res.Data = append(res.Data, kv[ki])
-			} else {
-				res.Data = append(res.Data, sts[aggIdx[i]].Result())
+				continue
 			}
+			j := aggIdx[i]
+			st := expr.AggState{Op: ga.ops[j], Count: ga.count[id]}
+			if ga.vals[j] != nil {
+				st.Acc = ga.vals[j][id]
+			}
+			res.Data = append(res.Data, st.Result())
 		}
 	}
 	return res
@@ -155,95 +411,6 @@ func groupedScanAttrs(out Outputs) []data.AttrID {
 		attrs = e.Attrs(attrs)
 	}
 	return data.SortedUnique(attrs)
-}
-
-// groupedScanner is the fused grouped kernel over one covering group: key
-// columns read by word offset, aggregate arguments read by offset sums when
-// they are pure column sums, otherwise evaluated through a once-per-segment
-// accessor closure (mirroring rangeFilter's generic path).
-type groupedScanner struct {
-	keyOffs []int
-	keyBuf  []data.Value
-	args    []groupedArg
-	d       []data.Value
-	base    int
-	offs    []int // attribute id -> word offset, fallback args only
-	get     expr.Accessor
-}
-
-type groupedArg struct {
-	sumOffs []int     // non-nil: the argument is a sum of these offsets
-	e       expr.Expr // otherwise: evaluate through the accessor
-}
-
-func newGroupedScanner(g *storage.ColumnGroup, out Outputs) *groupedScanner {
-	s := &groupedScanner{
-		keyOffs: mustOffsets(g, out.GroupBy),
-		keyBuf:  make([]data.Value, len(out.GroupBy)),
-		args:    make([]groupedArg, len(out.GroupArgs)),
-		d:       g.Data,
-	}
-	var fallback []data.AttrID
-	for i, e := range out.GroupArgs {
-		if attrs, ok := SumLeaves(e); ok {
-			s.args[i].sumOffs = mustOffsets(g, attrs)
-			continue
-		}
-		s.args[i].e = e
-		fallback = e.Attrs(fallback)
-	}
-	if len(fallback) > 0 {
-		maxAttr := data.AttrID(0)
-		for _, a := range fallback {
-			if a > maxAttr {
-				maxAttr = a
-			}
-		}
-		s.offs = make([]int, maxAttr+1)
-		for _, a := range fallback {
-			if off, ok := g.Offset(a); ok {
-				s.offs[a] = off
-			}
-		}
-		s.get = func(a data.AttrID) data.Value { return s.d[s.base+s.offs[a]] }
-	}
-	return s
-}
-
-// fold accumulates the mini-tuple starting at word offset base into ga.
-func (s *groupedScanner) fold(ga *groupedAcc, base int) {
-	for i, o := range s.keyOffs {
-		s.keyBuf[i] = s.d[base+o]
-	}
-	sts := ga.statesFor(s.keyBuf)
-	for i := range s.args {
-		a := &s.args[i]
-		if a.sumOffs != nil {
-			var acc data.Value
-			for _, o := range a.sumOffs {
-				acc += s.d[base+o]
-			}
-			sts[i].Add(acc)
-		} else {
-			s.base = base
-			sts[i].Add(a.e.Eval(s.get))
-		}
-	}
-}
-
-// segGroupedFolder folds individual rows of one segment into a groupedAcc
-// through per-attribute bindings resolved against the segment's own layout,
-// shared by the column, hybrid, vectorized, bitmap and generic strategies.
-// Group keys and pure column-sum arguments are bound by position once per
-// segment; only other argument expressions (and the generic strategy's
-// predicate) read through the accessor.
-type segGroupedFolder struct {
-	keys   []colBinding
-	args   []folderArg
-	keyBuf []data.Value
-	binds  []colBinding // attribute id -> binding, accessor reads only
-	row    int
-	get    expr.Accessor
 }
 
 // colBinding is one attribute's resolved location inside a pinned segment:
@@ -268,107 +435,222 @@ func bindAttrs(assign map[data.AttrID]*storage.ColumnGroup, attrs []data.AttrID)
 	return out
 }
 
-// folderArg is one aggregate argument: a sum of bound columns, or (cols
-// nil) an expression evaluated through the folder's accessor.
+// groupedFolder folds selections of one layout's rows into a groupedAcc.
+// Keys and aggregate arguments read through binds (attribute id →
+// binding): pure column sums by position, other argument expressions (and
+// the generic strategy's predicate) through the get accessor at row.
+type groupedFolder struct {
+	keys  []data.AttrID
+	args  []folderArg
+	binds []colBinding
+	row   int
+	get   expr.Accessor
+
+	rows    int        // rows the fold covers, sizing an unplanned directory
+	lo, hi  data.Value // the single key's exact bounds, when bounded
+	bounded bool
+
+	sel  []int32      // rows queued by push
+	ids  []int32      // the chunk's group ids
+	kbuf []data.Value // the chunk's key vectors, back to back
+	vals []data.Value // the chunk's values of one argument
+}
+
+// folderArg is one aggregate: its operator, and its argument as a sum of
+// bound columns or (cols nil) an expression read through the accessor.
 type folderArg struct {
-	cols []colBinding
+	op   expr.AggOp
+	cols []data.AttrID
 	e    expr.Expr
+}
+
+// newGroupedFolder returns a folder of out's groups reading through binds,
+// for a fold of at most rows rows, which also bounds its chunk buffers.
+func newGroupedFolder(out Outputs, binds []colBinding, rows int) *groupedFolder {
+	chunk := min(rows, VectorSize)
+	f := &groupedFolder{
+		keys:  out.GroupBy,
+		args:  make([]folderArg, len(out.GroupArgs)),
+		binds: binds,
+		rows:  rows,
+		sel:   make([]int32, 0, chunk),
+		ids:   make([]int32, chunk),
+		kbuf:  make([]data.Value, chunk*len(out.GroupBy)),
+		vals:  make([]data.Value, chunk),
+	}
+	for j, e := range out.GroupArgs {
+		f.args[j].op = out.GroupOps[j]
+		if attrs, ok := SumLeaves(e); ok {
+			f.args[j].cols = attrs
+		} else {
+			f.args[j].e = e
+		}
+	}
+	f.get = func(a data.AttrID) data.Value { return f.binds[a].at(f.row) }
+	return f
+}
+
+// maxAttr returns the largest attribute id in attrs, 0 for none.
+func maxAttr(attrs []data.AttrID) data.AttrID {
+	m := data.AttrID(0)
+	for _, a := range attrs {
+		m = max(m, a)
+	}
+	return m
 }
 
 // newSegGroupedFolder binds attrs against seg's covering groups. attrs must
 // include the group keys and aggregate-argument attributes (and the where
-// attributes when the caller evaluates the predicate through f.get).
-func newSegGroupedFolder(seg *storage.Segment, attrs []data.AttrID, out Outputs) (*segGroupedFolder, error) {
+// attributes when the caller evaluates the predicate through f.get). A
+// single key's span comes from the segment's zone-map bounds.
+func newSegGroupedFolder(seg *storage.Segment, attrs []data.AttrID, out Outputs) (*groupedFolder, error) {
 	_, assign, err := seg.CoveringGroups(attrs)
 	if err != nil {
 		return nil, err
 	}
-	maxAttr := data.AttrID(0)
-	for a := range assign {
-		if a > maxAttr {
-			maxAttr = a
-		}
-	}
-	f := &segGroupedFolder{
-		keys:   make([]colBinding, len(out.GroupBy)),
-		args:   make([]folderArg, len(out.GroupArgs)),
-		keyBuf: make([]data.Value, len(out.GroupBy)),
-		binds:  make([]colBinding, maxAttr+1),
-	}
+	binds := make([]colBinding, maxAttr(attrs)+1)
 	for a, g := range assign {
 		off, _ := g.Offset(a)
-		f.binds[a] = colBinding{d: g.Data, stride: g.Stride, off: off}
+		binds[a] = colBinding{d: g.Data, stride: g.Stride, off: off}
 	}
-	for i, a := range out.GroupBy {
-		f.keys[i] = f.binds[a]
-	}
-	for i, e := range out.GroupArgs {
-		attrs, ok := SumLeaves(e)
-		if !ok {
-			f.args[i].e = e
-			continue
-		}
-		f.args[i].cols = make([]colBinding, len(attrs))
-		for j, a := range attrs {
-			f.args[i].cols[j] = f.binds[a]
-		}
-	}
-	f.get = func(a data.AttrID) data.Value {
-		b := &f.binds[a]
-		return b.d[f.row*b.stride+b.off]
-	}
+	f := newGroupedFolder(out, binds, seg.Rows)
+	f.bound(seg)
 	return f, nil
 }
 
-// fold accumulates segment row r into ga.
-func (f *segGroupedFolder) fold(ga *groupedAcc, r int) {
-	for i := range f.keys {
-		b := &f.keys[i]
-		f.keyBuf[i] = b.d[r*b.stride+b.off]
+// bound takes a single key's span from seg's zone-map bounds.
+func (f *groupedFolder) bound(seg *storage.Segment) {
+	if len(f.keys) == 1 {
+		f.lo, f.hi, f.bounded = seg.Bounds(f.keys[0])
 	}
-	sts := ga.statesFor(f.keyBuf)
-	for i := range f.args {
-		a := &f.args[i]
-		if a.cols == nil {
-			f.row = r
-			sts[i].Add(a.e.Eval(f.get))
+}
+
+// newGroupFolder binds out's groups against one covering column group, the
+// fused row kernels' layout.
+func newGroupFolder(g *storage.ColumnGroup, out Outputs) *groupedFolder {
+	binds := make([]colBinding, maxAttr(g.Attrs)+1)
+	for _, a := range g.Attrs {
+		off, _ := g.Offset(a)
+		binds[a] = colBinding{d: g.Data, stride: g.Stride, off: off}
+	}
+	f := newGroupedFolder(out, binds, g.Rows)
+	if z := g.Zones(); z != nil && len(out.GroupBy) == 1 {
+		off, _ := g.Offset(out.GroupBy[0])
+		f.lo, f.hi, f.bounded = z.Bounds(off)
+	}
+	return f
+}
+
+// push queues row r; every full chunk of queued rows folds at once.
+func (f *groupedFolder) push(ga *groupedAcc, r int) {
+	f.sel = append(f.sel, int32(r))
+	if len(f.sel) == cap(f.sel) {
+		f.flush(ga)
+	}
+}
+
+// flush folds the queued rows.
+func (f *groupedFolder) flush(ga *groupedAcc) {
+	if len(f.sel) > 0 {
+		f.foldChunk(ga, f.sel)
+		f.sel = f.sel[:0]
+	}
+}
+
+// foldSel folds the rows listed in sel, one chunk at a time.
+func (f *groupedFolder) foldSel(ga *groupedAcc, sel []int32) {
+	for len(sel) > 0 {
+		n := min(len(sel), len(f.ids))
+		f.foldChunk(ga, sel[:n])
+		sel = sel[n:]
+	}
+}
+
+// foldRange folds rows [lo, hi).
+func (f *groupedFolder) foldRange(ga *groupedAcc, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		f.push(ga, r)
+	}
+	f.flush(ga)
+}
+
+// foldChunk folds at most VectorSize rows: it gathers their key vectors,
+// turns them into group ids once (planning ga's directory on first use),
+// then folds each aggregate's argument values in one typed loop.
+func (f *groupedFolder) foldChunk(ga *groupedAcc, sel []int32) {
+	n, w := len(sel), len(f.keys)
+	keys := f.kbuf[:n*w]
+	for j, a := range f.keys {
+		b := &f.binds[a]
+		for i, r := range sel {
+			keys[i*w+j] = b.at(int(r))
+		}
+	}
+	if !ga.dir.planned() {
+		lo, hi := f.lo, f.hi
+		if !f.bounded && w == 1 {
+			lo, hi = keys[0], keys[0]
+			for _, k := range keys {
+				lo, hi = min(lo, k), max(hi, k)
+			}
+		}
+		ga.plan(lo, hi, f.rows)
+	}
+	ids := f.ids[:n]
+	ga.ids(keys, ids)
+	for j := range f.args {
+		a := &f.args[j]
+		if a.op == expr.AggCount {
 			continue
 		}
-		var acc data.Value
-		for j := range a.cols {
-			b := &a.cols[j]
-			acc += b.d[r*b.stride+b.off]
+		if len(a.cols) == 1 {
+			ga.fold(j, ids, &f.binds[a.cols[0]], sel)
+			continue
 		}
-		sts[i].Add(acc)
+		vals := f.vals[:n]
+		if a.cols != nil {
+			b := &f.binds[a.cols[0]]
+			for i, r := range sel {
+				vals[i] = b.at(int(r))
+			}
+			for _, c := range a.cols[1:] {
+				b := &f.binds[c]
+				for i, r := range sel {
+					vals[i] += b.at(int(r))
+				}
+			}
+		} else {
+			for i, r := range sel {
+				f.row = int(r)
+				vals[i] = a.e.Eval(f.get)
+			}
+		}
+		ga.fold(j, ids, &colBinding{d: vals, stride: 1}, chunkOrder[:n])
 	}
 }
 
 // foldGroupedSel folds one segment's qualifying rows into ga: the absolute
 // in-segment row ids listed in sel when haveSel, every row otherwise. It is
 // the grouped phase-2 shared by the selection-vector strategies (column,
-// hybrid, vectorized).
+// hybrid).
 func foldGroupedSel(seg *storage.Segment, out Outputs, ga *groupedAcc, sel []int32, haveSel bool) error {
 	f, err := newSegGroupedFolder(seg, groupedScanAttrs(out), out)
 	if err != nil {
 		return err
 	}
 	if haveSel {
-		for _, r := range sel {
-			f.fold(ga, int(r))
-		}
-		return nil
-	}
-	for r := 0; r < seg.Rows; r++ {
-		f.fold(ga, r)
+		f.foldSel(ga, sel)
+	} else {
+		f.foldRange(ga, 0, seg.Rows)
 	}
 	return nil
 }
 
 // genericGroupedSegmentScan is the grouped per-segment body of the generic
-// interpreter: a tuple-at-a-time loop evaluating the predicate tree and the
-// grouped fold through accessor indirection. The partial-result layer reuses
-// it with a fresh accumulator to compute grouped SegPartials on layouts the
-// fused row kernel cannot serve.
+// interpreter: a tuple-at-a-time loop evaluating the predicate tree through
+// accessor indirection, folding the qualifying rows chunk by chunk. The
+// partial-result layer reuses it with a fresh accumulator to compute
+// grouped SegPartials on layouts the fused row kernel cannot serve.
 func genericGroupedSegmentScan(seg *storage.Segment, q *query.Query, out Outputs, ga *groupedAcc) error {
 	f, err := newSegGroupedFolder(seg, q.AllAttrs(), out)
 	if err != nil {
@@ -379,7 +661,8 @@ func genericGroupedSegmentScan(seg *storage.Segment, q *query.Query, out Outputs
 		if q.Where != nil && !q.Where.EvalBool(f.get) {
 			continue
 		}
-		f.fold(ga, r)
+		f.push(ga, r)
 	}
+	f.flush(ga)
 	return nil
 }

@@ -20,7 +20,7 @@ import (
 // zone-map prune) the left relation, right-only terms the right, and mixed
 // terms become a residual predicate evaluated per joined row. One side —
 // the build side — is scanned segment-at-a-time into a hash table indexed
-// by a key directory (dense or hashed, see joinDirectory); the other — the
+// by a key directory (dense or hashed, see joinIndex); the other — the
 // probe side — streams through the standard per-segment pipeline (pruning,
 // pinning, fan-out, limit early-exit), and each match folds straight into
 // the query's projection/aggregate/group outputs, so joined aggregates
@@ -248,7 +248,7 @@ type joinHashTable struct {
 	width int            // stored attributes per tuple
 	arena []data.Value   // width words per tuple, insertion order
 	keys  []data.Value   // join key per tuple, insertion order
-	dir   *joinDirectory // key -> tuples, each chain in insertion order
+	idx   *joinIndex     // key -> tuples, each chain in insertion order
 	deps  map[int]uint64 // build candidate segment index -> version
 }
 
@@ -318,113 +318,63 @@ func buildJoinHashTable(s *joinSide, need []data.AttrID, probeRows int, stats *S
 			return nil, err
 		}
 	}
-	ht.dir = newJoinDirectory(ht.keys, probeRows)
+	ht.idx = newJoinIndex(ht.keys, joinKeyDir(ht.keys, probeRows))
 	return ht, nil
 }
 
-// joinDirectory maps a join key to the build tuples that carry it. head
-// holds each key's first tuple and next chains a tuple to the following
-// one with the same key, -1 ending both. Chains are linked back to front,
-// so walking one yields tuples in insertion order.
-//
-// A dense directory addresses head by key - lo, so a probe key outside
-// [lo, hi] or in a gap is rejected by one bounds check or one load. A
-// hashed one is an open-addressing table of the distinct keys (keys is
-// non-nil): a power-of-two slot count, multiplicative hashing and linear
-// probing that compares the stored key.
-type joinDirectory struct {
-	lo    data.Value   // dense: the key of head[0]
-	head  []int32      // dense: key-lo -> first tuple; hashed: slot -> first tuple
-	keys  []data.Value // hashed: slot -> key; nil when dense
-	shift uint         // hashed: 64 - log2(len(head))
-	next  []int32      // tuple -> next tuple with the same key
+// joinIndex maps a join key to the build tuples that carry it: the key
+// directory hands out each key's id, head holds each id's first tuple and
+// next chains a tuple to the following one with the same key, -1 ending
+// both. Chains are linked back to front, so walking one yields tuples in
+// insertion order. With a dense directory a probe key outside the span or
+// in a gap is rejected by one bounds check or one load.
+type joinIndex struct {
+	dir  keyDir
+	head []int32 // id -> first tuple
+	next []int32 // tuple -> next tuple with the same key
 }
 
-// joinHashMul is the 64-bit Fibonacci hashing multiplier (2^64 / phi).
-const joinHashMul = 0x9E3779B97F4A7C15
-
-// newJoinDirectory indexes keys (one per build tuple, insertion order) for
-// a probe of probeRows rows. The directory is dense when its slot count,
-// the keys' span, is at most four per build tuple or one per probe row.
-// Filling a slot costs one store and a hashed lookup a multiply and a
-// probe sequence, so a probe row repays its slot; the bound also keeps a
-// dense directory no larger than half the probe's key column. The span is
-// computed in unsigned arithmetic, so keys spanning the whole int64 domain
-// cannot overflow it.
-func newJoinDirectory(keys []data.Value, probeRows int) *joinDirectory {
+// joinKeyDir picks the directory for keys (one per build tuple) and a
+// probe of probeRows rows. It is dense when its slot count, the keys'
+// span, is at most four per build tuple or one per probe row. Filling a
+// slot costs one store and a hashed lookup a multiply and a probe
+// sequence, so a probe row repays its slot; the bound also keeps a dense
+// directory no larger than half the probe's key column.
+func joinKeyDir(keys []data.Value, probeRows int) keyDir {
 	if len(keys) == 0 {
-		return &joinDirectory{}
+		return denseKeyDir(0, 0)
 	}
 	lo, hi := keys[0], keys[0]
 	for _, k := range keys[1:] {
 		lo, hi = min(lo, k), max(hi, k)
 	}
-	if span := uint64(hi) - uint64(lo); span < uint64(max(4*len(keys), probeRows)) {
-		return newDenseDirectory(keys, lo, int(span)+1)
+	if n, ok := denseSpan(lo, hi, max(4*len(keys), probeRows)); ok {
+		return denseKeyDir(lo, n)
 	}
-	return newHashedDirectory(keys)
+	return hashedKeyDir(1, len(keys))
 }
 
-// newDenseDirectory builds a direct-addressed directory of slots entries
-// starting at key lo; every key must lie in [lo, lo+slots).
-func newDenseDirectory(keys []data.Value, lo data.Value, slots int) *joinDirectory {
-	d := &joinDirectory{lo: lo, head: make([]int32, slots), next: make([]int32, len(keys))}
-	for i := range d.head {
-		d.head[i] = -1
+// newJoinIndex indexes keys (one per build tuple, insertion order) through
+// dir, which must be empty when hashed and span every key when dense.
+func newJoinIndex(keys []data.Value, dir keyDir) *joinIndex {
+	next := make([]int32, len(keys))
+	for t, k := range keys {
+		if dir.dense {
+			next[t] = dir.find(k)
+		} else {
+			next[t] = dir.intern(keys[t : t+1])
+		}
+	}
+	head := make([]int32, dir.n)
+	for i := range head {
+		head[i] = -1
 	}
 	for t := len(keys) - 1; t >= 0; t-- {
-		s := uint64(keys[t]) - uint64(lo)
-		d.next[t] = d.head[s]
-		d.head[s] = int32(t)
+		id := next[t]
+		next[t] = head[id]
+		head[id] = int32(t)
 	}
-	return d
-}
-
-// newHashedDirectory builds the hashed directory with at least two slots
-// per tuple, so the distinct keys fill at most half the table.
-func newHashedDirectory(keys []data.Value) *joinDirectory {
-	bits := 1
-	for 1<<bits < 2*len(keys) {
-		bits++
-	}
-	d := &joinDirectory{
-		head:  make([]int32, 1<<bits),
-		keys:  make([]data.Value, 1<<bits),
-		shift: uint(64 - bits),
-		next:  make([]int32, len(keys)),
-	}
-	for i := range d.head {
-		d.head[i] = -1
-	}
-	for t := len(keys) - 1; t >= 0; t-- {
-		s := d.slot(keys[t])
-		d.next[t] = d.head[s]
-		d.head[s] = int32(t)
-		d.keys[s] = keys[t]
-	}
-	return d
-}
-
-// first returns the first build tuple carrying k, -1 when none does.
-func (d *joinDirectory) first(k data.Value) int32 {
-	if d.keys != nil {
-		return d.head[d.slot(k)]
-	}
-	if s := uint64(k) - uint64(d.lo); s < uint64(len(d.head)) {
-		return d.head[s]
-	}
-	return -1
-}
-
-// slot returns k's slot in a hashed directory: the one holding k, or the
-// empty slot where linear probing from k's hash stops.
-func (d *joinDirectory) slot(k data.Value) int {
-	mask := len(d.head) - 1
-	s := int((uint64(k) * joinHashMul) >> d.shift)
-	for d.head[s] >= 0 && d.keys[s] != k {
-		s = (s + 1) & mask
-	}
-	return s
+	return &joinIndex{dir: dir, head: head, next: next}
 }
 
 // joinedNeed is the set of combined attributes read after the join: select
@@ -739,30 +689,42 @@ type joinMatches struct {
 
 // probe looks the key of each probe row in sel up in the directory,
 // evaluates the residual over every candidate pair and folds the joined
-// rows into the partial. It reports false once the segment has produced
-// the limit's rows.
+// rows into the partial. The directory's mode is tested once per chunk, so
+// a dense lookup is one bounds check and one load. It reports false once
+// the segment has produced the limit's rows.
 func (m *joinMatches) probe(sel []int32) bool {
-	jp := m.jp
-	kb := &m.binds[jp.keyPos]
-	dir, width := jp.ht.dir, jp.ht.width
-	for _, r := range sel {
-		t := dir.first(kb.at(int(r)))
-		if t < 0 {
-			continue
-		}
-		m.r = int(r)
-		for ; t >= 0; t = dir.next[t] {
-			m.tb = int(t) * width
-			if jp.residual != nil && !jp.residual.EvalBool(m.get) {
-				continue
+	kb := &m.binds[m.jp.keyPos]
+	x := m.jp.ht.idx
+	if x.dir.dense {
+		lo, head := x.dir.lo, x.head
+		for _, r := range sel {
+			if u := uint64(kb.at(int(r)) - lo); u < uint64(len(head)) && head[u] >= 0 && !m.join(int(r), head[u]) {
+				return false
 			}
-			foldJoined(jp.out, m.p, m.get, m.kvals)
 		}
-		if jp.limit > 0 && m.p.rows >= jp.limit {
+		return true
+	}
+	for _, r := range sel {
+		if id := x.dir.findHashed(kb.at(int(r))); id >= 0 && !m.join(int(r), x.head[id]) {
 			return false
 		}
 	}
 	return true
+}
+
+// join folds probe row r joined with build tuple t and the rest of t's
+// chain. It reports false once the segment has produced the limit's rows.
+func (m *joinMatches) join(r int, t int32) bool {
+	jp := m.jp
+	m.r = r
+	for ; t >= 0; t = jp.ht.idx.next[t] {
+		m.tb = int(t) * jp.ht.width
+		if jp.residual != nil && !jp.residual.EvalBool(m.get) {
+			continue
+		}
+		foldJoined(jp.out, m.p, m.get, m.kvals)
+	}
+	return jp.limit <= 0 || m.p.rows < jp.limit
 }
 
 // value reads combined attribute a of the joined row (m.r, m.tb).
@@ -804,9 +766,13 @@ func foldJoined(out Outputs, p *partial, get expr.Accessor, kvals []data.Value) 
 		for i, a := range out.GroupBy {
 			kvals[i] = get(a)
 		}
-		sts := p.groups.statesFor(kvals)
-		for i, arg := range out.GroupArgs {
-			sts[i].Add(arg.Eval(get))
+		ga := p.groups
+		id := ga.id(kvals)
+		ga.count[id]++
+		for j, arg := range out.GroupArgs {
+			if ga.ops[j] != expr.AggCount {
+				ga.add(j, id, arg.Eval(get))
+			}
 		}
 	}
 }

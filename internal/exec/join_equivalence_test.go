@@ -442,10 +442,14 @@ func TestJoinGreedyBuildSide(t *testing.T) {
 	}
 }
 
-// dirMatches walks d's chain for key k.
-func dirMatches(d *joinDirectory, k data.Value) []int32 {
+// dirMatches walks x's chain for key k.
+func dirMatches(x *joinIndex, k data.Value) []int32 {
 	var out []int32
-	for t := d.first(k); t >= 0; t = d.next[t] {
+	id := x.dir.find(k)
+	if id < 0 {
+		return nil
+	}
+	for t := x.head[id]; t >= 0; t = x.next[t] {
 		out = append(out, t)
 	}
 	return out
@@ -467,10 +471,10 @@ func TestJoinDirectory(t *testing.T) {
 		}
 		return out
 	}
-	check := func(name string, d *joinDirectory, keys, probes []data.Value) {
+	check := func(name string, x *joinIndex, keys, probes []data.Value) {
 		t.Helper()
 		for _, k := range probes {
-			got, exp := dirMatches(d, k), want(keys, k)
+			got, exp := dirMatches(x, k), want(keys, k)
 			if fmt.Sprint(got) != fmt.Sprint(exp) {
 				t.Fatalf("%s: key %d matched tuples %v, want %v", name, k, got, exp)
 			}
@@ -480,23 +484,29 @@ func TestJoinDirectory(t *testing.T) {
 	// Small domain with duplicates and gaps: both directory kinds.
 	keys := []data.Value{5, 3, 5, 9, 3, 5, 12, -2}
 	probes := []data.Value{-3, -2, -1, 3, 4, 5, 6, 9, 10, 12, 13, math.MinInt64, math.MaxInt64}
-	dense := newJoinDirectory(keys, 0)
-	if dense.keys != nil {
+	index := func(keys []data.Value, probeRows int) *joinIndex {
+		return newJoinIndex(keys, joinKeyDir(keys, probeRows))
+	}
+	hashed := func(keys []data.Value) *joinIndex {
+		return newJoinIndex(keys, hashedKeyDir(1, len(keys)))
+	}
+	dense := index(keys, 0)
+	if !dense.dir.dense {
 		t.Fatal("span 15 built a hashed directory; want dense")
 	}
 	check("dense", dense, keys, probes)
-	check("hashed", newHashedDirectory(keys), keys, probes)
+	check("hashed", hashed(keys), keys, probes)
 
 	// One tuple.
 	one := []data.Value{42}
-	check("one dense", newJoinDirectory(one, 0), one, []data.Value{41, 42, 43})
-	check("one hashed", newHashedDirectory(one), one, []data.Value{41, 42, 43})
+	check("one dense", index(one, 0), one, []data.Value{41, 42, 43})
+	check("one hashed", hashed(one), one, []data.Value{41, 42, 43})
 
 	// The whole int64 domain: the unsigned span must not overflow into a
 	// small dense directory.
 	wide := []data.Value{math.MinInt64, 0, math.MaxInt64, math.MinInt64, -1, math.MaxInt64, 7}
-	d := newJoinDirectory(wide, math.MaxInt)
-	if d.keys == nil {
+	d := index(wide, math.MaxInt)
+	if d.dir.dense {
 		t.Fatal("MinInt64..MaxInt64 span built a dense directory; want hashed")
 	}
 	check("wide", d, wide, []data.Value{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 7, math.MaxInt64 - 1, math.MaxInt64})
@@ -515,15 +525,15 @@ func TestJoinDirectory(t *testing.T) {
 		{[]data.Value{0, 60000}, 100, false},    // sparse keys, short probe
 		{[]data.Value{0, 60000}, 1 << 16, true}, // the probe repays the slots
 	} {
-		if d := newJoinDirectory(c.keys, c.probeRows); (d.keys == nil) != c.dense {
-			t.Fatalf("keys %v, %d probe rows: dense=%v, want %v", c.keys, c.probeRows, d.keys == nil, c.dense)
+		if d := joinKeyDir(c.keys, c.probeRows); d.dense != c.dense {
+			t.Fatalf("keys %v, %d probe rows: dense=%v, want %v", c.keys, c.probeRows, d.dense, c.dense)
 		}
 	}
 	many := make([]data.Value, 1000)
 	for i := range many {
 		many[i] = data.Value(i * 4)
 	}
-	if newJoinDirectory(many, 0).keys != nil {
+	if !joinKeyDir(many, 0).dense {
 		t.Fatalf("span of %d slots over %d tuples built a hashed directory; want dense", 4*len(many)-3, len(many))
 	}
 
@@ -538,13 +548,13 @@ func TestJoinDirectory(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		big = append(big, pool[rng.Intn(len(pool))])
 	}
-	check("pool", newJoinDirectory(big, math.MaxInt), big, append(pool, 0, 1, -1))
+	check("pool", index(big, math.MaxInt), big, append(pool, 0, 1, -1))
 	small := make([]data.Value, len(big))
 	for i, k := range big {
 		small[i] = k & 1023
 	}
-	check("pool dense", newJoinDirectory(small, 0), small, []data.Value{-1, 0, 1, 511, 1023, 1024})
-	check("pool hashed", newHashedDirectory(small), small, []data.Value{-1, 0, 1, 511, 1023, 1024})
+	check("pool dense", index(small, 0), small, []data.Value{-1, 0, 1, 511, 1023, 1024})
+	check("pool hashed", hashed(small), small, []data.Value{-1, 0, 1, 511, 1023, 1024})
 }
 
 // BenchmarkJoinHashProbe times the probe-dominated regime: a small build

@@ -103,6 +103,11 @@ func jrQueries() map[string]*query.Query {
 		"scalar": {Items: []query.SelectItem{agg(expr.AggCount, 0), agg(expr.AggSum, 6)}},
 		"grouped-on-build": {GroupBy: []expr.Col{{ID: 6}}, Items: []query.SelectItem{
 			{Expr: col(6)}, agg(expr.AggSum, 2), agg(expr.AggCount, 0), agg(expr.AggMax, 3)}},
+		// Two keys, one per side, a filtered build side and an expression
+		// argument: the joined fold's hashed key-vector directory.
+		"grouped-on-build-and-probe": {Where: cmp(expr.Lt, 6, c(5)), GroupBy: []expr.Col{{ID: 6}, {ID: 2}}, Items: []query.SelectItem{
+			{Expr: col(2)}, {Expr: col(6)}, agg(expr.AggMin, 3), agg(expr.AggAvg, 2),
+			{Agg: &expr.Agg{Op: expr.AggSum, Arg: &expr.Arith{Op: expr.Sub, L: col(3), R: col(6)}}}}},
 		"agg-expression": {Items: []query.SelectItem{{Agg: &expr.Agg{Op: expr.AggSum, Arg: expr.SumCols([]data.AttrID{2, 6})}}}},
 		"min-max-avg":    {Items: []query.SelectItem{agg(expr.AggMin, 3), agg(expr.AggMax, 5), agg(expr.AggAvg, 2)}},
 		"residual": {Where: &expr.And{Terms: []expr.Pred{cmp(expr.Lt, 3, col(5)), cmp(expr.Lt, 6, c(6))}},

@@ -136,15 +136,16 @@ func scanRange(g *storage.ColumnGroup, out Outputs, bound []GroupPred, generic e
 		}
 		p.states = []*expr.AggState{st}
 	case OutGrouped:
-		s := newGroupedScanner(g, out)
+		f := newGroupFolder(g, out)
 		ga := newGroupedAcc(out)
 		base := lo * stride
 		for r := lo; r < hi; r++ {
 			if flt.passes(base) {
-				s.fold(ga, base)
+				f.push(ga, r)
 			}
 			base += stride
 		}
+		f.flush(ga)
 		p.groups = ga
 	}
 	return p

@@ -294,10 +294,10 @@ func (p *PartialResult) extend(si int, sp *SegPartial) *SegPartial {
 		panic(fmt.Sprintf("exec: suffix partial of segment %d extends version %d, which the prior payload does not hold", si, sp.Base))
 	}
 	if len(p.ItemKey) > 0 {
-		ga := newGroupedAcc(Outputs{GroupOps: p.Ops})
+		ga := newGroupedAcc(Outputs{GroupBy: p.GroupBy, GroupOps: p.Ops})
 		ga.mergeMap(base.Groups)
 		ga.mergeMap(sp.Groups)
-		return &SegPartial{Version: sp.Version, Groups: ga.m}
+		return &SegPartial{Version: sp.Version, Groups: ga.groups()}
 	}
 	states := make([]*expr.AggState, len(p.Ops))
 	for i, op := range p.Ops {
@@ -554,7 +554,7 @@ func scanSegmentPartial(seg *storage.Segment, q *query.Query, out Outputs, preds
 		if err := genericGroupedSegmentScan(seg, q, out, ga); err != nil {
 			return nil, err
 		}
-		return &SegPartial{Groups: ga.m}, nil
+		return &SegPartial{Groups: ga.groups()}, nil
 	}
 	states := make([]*expr.AggState, len(q.Items))
 	for i, it := range q.Items {
@@ -570,7 +570,7 @@ func scanSegmentPartial(seg *storage.Segment, q *query.Query, out Outputs, preds
 // its group map for grouped shapes, its states otherwise.
 func segPartialOf(p *partial) *SegPartial {
 	if p.groups != nil {
-		return &SegPartial{Groups: p.groups.m}
+		return &SegPartial{Groups: p.groups.groups()}
 	}
 	return &SegPartial{States: p.states}
 }

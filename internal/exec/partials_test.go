@@ -179,33 +179,41 @@ func TestPartialsMatchFullScan(t *testing.T) {
 
 // TestGroupedAccSingleKeyIndex checks the accumulator every grouped
 // strategy (the generic reference included) shares against plain counting:
-// single-key lookups through the raw-value index, interleaved with key-wise
-// merges that only write the canonical map, must land every row in the one
-// state vector of its group.
+// single-key chunk folds through a dense directory, interleaved with
+// key-wise merges of groups outside its span — the first of which converts
+// the directory to hashed — must land every row in the one group of its
+// key.
 func TestGroupedAccSingleKeyIndex(t *testing.T) {
 	out := Outputs{GroupBy: []data.AttrID{0}, GroupOps: []expr.AggOp{expr.AggCount}}
 	ga := newGroupedAcc(out)
+	ga.plan(-6, 6, 0)
 	want := map[data.Value]int64{}
+	ids := make([]int32, 1)
 	for i := 0; i < 1000; i++ {
 		k := data.Value(i*7%13 - 6)
 		if i%100 == 0 {
-			// A merged-in group the raw-value index has not seen yet.
+			// A merged-in group outside the dense span.
 			src := newGroupedAcc(out)
 			mk := data.Value(100 + i%300)
-			src.statesFor([]data.Value{mk})[0].Add(1)
-			ga.mergeMap(src.m)
+			id := src.id([]data.Value{mk})
+			src.count[id]++
+			ga.mergeMap(src.groups())
 			want[mk]++
 		}
-		ga.statesFor([]data.Value{k})[0].Add(1)
+		ga.ids([]data.Value{k}, ids)
 		want[k]++
 	}
-	if len(ga.m) != len(want) {
-		t.Fatalf("%d groups, want %d", len(ga.m), len(want))
+	if ga.dir.dense {
+		t.Fatal("merging keys outside the span left the directory dense")
+	}
+	got := ga.groups()
+	if len(got) != len(want) {
+		t.Fatalf("%d groups, want %d", len(got), len(want))
 	}
 	for k, n := range want {
-		got := ga.m[string(encodeGroupKey(nil, []data.Value{k}))]
-		if got == nil || got[0].Result() != n {
-			t.Fatalf("group %d: states %v, want count %d", k, got, n)
+		sts := got[string(encodeGroupKey(nil, []data.Value{k}))]
+		if sts == nil || sts[0].Result() != n {
+			t.Fatalf("group %d: states %v, want count %d", k, sts, n)
 		}
 	}
 }

@@ -55,7 +55,7 @@ func reorgScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, norm [
 
 	// Output plan against the destination group.
 	var projOffs, exprOffs, aggOffs []int
-	var gsc *groupedScanner
+	var gf *groupedFolder
 	switch out.Kind {
 	case OutProjection:
 		projOffs = mustOffsets(dst, out.ProjAttrs)
@@ -64,7 +64,7 @@ func reorgScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, norm [
 	case OutExpression, OutAggExpression:
 		exprOffs = mustOffsets(dst, out.ExprAttrs)
 	case OutGrouped:
-		gsc = newGroupedScanner(dst, out)
+		gf = newGroupFolder(dst, out)
 	}
 
 	dd, dStride := dst.Data, dst.Stride
@@ -101,10 +101,13 @@ func reorgScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, norm [
 				}
 				states[0].Add(acc)
 			case OutGrouped:
-				gsc.fold(ga, base)
+				gf.push(ga, r)
 			}
 		}
 		base += dStride
+	}
+	if gf != nil {
+		gf.flush(ga)
 	}
 	dst.BuildZones(0)
 	return dst, nil

@@ -136,7 +136,7 @@ func mergePartials(out Outputs, partials []*partial) *Result {
 		ga := newGroupedAcc(out)
 		for _, p := range partials {
 			if p.groups != nil {
-				ga.mergeMap(p.groups.m)
+				ga.mergeAcc(p.groups)
 			}
 		}
 		return groupedResult(out, ga)

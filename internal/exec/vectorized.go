@@ -35,7 +35,7 @@ func vectorScanSegment(seg *storage.Segment, q *query.Query, out Outputs, preds 
 	if err != nil {
 		return err
 	}
-	var folder *segGroupedFolder
+	var folder *groupedFolder
 	if out.Kind == OutGrouped {
 		folder, err = newSegGroupedFolder(seg, groupedScanAttrs(out), out)
 		if err != nil {
@@ -107,13 +107,9 @@ func vectorScanSegment(seg *storage.Segment, q *query.Query, out Outputs, preds 
 			}
 		case OutGrouped:
 			if haveSel {
-				for _, r := range sel {
-					folder.fold(ga, int(r))
-				}
+				folder.foldSel(ga, sel)
 			} else {
-				for r := start; r < start+n; r++ {
-					folder.fold(ga, r)
-				}
+				folder.foldRange(ga, start, start+n)
 			}
 		case OutProjection:
 			if haveSel {

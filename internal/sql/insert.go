@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"h2o/internal/data"
 )
@@ -15,10 +16,16 @@ type InsertStmt struct {
 }
 
 // IsInsert reports whether src starts with the INSERT keyword; DB front
-// ends use it to route between the select and insert parsers.
+// ends use it to route between the select and insert parsers. The first
+// run of non-space runes (unicode.IsSpace delimits, as strings.Fields
+// splits) must equal "insert" under Unicode case folding; nothing is
+// allocated.
 func IsInsert(src string) bool {
-	fields := strings.Fields(src)
-	return len(fields) > 0 && strings.EqualFold(fields[0], "insert")
+	src = strings.TrimLeftFunc(src, unicode.IsSpace)
+	if i := strings.IndexFunc(src, unicode.IsSpace); i >= 0 {
+		src = src[:i]
+	}
+	return strings.EqualFold(src, "insert")
 }
 
 // ParseInsert parses an insert statement and validates the tuple widths

@@ -369,11 +369,60 @@ func TestParseInsert(t *testing.T) {
 			t.Errorf("ParseInsert(%q) should fail", bad)
 		}
 	}
-	if !IsInsert("  INSERT into R values (1,2,3)") {
-		t.Fatal("IsInsert false negative")
+}
+
+// TestIsInsert pins IsInsert to the first whitespace-delimited field
+// compared case-insensitively with "insert", the semantics of
+// strings.Fields plus strings.EqualFold.
+func TestIsInsert(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want bool
+	}{
+		{"insert into R values (1,2,3)", true},
+		{"  INSERT into R values (1,2,3)", true},
+		{"\t\n\r\v\finsert into R", true},
+		{"\u00a0\u2003Insert into R", true}, // Unicode spaces
+		{"insert", true},
+		{"insert\n", true},
+		{"iNsErT\tinto", true},
+		{"inſert into R", true}, // U+017F folds to s
+		{"inserts into R", false},
+		{"insert(1)", false},
+		{"insert,", false},
+		{"ins ert", false},
+		{"select a0 from R", false},
+		{"", false},
+		{" \t\n", false},
+		{"insertinto R", false},
+		{"x insert", false},
+	} {
+		if got := IsInsert(c.src); got != c.want {
+			t.Errorf("IsInsert(%q) = %v, want %v", c.src, got, c.want)
+		}
+		fields := strings.Fields(c.src)
+		if old := len(fields) > 0 && strings.EqualFold(fields[0], "insert"); old != c.want {
+			t.Errorf("%q: Fields+EqualFold says %v, the table says %v", c.src, old, c.want)
+		}
 	}
-	if IsInsert("select a0 from R") || IsInsert("") {
-		t.Fatal("IsInsert false positive")
+}
+
+// BenchmarkIsInsert times the statement router's keyword check on a
+// select and an insert; it must not allocate.
+func BenchmarkIsInsert(b *testing.B) {
+	srcs := []string{
+		"select sum(a1), count(a2) from R where a0 >= 1000 and a3 < 5 group by a1",
+		"insert into R values (1, 2, 3), (4, 5, 6), (7, 8, 9)",
+	}
+	b.ReportAllocs()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		if IsInsert(srcs[i&1]) {
+			n++
+		}
+	}
+	if n != b.N/2 {
+		b.Fatalf("%d inserts in %d calls", n, b.N)
 	}
 }
 

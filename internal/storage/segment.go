@@ -371,6 +371,22 @@ func (s *Segment) MayMatch(a data.AttrID, op expr.CmpOp, v data.Value) bool {
 	return g.zm.MayMatchAny(off, op, v)
 }
 
+// Bounds returns the exact minimum and maximum of attribute a over the
+// segment's rows, read in O(1) from the zone map of the narrowest group
+// storing it. ok is false when no zone map covers a, as on suffix views
+// and empty segments.
+func (s *Segment) Bounds(a data.AttrID) (lo, hi data.Value, ok bool) {
+	if s.narrowest == nil || a < 0 || a >= len(s.narrowest) {
+		return 0, 0, false
+	}
+	g := s.narrowest[a]
+	if g == nil || g.zm == nil {
+		return 0, 0, false
+	}
+	off, _ := g.Offset(a)
+	return g.zm.Bounds(off)
+}
+
 // appendTuple grows every group of the segment by one mini-tuple and
 // extends their zone maps. The caller (Relation.Append*) validated the
 // tuple width and checked capacity.
