@@ -325,8 +325,10 @@ var benchGroups map[string][]*expr.AggState
 // grouped fold into a segment partial (fold plus canonical group map),
 // with three quarters of the rows selected and sum, count, min and max
 // per group: GROUP BY a key of 64 values and of 4096 values (dense
-// directories), of 4096 values spread over int64 (hashed), and of two
-// keys of 64 and 16 values (a hashed key vector).
+// directories), of 4096 values spread over int64 (hashed), of two keys of
+// 64 and 16 values (a hashed key vector), and of the row number, whose
+// 40K-value span is past the dense cap, over those rows (wide: one group
+// per row) and over every hundredth of them (selective).
 func BenchmarkGroupedFold(b *testing.B) {
 	const rows = 40_000
 	tb := data.GenerateTimeSeries(data.SyntheticSchema("events", 8), rows, 2014)
@@ -342,9 +344,12 @@ func BenchmarkGroupedFold(b *testing.B) {
 		tb.Cols[7][r] &= 15
 	}
 	seg := storage.BuildColumnMajorSeg(tb, rows).Segments[0]
-	sel := make([]int32, 0, rows)
+	var sel, sparseSel []int32
 	for r := rows / 4; r < rows; r++ {
 		sel = append(sel, int32(r))
+		if r%100 == 0 {
+			sparseSel = append(sparseSel, int32(r))
+		}
 	}
 	agg := func(op expr.AggOp, a data.AttrID) query.SelectItem {
 		return query.SelectItem{Agg: &expr.Agg{Op: op, Arg: &expr.Col{ID: a}}}
@@ -352,7 +357,15 @@ func BenchmarkGroupedFold(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		keys []data.AttrID
-	}{{"dense64", []data.AttrID{1}}, {"dense4096", []data.AttrID{2}}, {"sparse", []data.AttrID{6}}, {"twokey", []data.AttrID{1, 7}}} {
+		sel  []int32
+	}{
+		{"dense64", []data.AttrID{1}, sel},
+		{"dense4096", []data.AttrID{2}, sel},
+		{"sparse", []data.AttrID{6}, sel},
+		{"twokey", []data.AttrID{1, 7}, sel},
+		{"wide", []data.AttrID{0}, sel},
+		{"selective", []data.AttrID{0}, sparseSel},
+	} {
 		q := &query.Query{Table: "events"}
 		for _, k := range c.keys {
 			q.GroupBy = append(q.GroupBy, expr.Col{ID: k})
@@ -363,7 +376,7 @@ func BenchmarkGroupedFold(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ga := newGroupedAcc(out)
-				if err := foldGroupedSel(seg, out, ga, sel, true); err != nil {
+				if err := foldGroupedSel(seg, out, ga, c.sel, true); err != nil {
 					b.Fatal(err)
 				}
 				benchGroups = ga.groups()

@@ -191,7 +191,7 @@ func bitmapSegPartial(seg *storage.Segment, q *query.Query, out Outputs, preds [
 	}
 
 	if out.Kind == OutGrouped {
-		folder, err := newSegGroupedFolder(seg, groupedScanAttrs(out), out)
+		folder, err := segmentFolder(seg, groupedScanAttrs(out), out)
 		if err != nil {
 			return nil, err
 		}

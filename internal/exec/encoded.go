@@ -308,8 +308,7 @@ func encodedSegmentScan(seg *storage.Segment, out Outputs, preds []ColPred, stat
 	// block's decoded columns.
 	var gf *groupedFolder
 	if out.Kind == OutGrouped {
-		gf = newGroupedFolder(out, make([]colBinding, maxAttr(foldAttrs)+1), seg.Rows)
-		gf.bound(seg)
+		gf = newGroupedFolder(out, foldAttrs, nil, seg)
 	}
 
 	nBlocks := (seg.Rows + storage.EncBlockRows - 1) / storage.EncBlockRows

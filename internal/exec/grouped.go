@@ -55,10 +55,10 @@ func decodeGroupKey(k string, dst []data.Value) []data.Value {
 	return dst
 }
 
-// denseMinSlots is the span a single-key directory is always dense for,
-// whatever the row count: 4096 ids of count plus three aggregates are
-// 128 KiB of state.
-const denseMinSlots = 4096
+// denseMaxSlots is the widest span a single-key directory is dense for:
+// 4096 ids of count plus three aggregates are 128 KiB of state, however
+// few rows the fold selects.
+const denseMaxSlots = 4096
 
 // groupedAcc accumulates one scan's groups: a key directory handing out
 // group ids, and per id a row count and one typed state per aggregate
@@ -114,18 +114,16 @@ func grow(s []data.Value, n int, fill data.Value) []data.Value {
 	return s
 }
 
-// plan gives an unplanned accumulator its directory for a fold of about
-// rows rows whose single key lies in [lo, hi]: dense when the span is
-// below max(rows, denseMinSlots), hashed otherwise and for key vectors.
-func (ga *groupedAcc) plan(lo, hi data.Value, rows int) {
-	if n, ok := denseSpan(lo, hi, max(rows, denseMinSlots)); ok && ga.dir.width == 1 {
+// plan gives an unplanned accumulator its directory for a fold whose
+// single key lies in [lo, hi]: dense when the span is below denseMaxSlots,
+// hashed otherwise and for key vectors.
+func (ga *groupedAcc) plan(lo, hi data.Value) {
+	if n, ok := denseSpan(lo, hi, denseMaxSlots); ok && ga.dir.width == 1 {
 		ga.dir = denseKeyDir(lo, n)
 		ga.extend(n)
 		return
 	}
-	hint := min(rows, denseMinSlots)
-	ga.dir = hashedKeyDir(ga.dir.width, hint)
-	ga.count = make([]int64, 0, hint)
+	ga.dir = hashedKeyDir(ga.dir.width, 0)
 }
 
 // toHashed converts a dense directory to a hashed one over its live
@@ -166,7 +164,7 @@ func (ga *groupedAcc) live() []int32 {
 func (ga *groupedAcc) id(kv []data.Value) int32 {
 	d := &ga.dir
 	if !d.planned() {
-		*d = hashedKeyDir(d.width, 16)
+		*d = hashedKeyDir(d.width, 0)
 	}
 	if d.dense {
 		if u := uint64(kv[0]) - uint64(d.lo); u < uint64(d.n) {
@@ -189,18 +187,8 @@ func (ga *groupedAcc) ids(keys []data.Value, ids []int32) {
 	if ga.dir.dense && !ga.denseIDs(keys, ids) {
 		ga.toHashed()
 	}
-	w := ga.dir.width
-	switch {
-	case ga.dir.dense:
-	case w == 1: // a hit is one hash and a probe of stored keys
-		for i, k := range keys {
-			id := ga.dir.findHashed(k)
-			if id < 0 {
-				id = ga.id(keys[i : i+1])
-			}
-			ids[i] = id
-		}
-	default:
+	if !ga.dir.dense {
+		w := ga.dir.width
 		for i := range ids {
 			ids[i] = ga.id(keys[i*w : (i+1)*w])
 		}
@@ -423,14 +411,18 @@ type colBinding struct {
 
 func (b *colBinding) at(r int) data.Value { return b.d[r*b.stride+b.off] }
 
+// bindingOf returns the binding of attribute a in g, which stores it.
+func bindingOf(g *storage.ColumnGroup, a data.AttrID) colBinding {
+	off, _ := g.Offset(a)
+	return colBinding{d: g.Data, stride: g.Stride, off: off}
+}
+
 // bindAttrs resolves attrs to positional bindings against assign (a
 // segment's covering-group assignment), in attrs order.
 func bindAttrs(assign map[data.AttrID]*storage.ColumnGroup, attrs []data.AttrID) []colBinding {
 	out := make([]colBinding, len(attrs))
 	for i, a := range attrs {
-		g := assign[a]
-		off, _ := g.Offset(a)
-		out[i] = colBinding{d: g.Data, stride: g.Stride, off: off}
+		out[i] = bindingOf(assign[a], a)
 	}
 	return out
 }
@@ -446,12 +438,11 @@ type groupedFolder struct {
 	row   int
 	get   expr.Accessor
 
-	rows    int        // rows the fold covers, sizing an unplanned directory
 	lo, hi  data.Value // the single key's exact bounds, when bounded
 	bounded bool
 
 	sel  []int32      // rows queued by push
-	ids  []int32      // the chunk's group ids
+	ids  []int32      // the chunk's group ids, grown to the largest chunk
 	kbuf []data.Value // the chunk's key vectors, back to back
 	vals []data.Value // the chunk's values of one argument
 }
@@ -464,19 +455,31 @@ type folderArg struct {
 	e    expr.Expr
 }
 
-// newGroupedFolder returns a folder of out's groups reading through binds,
-// for a fold of at most rows rows, which also bounds its chunk buffers.
-func newGroupedFolder(out Outputs, binds []colBinding, rows int) *groupedFolder {
-	chunk := min(rows, VectorSize)
+// keyBounds reads the exact bounds of an attribute's values, as
+// storage.Segment and storage.ColumnGroup do from their zone maps.
+type keyBounds interface {
+	Bounds(a data.AttrID) (lo, hi data.Value, ok bool)
+}
+
+// newGroupedFolder returns a folder of out's groups. Each attribute of
+// attrs (the keys and aggregate-argument attributes, and the where
+// attributes when the caller evaluates the predicate through f.get) is
+// bound to the group groupOf returns for it; with groupOf nil the caller
+// binds them itself. A single key's span comes from bounds when it has
+// them, from the first chunk of keys otherwise.
+func newGroupedFolder(out Outputs, attrs []data.AttrID, groupOf func(data.AttrID) *storage.ColumnGroup, bounds keyBounds) *groupedFolder {
 	f := &groupedFolder{
 		keys:  out.GroupBy,
 		args:  make([]folderArg, len(out.GroupArgs)),
-		binds: binds,
-		rows:  rows,
-		sel:   make([]int32, 0, chunk),
-		ids:   make([]int32, chunk),
-		kbuf:  make([]data.Value, chunk*len(out.GroupBy)),
-		vals:  make([]data.Value, chunk),
+		binds: make([]colBinding, maxAttr(attrs)+1),
+	}
+	if groupOf != nil {
+		for _, a := range attrs {
+			f.binds[a] = bindingOf(groupOf(a), a)
+		}
+	}
+	if bounds != nil && len(f.keys) == 1 {
+		f.lo, f.hi, f.bounded = bounds.Bounds(f.keys[0])
 	}
 	for j, e := range out.GroupArgs {
 		f.args[j].op = out.GroupOps[j]
@@ -499,52 +502,26 @@ func maxAttr(attrs []data.AttrID) data.AttrID {
 	return m
 }
 
-// newSegGroupedFolder binds attrs against seg's covering groups. attrs must
-// include the group keys and aggregate-argument attributes (and the where
-// attributes when the caller evaluates the predicate through f.get). A
-// single key's span comes from the segment's zone-map bounds.
-func newSegGroupedFolder(seg *storage.Segment, attrs []data.AttrID, out Outputs) (*groupedFolder, error) {
+// segmentFolder binds attrs against seg's covering groups; see
+// newGroupedFolder.
+func segmentFolder(seg *storage.Segment, attrs []data.AttrID, out Outputs) (*groupedFolder, error) {
 	_, assign, err := seg.CoveringGroups(attrs)
 	if err != nil {
 		return nil, err
 	}
-	binds := make([]colBinding, maxAttr(attrs)+1)
-	for a, g := range assign {
-		off, _ := g.Offset(a)
-		binds[a] = colBinding{d: g.Data, stride: g.Stride, off: off}
-	}
-	f := newGroupedFolder(out, binds, seg.Rows)
-	f.bound(seg)
-	return f, nil
+	return newGroupedFolder(out, attrs, func(a data.AttrID) *storage.ColumnGroup { return assign[a] }, seg), nil
 }
 
-// bound takes a single key's span from seg's zone-map bounds.
-func (f *groupedFolder) bound(seg *storage.Segment) {
-	if len(f.keys) == 1 {
-		f.lo, f.hi, f.bounded = seg.Bounds(f.keys[0])
-	}
-}
-
-// newGroupFolder binds out's groups against one covering column group, the
-// fused row kernels' layout.
-func newGroupFolder(g *storage.ColumnGroup, out Outputs) *groupedFolder {
-	binds := make([]colBinding, maxAttr(g.Attrs)+1)
-	for _, a := range g.Attrs {
-		off, _ := g.Offset(a)
-		binds[a] = colBinding{d: g.Data, stride: g.Stride, off: off}
-	}
-	f := newGroupedFolder(out, binds, g.Rows)
-	if z := g.Zones(); z != nil && len(out.GroupBy) == 1 {
-		off, _ := g.Offset(out.GroupBy[0])
-		f.lo, f.hi, f.bounded = z.Bounds(off)
-	}
-	return f
+// columnGroupFolder binds out's groups against one covering column group,
+// the fused row kernels' layout.
+func columnGroupFolder(g *storage.ColumnGroup, out Outputs) *groupedFolder {
+	return newGroupedFolder(out, g.Attrs, func(data.AttrID) *storage.ColumnGroup { return g }, g)
 }
 
 // push queues row r; every full chunk of queued rows folds at once.
 func (f *groupedFolder) push(ga *groupedAcc, r int) {
 	f.sel = append(f.sel, int32(r))
-	if len(f.sel) == cap(f.sel) {
+	if len(f.sel) == VectorSize {
 		f.flush(ga)
 	}
 }
@@ -560,7 +537,7 @@ func (f *groupedFolder) flush(ga *groupedAcc) {
 // foldSel folds the rows listed in sel, one chunk at a time.
 func (f *groupedFolder) foldSel(ga *groupedAcc, sel []int32) {
 	for len(sel) > 0 {
-		n := min(len(sel), len(f.ids))
+		n := min(len(sel), VectorSize)
 		f.foldChunk(ga, sel[:n])
 		sel = sel[n:]
 	}
@@ -579,6 +556,9 @@ func (f *groupedFolder) foldRange(ga *groupedAcc, lo, hi int) {
 // then folds each aggregate's argument values in one typed loop.
 func (f *groupedFolder) foldChunk(ga *groupedAcc, sel []int32) {
 	n, w := len(sel), len(f.keys)
+	if len(f.ids) < n {
+		f.ids, f.kbuf, f.vals = make([]int32, n), make([]data.Value, n*w), make([]data.Value, n)
+	}
 	keys := f.kbuf[:n*w]
 	for j, a := range f.keys {
 		b := &f.binds[a]
@@ -594,7 +574,7 @@ func (f *groupedFolder) foldChunk(ga *groupedAcc, sel []int32) {
 				lo, hi = min(lo, k), max(hi, k)
 			}
 		}
-		ga.plan(lo, hi, f.rows)
+		ga.plan(lo, hi)
 	}
 	ids := f.ids[:n]
 	ga.ids(keys, ids)
@@ -634,7 +614,7 @@ func (f *groupedFolder) foldChunk(ga *groupedAcc, sel []int32) {
 // the grouped phase-2 shared by the selection-vector strategies (column,
 // hybrid).
 func foldGroupedSel(seg *storage.Segment, out Outputs, ga *groupedAcc, sel []int32, haveSel bool) error {
-	f, err := newSegGroupedFolder(seg, groupedScanAttrs(out), out)
+	f, err := segmentFolder(seg, groupedScanAttrs(out), out)
 	if err != nil {
 		return err
 	}
@@ -652,7 +632,7 @@ func foldGroupedSel(seg *storage.Segment, out Outputs, ga *groupedAcc, sel []int
 // partial-result layer reuses it with a fresh accumulator to compute
 // grouped SegPartials on layouts the fused row kernel cannot serve.
 func genericGroupedSegmentScan(seg *storage.Segment, q *query.Query, out Outputs, ga *groupedAcc) error {
-	f, err := newSegGroupedFolder(seg, q.AllAttrs(), out)
+	f, err := segmentFolder(seg, q.AllAttrs(), out)
 	if err != nil {
 		return err
 	}

@@ -200,7 +200,9 @@ func TestGroupedFoldEdgeSemantics(t *testing.T) {
 			}
 			fold := func(sel []int32) *groupedAcc {
 				ga := newGroupedAcc(out)
-				newGroupedFolder(out, binds, len(c.cols[0])).foldSel(ga, sel)
+				f := newGroupedFolder(out, nil, nil, nil)
+				f.binds = binds
+				f.foldSel(ga, sel)
 				return ga
 			}
 			want := refGroupedFold(out, c.cols, sel)
@@ -237,33 +239,32 @@ func TestGroupedFoldEdgeSemantics(t *testing.T) {
 }
 
 // TestGroupedAccPlan checks the directory choice: a single key whose
-// bounds span less than max(rows, denseMinSlots) is dense, a span over
-// the whole int64 domain — which overflows signed arithmetic — is hashed,
-// and key vectors are always hashed.
+// bounds span less than denseMaxSlots is dense, a wider span — and one
+// over the whole int64 domain, which overflows signed arithmetic — is
+// hashed, and key vectors are always hashed.
 func TestGroupedAccPlan(t *testing.T) {
 	one := Outputs{GroupBy: []data.AttrID{0}, GroupOps: []expr.AggOp{expr.AggCount}}
 	two := Outputs{GroupBy: []data.AttrID{0, 1}, GroupOps: []expr.AggOp{expr.AggCount}}
 	for _, c := range []struct {
 		out    Outputs
 		lo, hi data.Value
-		rows   int
 		dense  bool
 	}{
-		{one, 0, 63, 0, true},
-		{one, -10, 10, 0, true},
-		{one, 0, denseMinSlots - 1, 0, true},
-		{one, 0, denseMinSlots, 0, false},
-		{one, 0, denseMinSlots, denseMinSlots + 1, true},
-		{one, math.MinInt64, math.MaxInt64, math.MaxInt32, false},
-		{one, -2, math.MaxInt64, math.MaxInt32, false},
-		{one, math.MinInt64, 0, math.MaxInt32, false},
-		{two, 0, 3, 0, false},
+		{one, 0, 63, true},
+		{one, -10, 10, true},
+		{one, 0, denseMaxSlots - 1, true},
+		{one, 0, denseMaxSlots, false},
+		{one, -1 << 20, 1 << 20, false},
+		{one, math.MinInt64, math.MaxInt64, false},
+		{one, -2, math.MaxInt64, false},
+		{one, math.MinInt64, 0, false},
+		{two, 0, 3, false},
 	} {
 		ga := newGroupedAcc(c.out)
-		ga.plan(c.lo, c.hi, c.rows)
+		ga.plan(c.lo, c.hi)
 		if ga.dir.dense != c.dense {
-			t.Fatalf("%d keys over [%d, %d], %d rows: dense=%v, want %v",
-				len(c.out.GroupBy), c.lo, c.hi, c.rows, ga.dir.dense, c.dense)
+			t.Fatalf("%d keys over [%d, %d]: dense=%v, want %v",
+				len(c.out.GroupBy), c.lo, c.hi, ga.dir.dense, c.dense)
 		}
 		if ga.dir.dense && len(ga.count) != int(c.hi-c.lo)+1 {
 			t.Fatalf("[%d, %d]: %d dense slots, want %d", c.lo, c.hi, len(ga.count), c.hi-c.lo+1)

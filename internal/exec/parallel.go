@@ -136,7 +136,7 @@ func scanRange(g *storage.ColumnGroup, out Outputs, bound []GroupPred, generic e
 		}
 		p.states = []*expr.AggState{st}
 	case OutGrouped:
-		f := newGroupFolder(g, out)
+		f := columnGroupFolder(g, out)
 		ga := newGroupedAcc(out)
 		base := lo * stride
 		for r := lo; r < hi; r++ {

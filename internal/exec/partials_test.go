@@ -186,7 +186,7 @@ func TestPartialsMatchFullScan(t *testing.T) {
 func TestGroupedAccSingleKeyIndex(t *testing.T) {
 	out := Outputs{GroupBy: []data.AttrID{0}, GroupOps: []expr.AggOp{expr.AggCount}}
 	ga := newGroupedAcc(out)
-	ga.plan(-6, 6, 0)
+	ga.plan(-6, 6)
 	want := map[data.Value]int64{}
 	ids := make([]int32, 1)
 	for i := 0; i < 1000; i++ {

@@ -64,7 +64,7 @@ func reorgScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, norm [
 	case OutExpression, OutAggExpression:
 		exprOffs = mustOffsets(dst, out.ExprAttrs)
 	case OutGrouped:
-		gf = newGroupFolder(dst, out)
+		gf = columnGroupFolder(dst, out)
 	}
 
 	dd, dStride := dst.Data, dst.Stride

@@ -37,7 +37,7 @@ func vectorScanSegment(seg *storage.Segment, q *query.Query, out Outputs, preds 
 	}
 	var folder *groupedFolder
 	if out.Kind == OutGrouped {
-		folder, err = newSegGroupedFolder(seg, groupedScanAttrs(out), out)
+		folder, err = segmentFolder(seg, groupedScanAttrs(out), out)
 		if err != nil {
 			return err
 		}

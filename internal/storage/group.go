@@ -147,6 +147,18 @@ func BuildGroupPadded(t *data.Table, attrs []data.AttrID, padWords int) *ColumnG
 // Zones returns the group's zone map, or nil when none has been built.
 func (g *ColumnGroup) Zones() *ZoneMap { return g.zm }
 
+// Bounds returns the exact minimum and maximum of attribute a over the
+// group's rows, read in O(1) from its zone map's whole-group bounds. ok is
+// false when the group does not store a or has no rows summarized, as on
+// suffix views, which carry no zone map.
+func (g *ColumnGroup) Bounds(a data.AttrID) (lo, hi data.Value, ok bool) {
+	off, has := g.pos[a]
+	if !has || g.zm == nil || g.zm.rows == 0 {
+		return 0, 0, false
+	}
+	return g.zm.allMin[off], g.zm.allMax[off], true
+}
+
 // BuildZones (re)builds the group's zone map in one pass. block <= 0
 // selects DefaultZoneBlock.
 func (g *ColumnGroup) BuildZones(block int) { g.zm = BuildZoneMap(g, block) }

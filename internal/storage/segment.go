@@ -372,19 +372,13 @@ func (s *Segment) MayMatch(a data.AttrID, op expr.CmpOp, v data.Value) bool {
 }
 
 // Bounds returns the exact minimum and maximum of attribute a over the
-// segment's rows, read in O(1) from the zone map of the narrowest group
-// storing it. ok is false when no zone map covers a, as on suffix views
-// and empty segments.
+// segment's rows: the Bounds of the narrowest group storing it. ok is
+// false when no zone map covers a, as on suffix views and empty segments.
 func (s *Segment) Bounds(a data.AttrID) (lo, hi data.Value, ok bool) {
-	if s.narrowest == nil || a < 0 || a >= len(s.narrowest) {
+	if a < 0 || a >= len(s.narrowest) || s.narrowest[a] == nil {
 		return 0, 0, false
 	}
-	g := s.narrowest[a]
-	if g == nil || g.zm == nil {
-		return 0, 0, false
-	}
-	off, _ := g.Offset(a)
-	return g.zm.Bounds(off)
+	return s.narrowest[a].Bounds(a)
 }
 
 // appendTuple grows every group of the segment by one mini-tuple and

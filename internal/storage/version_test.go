@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 
 	"h2o/internal/data"
@@ -204,6 +205,48 @@ func TestSegmentSuffix(t *testing.T) {
 				t.Fatalf("attr %d row %d: view reads %d, want %d", a, r, got, want)
 			}
 		}
+	}
+}
+
+// TestSegmentBounds checks the exact-bounds read grouped folds plan their
+// key directory from: each attribute's minimum and maximum over the
+// segment's rows, extended by an append, and no bounds for an attribute the
+// group does not store or on a suffix view, which has no zone maps.
+func TestSegmentBounds(t *testing.T) {
+	tb := data.Generate(data.SyntheticSchema("R", 4), 20, 3)
+	rel := BuildColumnMajor(tb)
+	seg := rel.Tail()
+	check := func(a data.AttrID, want []data.Value) {
+		t.Helper()
+		lo, hi := want[0], want[0]
+		for _, v := range want {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		if glo, ghi, ok := seg.Bounds(a); !ok || glo != lo || ghi != hi {
+			t.Fatalf("attr %d: bounds [%d, %d] ok=%v, want [%d, %d]", a, glo, ghi, ok, lo, hi)
+		}
+	}
+	for a := data.AttrID(0); a < 4; a++ {
+		check(a, tb.Cols[a])
+	}
+	extreme := []data.Value{-1 << 62, 1 << 62, 0, 0}
+	if err := rel.Append(extreme); err != nil {
+		t.Fatal(err)
+	}
+	check(0, append(slices.Clone(tb.Cols[0]), extreme[0]))
+	check(1, append(slices.Clone(tb.Cols[1]), extreme[1]))
+	g, err := seg.GroupFor(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := g.Bounds(3); ok {
+		t.Fatal("bounds for an attribute the group does not store")
+	}
+	if _, _, ok := seg.Bounds(4); ok {
+		t.Fatal("bounds for an attribute outside the schema")
+	}
+	if _, _, ok := seg.Suffix(10).Bounds(0); ok {
+		t.Fatal("bounds on a suffix view")
 	}
 }
 

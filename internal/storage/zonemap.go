@@ -150,15 +150,6 @@ func (z *ZoneMap) MayMatch(zi, off int, op expr.CmpOp, v data.Value) bool {
 	return boundsMayMatch(z.mins[zi*z.width+off], z.maxs[zi*z.width+off], op, v)
 }
 
-// Bounds returns the exact minimum and maximum of the attribute at offset
-// off over every row the map summarizes; ok is false on an empty map.
-func (z *ZoneMap) Bounds(off int) (lo, hi data.Value, ok bool) {
-	if z.rows == 0 {
-		return 0, 0, false
-	}
-	return z.allMin[off], z.allMax[off], true
-}
-
 // MayMatchAny reports whether any row of the whole group can satisfy
 // "value op v", using the group-level bounds. False on an empty map: a
 // segment with no rows trivially has no matches.
