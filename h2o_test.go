@@ -1,6 +1,8 @@
 package h2o_test
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -248,5 +250,42 @@ func TestSchemaValidation(t *testing.T) {
 	s, err := h2o.NewSchema("x", []string{"a", "b"})
 	if err != nil || s.NumAttrs() != 2 {
 		t.Fatalf("NewSchema: %v %v", s, err)
+	}
+}
+
+// TestDBInt64EdgeRoundTrip inserts the int64 extremes through SQL and finds
+// each again with an equality predicate on the same literal.
+func TestDBInt64EdgeRoundTrip(t *testing.T) {
+	db := h2o.NewDB()
+	if _, err := db.ImportCSV(strings.NewReader("a0,a1\n0,0\n"), "R"); err != nil {
+		t.Fatal(err)
+	}
+	for i, lit := range []string{"-9223372036854775808", "9223372036854775807"} {
+		if _, _, err := db.Query(fmt.Sprintf("insert into R values (%s, %d)", lit, i+1)); err != nil {
+			t.Fatalf("insert %s: %v", lit, err)
+		}
+		res, _, err := db.Query("select count(a1), max(a1), min(a0), max(a0) from R where a0 = " + lit)
+		if err != nil {
+			t.Fatalf("select %s: %v", lit, err)
+		}
+		want := []int64{1, int64(i + 1), math.MinInt64, math.MinInt64}
+		if i == 1 {
+			want[2], want[3] = math.MaxInt64, math.MaxInt64
+		}
+		for c, w := range want {
+			if got := res.At(0, c); got != w {
+				t.Errorf("where a0 = %s: column %d = %d, want %d", lit, c, got, w)
+			}
+		}
+	}
+	for _, src := range []string{
+		"insert into R values (-9223372036854775809, 0)",
+		"insert into R values (9223372036854775808, 0)",
+		"select count(a1) from R where a0 = 9223372036854775808",
+		"select count(a1) from R where a0 = -9223372036854775809",
+	} {
+		if _, _, err := db.Query(src); err == nil || !strings.Contains(err.Error(), "invalid integer literal") {
+			t.Errorf("%s: error %v, want an invalid integer literal", src, err)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -53,109 +54,138 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-type lexer struct {
-	src    string
-	pos    int
-	tokens []token
-}
-
+// lex splits src into tokens, ending with a tokEOF token.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	var toks []token
+	pos := 0
 	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.emit(tokEOF, l.pos, l.pos)
-			return l.tokens, nil
+		t, err := scan(src, skipSpace(src, pos))
+		if err != nil {
+			return nil, err
 		}
-		start := l.pos
-		c := l.src[l.pos]
-		switch {
-		case isIdentStart(rune(c)):
-			for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-				l.pos++
-			}
-			l.emit(tokIdent, start, l.pos)
-		case c >= '0' && c <= '9':
-			for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
-				l.pos++
-			}
-			l.emit(tokNumber, start, l.pos)
-		default:
-			l.pos++
-			switch c {
-			case ',':
-				l.emit(tokComma, start, l.pos)
-			case '.':
-				l.emit(tokDot, start, l.pos)
-			case '(':
-				l.emit(tokLParen, start, l.pos)
-			case ')':
-				l.emit(tokRParen, start, l.pos)
-			case '+':
-				l.emit(tokPlus, start, l.pos)
-			case '-':
-				l.emit(tokMinus, start, l.pos)
-			case '*':
-				l.emit(tokStar, start, l.pos)
-			case '/':
-				l.emit(tokSlash, start, l.pos)
-			case '=':
-				l.emit(tokEq, start, l.pos)
-			case '<':
-				switch {
-				case l.peekByte() == '=':
-					l.pos++
-					l.emit(tokLe, start, l.pos)
-				case l.peekByte() == '>':
-					l.pos++
-					l.emit(tokNe, start, l.pos)
-				default:
-					l.emit(tokLt, start, l.pos)
-				}
-			case '>':
-				if l.peekByte() == '=' {
-					l.pos++
-					l.emit(tokGe, start, l.pos)
-				} else {
-					l.emit(tokGt, start, l.pos)
-				}
-			case '!':
-				if l.peekByte() == '=' {
-					l.pos++
-					l.emit(tokNe, start, l.pos)
-				} else {
-					return nil, fmt.Errorf("sql: unexpected character %q at position %d", c, start)
-				}
-			default:
-				return nil, fmt.Errorf("sql: unexpected character %q at position %d", c, start)
-			}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
+		}
+		pos = t.pos + len(t.text)
+	}
+}
+
+// scan reads the one token that starts at pos, which must not be space.
+// The insert scanner shares it for keywords, the table name and the
+// "found" half of its errors, so both parsers split text the same way.
+func scan(src string, pos int) (token, error) {
+	tok := func(k tokenKind, end int) (token, error) {
+		return token{kind: k, text: src[pos:end], pos: pos}, nil
+	}
+	if pos >= len(src) {
+		return tok(tokEOF, pos)
+	}
+	if end := identEnd(src, pos); end > pos {
+		return tok(tokIdent, end)
+	}
+	if end := digitsEnd(src, pos); end > pos {
+		return tok(tokNumber, end)
+	}
+	next := byte(0)
+	if pos+1 < len(src) {
+		next = src[pos+1]
+	}
+	switch src[pos] {
+	case ',':
+		return tok(tokComma, pos+1)
+	case '.':
+		return tok(tokDot, pos+1)
+	case '(':
+		return tok(tokLParen, pos+1)
+	case ')':
+		return tok(tokRParen, pos+1)
+	case '+':
+		return tok(tokPlus, pos+1)
+	case '-':
+		return tok(tokMinus, pos+1)
+	case '*':
+		return tok(tokStar, pos+1)
+	case '/':
+		return tok(tokSlash, pos+1)
+	case '=':
+		return tok(tokEq, pos+1)
+	case '<':
+		switch next {
+		case '=':
+			return tok(tokLe, pos+2)
+		case '>':
+			return tok(tokNe, pos+2)
+		}
+		return tok(tokLt, pos+1)
+	case '>':
+		if next == '=' {
+			return tok(tokGe, pos+2)
+		}
+		return tok(tokGt, pos+1)
+	case '!':
+		if next == '=' {
+			return tok(tokNe, pos+2)
 		}
 	}
+	r, _ := utf8.DecodeRuneInString(src[pos:])
+	return token{}, fmt.Errorf("sql: unexpected character %q at position %d", r, pos)
 }
 
-func (l *lexer) emit(k tokenKind, start, end int) {
-	l.tokens = append(l.tokens, token{kind: k, text: l.src[start:end], pos: start})
-}
-
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) && unicode.IsSpace(rune(l.src[l.pos])) {
-		l.pos++
+// skipSpace returns the position of the first non-space rune at or after
+// pos. Space is unicode.IsSpace over decoded runes, the class IsInsert
+// and strings.Fields use. SQL text mostly separates tokens by one ' ' or
+// none, so that case is small enough to inline; any other byte that may
+// start a space goes to skipSpaceRunes.
+func skipSpace(src string, pos int) int {
+	if pos < len(src) && src[pos] == ' ' {
+		pos++
 	}
+	if pos < len(src) && (src[pos] <= ' ' || src[pos] >= utf8.RuneSelf) {
+		return skipSpaceRunes(src, pos)
+	}
+	return pos
 }
 
-func (l *lexer) peekByte() byte {
-	if l.pos < len(l.src) {
-		return l.src[l.pos]
+func skipSpaceRunes(src string, pos int) int {
+	for pos < len(src) {
+		r, n := utf8.DecodeRuneInString(src[pos:])
+		if !unicode.IsSpace(r) {
+			return pos
+		}
+		pos += n
 	}
-	return 0
+	return pos
+}
+
+// identEnd returns the end of the identifier that starts at pos, or pos
+// when none does: a letter or '_', then letters, digits and '_', read as
+// runes.
+func identEnd(src string, pos int) int {
+	start := pos
+	for pos < len(src) {
+		r, n := rune(src[pos]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRuneInString(src[pos:])
+		}
+		if !isIdentStart(r) && (pos == start || !unicode.IsDigit(r)) {
+			break
+		}
+		pos += n
+	}
+	return pos
+}
+
+// digitsEnd returns the end of the run of ASCII digits that starts at pos.
+func digitsEnd(src string, pos int) int {
+	for pos < len(src) && src[pos]-'0' <= 9 {
+		pos++
+	}
+	return pos
 }
 
 func isIdentStart(r rune) bool {
 	return r == '_' || unicode.IsLetter(r)
-}
-
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
 func isKeyword(t token, kw string) bool {

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -77,7 +78,7 @@ func (p *parser) cur() token  { return p.toks[p.idx] }
 func (p *parser) next() token { t := p.toks[p.idx]; p.idx++; return t }
 
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("sql: %s (at position %d)", fmt.Sprintf(format, args...), p.cur().pos)
+	return errAt(p.cur().pos, format, args...)
 }
 
 func (p *parser) expect(k tokenKind, what string) (token, error) {
@@ -632,11 +633,24 @@ func (p *parser) parseFactor() (expr.Expr, error) {
 		return &expr.Const{V: v}, nil
 	case tokMinus:
 		p.next()
+		if n := p.cur(); n.kind == tokNumber {
+			// The sign is parsed with the digits, so the int64 minimum,
+			// whose magnitude no int64 holds, is a literal too.
+			v, err := strconv.ParseInt("-"+n.text, 10, 64)
+			if err != nil {
+				return nil, p.errf("invalid integer literal %s", n)
+			}
+			p.next()
+			return &expr.Const{V: v}, nil
+		}
 		inner, err := p.parseFactor()
 		if err != nil {
 			return nil, err
 		}
 		if k, ok := inner.(*expr.Const); ok {
+			if k.V == math.MinInt64 {
+				return nil, p.errf("invalid integer literal -%d", k.V)
+			}
 			return &expr.Const{V: -k.V}, nil
 		}
 		return &expr.Arith{Op: expr.Sub, L: &expr.Const{V: 0}, R: inner}, nil

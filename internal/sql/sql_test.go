@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -356,18 +358,138 @@ func TestParseInsert(t *testing.T) {
 	if !reflect.DeepEqual(stmt.Rows[0], []data.Value{1, -2, 3}) {
 		t.Fatalf("row 0 = %v", stmt.Rows[0])
 	}
-	for _, bad := range []string{
-		"insert into R values (1, 2)",       // wrong arity
-		"insert into R values (1, 2, 3",     // unbalanced
-		"insert into Nope values (1, 2, 3)", // unknown table
-		"insert R values (1, 2, 3)",         // missing INTO
-		"insert into R values (1, 2, 3) x",  // trailing
-		"insert into R values (a, 2, 3)",    // non-literal
-		"insert into R values",              // missing rows
+	// Rows share one block, but appending to one must not overwrite the next.
+	_ = append(stmt.Rows[0], 99)
+	if stmt.Rows[1][0] != 4 {
+		t.Fatalf("row 1 = %v after appending to row 0", stmt.Rows[1])
+	}
+	for _, c := range []struct{ src, err string }{
+		{"insert into R values (1, 2)", "insert row has 2 values, table has 3 attributes"},
+		{"insert into R values (1, 2, 3, 4)", "insert row has 4 values, table has 3 attributes"},
+		{"insert into R values (1, 2, 3", `expected ), found end of input`},
+		{"insert into Nope values (1, 2, 3)", `unknown table "Nope"`},
+		{"insert R values (1, 2, 3)", `expected "into", found "R"`},
+		{"insert into R values (1, 2, 3) x", `unexpected trailing input "x" (at position 31)`},
+		{"insert into R values (1, 2, 3),", `expected (, found end of input`},
+		{"insert into R values (a, 2, 3)", `expected integer value, found "a"`},
+		{"insert into R values (--1, 2, 3)", `expected integer value, found "-"`},
+		{"insert into R values ()", `expected integer value, found ")"`},
+		{"insert into R values", "expected (, found end of input"},
+		{"insert into R values (1, 2, 3) ?", `unexpected character '?' at position 31`},
+		{"insert into 7 values (1, 2, 3)", `expected table name, found "7"`},
+		{"insert into R values (99999999999999999999, 2, 3)", `invalid integer literal "99999999999999999999" (at position 22)`},
+		{"insert into R values (1, 2, 3)(4, 5, 6)", `unexpected trailing input "("`},
 	} {
-		if _, err := ParseInsert(bad, r); err == nil {
-			t.Errorf("ParseInsert(%q) should fail", bad)
+		_, err := ParseInsert(c.src, r)
+		if err == nil || !strings.HasPrefix(err.Error(), "sql: ") || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("ParseInsert(%q) error = %v, want one containing %q", c.src, err, c.err)
 		}
+	}
+}
+
+// TestParseUnicode pins both parsers to rune-wise lexing: identifiers may
+// hold any letter, and any Unicode space separates tokens.
+func TestParseUnicode(t *testing.T) {
+	r := SchemaMap{
+		"R":  data.SyntheticSchema("R", 3),
+		"Rà": data.SyntheticSchema("Rà", 2),
+	}
+	for _, c := range []struct {
+		src   string
+		table string
+		rows  [][]data.Value
+	}{
+		{"insert into Rà values (1, 2)", "Rà", [][]data.Value{{1, 2}}},
+		{"insert\u00a0into R\u2003values\u3000(1,\u00852,\u2028-\u20093)", "R", [][]data.Value{{1, 2, -3}}},
+		{"\u205finsert into Rà values (4, 5)\u00a0,\n(6, 7)\u1680", "Rà", [][]data.Value{{4, 5}, {6, 7}}},
+	} {
+		stmt, err := ParseInsert(c.src, r)
+		if err != nil {
+			t.Errorf("ParseInsert(%q): %v", c.src, err)
+			continue
+		}
+		if stmt.Table != c.table || !reflect.DeepEqual(stmt.Rows, c.rows) {
+			t.Errorf("ParseInsert(%q) = %s %v, want %s %v", c.src, stmt.Table, stmt.Rows, c.table, c.rows)
+		}
+	}
+	for _, c := range []struct{ src, err string }{
+		{"insert into R\u00e0x values (1, 2)", `unknown table "Ràx"`},
+		{"insert into R values (1, 2, 3)\u2603", `unexpected character '☃'`},
+		{"insert into R values (1, 2, 3)\xff", "unexpected character '\ufffd' at position 30"},
+	} {
+		if _, err := ParseInsert(c.src, r); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("ParseInsert(%q) error = %v, want one containing %q", c.src, err, c.err)
+		}
+	}
+	greek, err := data.NewSchema("Σ", []string{"α", "β1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r["Σ"] = greek
+	for _, c := range []struct {
+		src  string
+		want string
+	}{
+		{"select a0\u00a0from\u2003Rà", "select a0 from Rà"},
+		{"select\u3000a1 from R where\u0085a0 < 5", "select a1 from R where a0 < 5"},
+		{"select sum(β1) from Σ where α\u00a0>\u2028-2", "select sum(β1) from Σ where α > -2"},
+	} {
+		q, err := Parse(c.src, r)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", c.src, err)
+			continue
+		}
+		if got := q.String(); got != c.want {
+			t.Errorf("Parse(%q) = %s, want %s", c.src, got, c.want)
+		}
+	}
+}
+
+// TestParseInt64Edges pins the literal range of both parsers to int64:
+// the minimum parses though its magnitude does not, and one past either
+// end fails with the same error.
+func TestParseInt64Edges(t *testing.T) {
+	r := SchemaMap{"R": data.SyntheticSchema("R", 2)}
+	for _, c := range []struct {
+		lit  string
+		want int64
+		ok   bool
+	}{
+		{"-9223372036854775808", math.MinInt64, true},
+		{"- 9223372036854775808", math.MinInt64, true},
+		{"9223372036854775807", math.MaxInt64, true},
+		{"-9223372036854775807", -math.MaxInt64, true},
+		{"-000000000000000000009", -9, true},
+		{"9223372036854775808", 0, false},
+		{"-9223372036854775809", 0, false},
+		{"18446744073709551616", 0, false},
+	} {
+		stmt, err := ParseInsert("insert into R values (0, "+c.lit+")", r)
+		if c.ok != (err == nil) || (c.ok && stmt.Rows[0][1] != c.want) {
+			t.Errorf("insert %s: stmt %v, err %v; want %d, ok %v", c.lit, stmt, err, c.want, c.ok)
+		}
+		if !c.ok && !strings.Contains(fmt.Sprint(err), "invalid integer literal") {
+			t.Errorf("insert %s: error %v", c.lit, err)
+		}
+		q, err := Parse("select a1 from R where a0 = "+c.lit, r)
+		if c.ok != (err == nil) {
+			t.Errorf("where %s: err %v, want ok %v", c.lit, err, c.ok)
+			continue
+		}
+		if !c.ok {
+			if !strings.Contains(err.Error(), "invalid integer literal") {
+				t.Errorf("where %s: error %v", c.lit, err)
+			}
+			continue
+		}
+		if k, isConst := q.Where.(*expr.Cmp).R.(*expr.Const); !isConst || k.V != c.want {
+			t.Errorf("where %s: right side %v, want %d", c.lit, q.Where.(*expr.Cmp).R, c.want)
+		}
+	}
+	// Negating the minimum leaves int64, so it is no literal either.
+	if _, err := Parse("select a1 from R where a0 = - -9223372036854775808", r); err == nil ||
+		!strings.Contains(err.Error(), "invalid integer literal") {
+		t.Errorf("double negation of the minimum: error %v", err)
 	}
 }
 

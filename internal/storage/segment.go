@@ -381,29 +381,6 @@ func (s *Segment) Bounds(a data.AttrID) (lo, hi data.Value, ok bool) {
 	return s.narrowest[a].Bounds(a)
 }
 
-// appendTuple grows every group of the segment by one mini-tuple and
-// extends their zone maps. The caller (Relation.Append*) validated the
-// tuple width and checked capacity.
-func (s *Segment) appendTuple(tuple []data.Value, scratch []data.Value) {
-	for _, g := range s.Groups {
-		g.enc.Store(nil) // tails are never encoded; drop any stale cache
-		base := len(g.Data)
-		g.Data = append(g.Data, make([]data.Value, g.Stride)...)
-		vals := scratch[:g.Width]
-		for i, a := range g.Attrs {
-			v := tuple[a]
-			g.Data[base+i] = v
-			vals[i] = v
-		}
-		g.Rows++
-		if g.zm == nil {
-			g.zm = NewZoneMap(g.Width, 0)
-		}
-		g.zm.ExtendRow(vals)
-	}
-	s.Rows++
-}
-
 // sameAttrs reports whether two sorted attribute sets are identical.
 func sameAttrs(a, b []data.AttrID) bool {
 	if len(a) != len(b) {

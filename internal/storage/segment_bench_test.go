@@ -18,9 +18,9 @@ import (
 
 const benchSegCap = 64 * 1024
 
-func benchRelation(b *testing.B, rows int) (*data.Table, *Relation) {
+func benchRelation(b *testing.B, rows, attrs int) (*data.Table, *Relation) {
 	b.Helper()
-	tb := data.Generate(data.SyntheticSchema("R", 4), rows, 7)
+	tb := data.Generate(data.SyntheticSchema("R", attrs), rows, 7)
 	return tb, BuildColumnMajorSeg(tb, benchSegCap)
 }
 
@@ -29,7 +29,7 @@ func benchRelation(b *testing.B, rows int) (*data.Table, *Relation) {
 func BenchmarkAppendTail(b *testing.B) {
 	for _, rows := range []int{benchSegCap, 4 * benchSegCap, 16 * benchSegCap} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			_, rel := benchRelation(b, rows)
+			_, rel := benchRelation(b, rows, 4)
 			tuple := []data.Value{1, 2, 3, 4}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -47,7 +47,7 @@ func BenchmarkReorgHotSegment(b *testing.B) {
 	attrs := []data.AttrID{0, 1}
 	for _, rows := range []int{benchSegCap, 4 * benchSegCap, 16 * benchSegCap} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			_, rel := benchRelation(b, rows)
+			_, rel := benchRelation(b, rows, 4)
 			hot := rel.Segments[len(rel.Segments)-1]
 			b.SetBytes(int64(hot.Rows) * int64(len(attrs)) * 8)
 			b.ResetTimer()
@@ -67,7 +67,7 @@ func BenchmarkReorgFullRelation(b *testing.B) {
 	attrs := []data.AttrID{0, 1}
 	for _, rows := range []int{benchSegCap, 4 * benchSegCap, 16 * benchSegCap} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			_, rel := benchRelation(b, rows)
+			_, rel := benchRelation(b, rows, 4)
 			b.SetBytes(int64(rows) * int64(len(attrs)) * 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -81,13 +81,17 @@ func BenchmarkReorgFullRelation(b *testing.B) {
 
 // BenchmarkAppendBatchTail appends 1000-tuple batches; like single appends,
 // throughput must not depend on how many sealed segments sit below the tail.
-// The batch=64 case appends the serving workloads' 64-row batches to a
-// half-full tail, where per-batch cost must track the batch, not the tail.
+// The batch=64 cases append the serving workloads' 64-row batches to a
+// half-full tail, where per-batch cost must track the batch, not the tail;
+// attrs=100 is the wide table's shape, one column group per attribute.
 func BenchmarkAppendBatchTail(b *testing.B) {
-	mkBatch := func(n int) [][]data.Value {
+	mkBatch := func(n, attrs int) [][]data.Value {
 		batch := make([][]data.Value, n)
 		for i := range batch {
-			batch[i] = []data.Value{data.Value(i), 2, 3, 4}
+			batch[i] = make([]data.Value, attrs)
+			for a := range batch[i] {
+				batch[i][a] = data.Value(i + a)
+			}
 		}
 		return batch
 	}
@@ -96,13 +100,15 @@ func BenchmarkAppendBatchTail(b *testing.B) {
 		rows  int
 		batch [][]data.Value
 	}{
-		{fmt.Sprintf("rows=%d", benchSegCap), benchSegCap, mkBatch(1000)},
-		{fmt.Sprintf("rows=%d", 16*benchSegCap), 16 * benchSegCap, mkBatch(1000)},
-		{fmt.Sprintf("rows=%d,batch=64", benchSegCap+benchSegCap/2), benchSegCap + benchSegCap/2, mkBatch(64)},
+		{fmt.Sprintf("rows=%d", benchSegCap), benchSegCap, mkBatch(1000, 4)},
+		{fmt.Sprintf("rows=%d", 16*benchSegCap), 16 * benchSegCap, mkBatch(1000, 4)},
+		{fmt.Sprintf("rows=%d,batch=64", benchSegCap+benchSegCap/2), benchSegCap + benchSegCap/2, mkBatch(64, 4)},
+		{fmt.Sprintf("rows=%d,batch=64,attrs=100", benchSegCap/2), benchSegCap / 2, mkBatch(64, 100)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			_, rel := benchRelation(b, c.rows)
-			b.SetBytes(int64(len(c.batch)) * 4 * 8)
+			attrs := len(c.batch[0])
+			_, rel := benchRelation(b, c.rows, attrs)
+			b.SetBytes(int64(len(c.batch)) * int64(attrs) * 8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := rel.AppendBatch(c.batch); err != nil {

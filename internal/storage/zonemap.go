@@ -26,7 +26,7 @@ type ZoneMap struct {
 	mins  []data.Value // zone*width + attrPos
 	maxs  []data.Value
 	// allMin/allMax are whole-group bounds per attribute offset, kept in
-	// sync by Build/Extend. Segment pruning consults them in O(1) instead
+	// sync by extend. Segment pruning consults them in O(1) instead
 	// of walking every zone.
 	allMin []data.Value
 	allMax []data.Value
@@ -36,7 +36,7 @@ type ZoneMap struct {
 const DefaultZoneBlock = 1024
 
 // NewZoneMap returns an empty zone map for a group of the given width,
-// ready to be extended row by row as the tail segment absorbs appends.
+// ready to be extended as the tail segment absorbs appends.
 // block <= 0 selects DefaultZoneBlock.
 func NewZoneMap(width, block int) *ZoneMap {
 	if block <= 0 {
@@ -54,77 +54,46 @@ func NewZoneMap(width, block int) *ZoneMap {
 // DefaultZoneBlock.
 func BuildZoneMap(g *ColumnGroup, block int) *ZoneMap {
 	z := NewZoneMap(g.Width, block)
-	block = z.Block
-	zones := (g.Rows + block - 1) / block
-	z.zones = zones
-	z.rows = g.Rows
-	z.mins = make([]data.Value, zones*g.Width)
-	z.maxs = make([]data.Value, zones*g.Width)
-	d, stride := g.Data, g.Stride
-	for zi := 0; zi < zones; zi++ {
-		lo := zi * block
-		hi := lo + block
-		if hi > g.Rows {
-			hi = g.Rows
-		}
-		for off := 0; off < g.Width; off++ {
-			mn := d[lo*stride+off]
-			mx := mn
-			for r := lo + 1; r < hi; r++ {
-				v := d[r*stride+off]
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
-			}
-			z.mins[zi*g.Width+off] = mn
-			z.maxs[zi*g.Width+off] = mx
-			if zi == 0 || mn < z.allMin[off] {
-				z.allMin[off] = mn
-			}
-			if zi == 0 || mx > z.allMax[off] {
-				z.allMax[off] = mx
-			}
-		}
-	}
+	zones := (g.Rows + z.Block - 1) / z.Block
+	z.mins = make([]data.Value, 0, zones*g.Width)
+	z.maxs = make([]data.Value, 0, zones*g.Width)
+	z.extend(g)
 	return z
 }
 
-// ExtendRow folds one appended mini-tuple (values in the group's attribute
-// offset order, padding excluded) into the map: the last zone's min/max are
-// widened, or a fresh zone is opened at the block boundary. This keeps zone
-// maps exact under tail-segment appends without any rebuild.
-func (z *ZoneMap) ExtendRow(vals []data.Value) {
-	zi := z.rows / z.Block
-	if zi == z.zones {
-		// Crossing a block boundary: open a new zone seeded with this row.
-		z.zones++
-		z.mins = append(z.mins, vals[:z.width]...)
-		z.maxs = append(z.maxs, vals[:z.width]...)
-	} else {
-		base := zi * z.width
-		for off := 0; off < z.width; off++ {
-			v := vals[off]
-			if v < z.mins[base+off] {
-				z.mins[base+off] = v
+// extend folds g's rows past those the map already summarizes into it,
+// block by block: the last zone's min/max widen, and fresh zones open at
+// block boundaries. Builds and tail appends share it, so a map kept up
+// under appends is exactly the one a rebuild would produce.
+func (z *ZoneMap) extend(g *ColumnGroup) {
+	d, stride, w := g.Data, g.Stride, z.width
+	for lo := z.rows; lo < g.Rows; {
+		zi := lo / z.Block
+		hi := min((zi+1)*z.Block, g.Rows)
+		if zi == z.zones {
+			// Crossing a block boundary: open a zone seeded with row lo.
+			z.zones++
+			z.mins = append(z.mins, d[lo*stride:lo*stride+w]...)
+			z.maxs = append(z.maxs, d[lo*stride:lo*stride+w]...)
+		}
+		mins, maxs := z.mins[zi*w:(zi+1)*w], z.maxs[zi*w:(zi+1)*w]
+		for off := range mins {
+			mn, mx := mins[off], maxs[off]
+			for r := lo; r < hi; r++ {
+				v := d[r*stride+off]
+				mn = min(mn, v)
+				mx = max(mx, v)
 			}
-			if v > z.maxs[base+off] {
-				z.maxs[base+off] = v
+			mins[off], maxs[off] = mn, mx
+			if lo == 0 || mn < z.allMin[off] {
+				z.allMin[off] = mn
+			}
+			if lo == 0 || mx > z.allMax[off] {
+				z.allMax[off] = mx
 			}
 		}
+		z.rows, lo = hi, hi
 	}
-	for off := 0; off < z.width; off++ {
-		v := vals[off]
-		if z.rows == 0 || v < z.allMin[off] {
-			z.allMin[off] = v
-		}
-		if z.rows == 0 || v > z.allMax[off] {
-			z.allMax[off] = v
-		}
-	}
-	z.rows++
 }
 
 // Zones returns the number of blocks.
