@@ -99,12 +99,6 @@ func BenchmarkAblationGroups(b *testing.B) { benchExperiment(b, "ablation-groups
 // oscillating workloads.
 func BenchmarkAblationOscillate(b *testing.B) { benchExperiment(b, "ablation-oscillate") }
 
-// BenchmarkAblationVector sweeps the vectorized executor's chunk size.
-func BenchmarkAblationVector(b *testing.B) { benchExperiment(b, "ablation-vector") }
-
-// BenchmarkAblationBitmap compares selection vectors with bit-vectors.
-func BenchmarkAblationBitmap(b *testing.B) { benchExperiment(b, "ablation-bitmap") }
-
 // BenchmarkAblationZonemap measures zone-map scan skipping.
 func BenchmarkAblationZonemap(b *testing.B) { benchExperiment(b, "ablation-zonemap") }
 

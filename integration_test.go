@@ -160,7 +160,4 @@ func TestIntegrationAllStrategiesOnEvolvedLayout(t *testing.T) {
 	if got, err := exec.Exec(rel, probe, exec.ExecOpts{Strategy: exec.StrategyHybrid}); err != nil || !got.Equal(want) {
 		t.Fatalf("hybrid strategy on evolved layout: %v", err)
 	}
-	if got, err := exec.Exec(rel, probe, exec.ExecOpts{Strategy: exec.StrategyVectorized}); err != nil || !got.Equal(want) {
-		t.Fatalf("vectorized strategy on evolved layout: %v", err)
-	}
 }

@@ -78,16 +78,6 @@ func BenchmarkGatherColumn(b *testing.B) {
 	}
 }
 
-func BenchmarkAggColumnAllSum(b *testing.B) {
-	_, col, _ := benchFixture(b, 1)
-	g, _ := col.GroupFor(0)
-	b.SetBytes(benchRows * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = AggColumnAll(g, 0, expr.AggSum)
-	}
-}
-
 func BenchmarkSumOffsetsAll(b *testing.B) {
 	tb, _, _ := benchFixture(b, 5)
 	g := storage.BuildGroup(tb, []data.AttrID{0, 1, 2, 3, 4})
@@ -196,11 +186,6 @@ func BenchmarkPipelineColumn(b *testing.B) {
 func BenchmarkPipelineHybrid(b *testing.B) {
 	tb := data.Generate(data.SyntheticSchema("R", 50), benchRows, 42)
 	benchPipeline(b, storage.BuildRowMajorSeg(tb, false, benchRows/16), StrategyHybrid)
-}
-
-func BenchmarkPipelineVectorized(b *testing.B) {
-	tb := data.Generate(data.SyntheticSchema("R", 50), benchRows, 42)
-	benchPipeline(b, storage.BuildColumnMajorSeg(tb, benchRows/16), StrategyVectorized)
 }
 
 func BenchmarkReorgOnline(b *testing.B) {
@@ -376,7 +361,7 @@ func BenchmarkGroupedFold(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ga := newGroupedAcc(out)
-				if err := foldGroupedSel(seg, out, ga, c.sel, true); err != nil {
+				if err := foldGroupedSel(seg, out, ga, c.sel, true, false, nil); err != nil {
 					b.Fatal(err)
 				}
 				benchGroups = ga.groups()

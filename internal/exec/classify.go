@@ -15,18 +15,16 @@ type OutKind int
 const (
 	// OutProjection: select a, b, c ... (template i).
 	OutProjection OutKind = iota
-	// OutAggregates: select max(a), max(b), ... one aggregate per column
-	// (template ii).
-	OutAggregates
 	// OutExpression: select a + b + c (template iii).
 	OutExpression
-	// OutAggExpression: select sum(a + b + c) — the §4.1 mix.
-	OutAggExpression
-	// OutGrouped: select k1, ..., agg(e), ... from R group by k1, ... —
-	// every item is either a decomposable aggregate or a bare group-key
-	// column. The result has one row per distinct key vector, ordered
-	// ascending by key vector, so every strategy and the delta-repair path
-	// produce bit-identical output.
+	// OutGrouped: select k1, ..., agg(e), ... [group by k1, ...] — every
+	// item is either a decomposable aggregate or a bare group-key column.
+	// The result has one row per distinct key vector, ordered ascending by
+	// key vector, so every strategy and the delta-repair path produce
+	// bit-identical output. A select list of aggregates alone without
+	// GROUP BY is the case of no keys (templates ii and §4.1's sum(a+b+c)):
+	// every row falls into one group, and the result is exactly one row,
+	// qualifying rows or not.
 	OutGrouped
 	// OutOther: any other select-clause shape; only the generic operator
 	// covers it.
@@ -38,12 +36,8 @@ func (k OutKind) String() string {
 	switch k {
 	case OutProjection:
 		return "projection"
-	case OutAggregates:
-		return "aggregates"
 	case OutExpression:
 		return "expression"
-	case OutAggExpression:
-		return "agg-expression"
 	case OutGrouped:
 		return "grouped"
 	default:
@@ -57,17 +51,13 @@ type Outputs struct {
 	Labels []string
 
 	ProjAttrs []data.AttrID // OutProjection: projected attributes in order
-
-	AggOps   []expr.AggOp  // OutAggregates: per-item aggregate ops
-	AggAttrs []data.AttrID // OutAggregates: per-item argument columns
-
-	ExprAttrs []data.AttrID // OutExpression/OutAggExpression: summed columns
-	ExprAgg   expr.AggOp    // OutAggExpression: outer aggregate
+	ExprAttrs []data.AttrID // OutExpression: summed columns
 
 	// OutGrouped fields. GroupBy holds the group-key attribute ids in
-	// GROUP BY order (deduplicated). ItemKey maps each select item to its
-	// index in GroupBy, or -1 for aggregate items. GroupOps/GroupArgs hold
-	// the aggregate items' ops and arguments in select-item order.
+	// GROUP BY order (deduplicated), none for a scalar aggregate. ItemKey
+	// maps each select item to its index in GroupBy, or -1 for aggregate
+	// items. GroupOps/GroupArgs hold the aggregate items' ops and arguments
+	// in select-item order.
 	GroupBy   []data.AttrID
 	ItemKey   []int
 	GroupOps  []expr.AggOp
@@ -110,26 +100,16 @@ func Classify(q *query.Query) Outputs {
 		out.Kind = OutOther
 		return out
 	}
-	if len(q.GroupBy) > 0 {
+	if len(q.GroupBy) > 0 || q.HasAggregates() {
 		return classifyGrouped(q, out)
 	}
 
 	allPlainCols := true
-	allAggCols := true
 	for _, it := range q.Items {
-		if it.Agg != nil {
+		if _, ok := it.Expr.(*expr.Col); !ok {
 			allPlainCols = false
-			if _, ok := it.Agg.Arg.(*expr.Col); !ok {
-				allAggCols = false
-			}
-		} else {
-			allAggCols = false
-			if _, ok := it.Expr.(*expr.Col); !ok {
-				allPlainCols = false
-			}
 		}
 	}
-
 	switch {
 	case allPlainCols:
 		out.Kind = OutProjection
@@ -137,26 +117,10 @@ func Classify(q *query.Query) Outputs {
 		for i, it := range q.Items {
 			out.ProjAttrs[i] = it.Expr.(*expr.Col).ID
 		}
-	case allAggCols:
-		out.Kind = OutAggregates
-		out.AggOps = make([]expr.AggOp, len(q.Items))
-		out.AggAttrs = make([]data.AttrID, len(q.Items))
-		for i, it := range q.Items {
-			out.AggOps[i] = it.Agg.Op
-			out.AggAttrs[i] = it.Agg.Arg.(*expr.Col).ID
-		}
-	case len(q.Items) == 1 && q.Items[0].Agg == nil:
+	case len(q.Items) == 1:
 		if attrs, ok := SumLeaves(q.Items[0].Expr); ok {
 			out.Kind = OutExpression
 			out.ExprAttrs = attrs
-		} else {
-			out.Kind = OutOther
-		}
-	case len(q.Items) == 1 && q.Items[0].Agg != nil:
-		if attrs, ok := SumLeaves(q.Items[0].Agg.Arg); ok {
-			out.Kind = OutAggExpression
-			out.ExprAttrs = attrs
-			out.ExprAgg = q.Items[0].Agg.Op
 		} else {
 			out.Kind = OutOther
 		}
@@ -166,10 +130,10 @@ func Classify(q *query.Query) Outputs {
 	return out
 }
 
-// classifyGrouped validates the grouped select shape: every item must be an
-// aggregate or a bare reference to a group-by key. Any other shape is
-// OutOther, which no template executes (the generic pipeline reports a
-// clean error for grouped shapes and serves the rest interpretively).
+// classifyGrouped validates the aggregate select shape: every item must be
+// an aggregate or a bare reference to a group-by key, so without GROUP BY
+// every item must be an aggregate. Any other shape is OutOther, which no
+// pipeline executes (the generic pipeline reports a clean error).
 func classifyGrouped(q *query.Query, out Outputs) Outputs {
 	keys := q.GroupIDs()
 	keyIdx := make(map[data.AttrID]int, len(keys))

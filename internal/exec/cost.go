@@ -2,6 +2,7 @@ package exec
 
 import (
 	"h2o/internal/costmodel"
+	"h2o/internal/expr"
 	"h2o/internal/query"
 	"h2o/internal/storage"
 )
@@ -34,13 +35,17 @@ const (
 	// encoded-tier relations; the cost-based chooser never selects it
 	// directly.
 	StrategyEncoded
-	// StrategyVectorized is the chunked variant of StrategyHybrid (§3.3):
-	// the same operators over fixed-size row chunks whose intermediates
-	// stay cache-resident. An ablation strategy, never cost-chosen.
+	// StrategyVectorized named a chunked variant of StrategyHybrid. Every
+	// aggregate now folds one VectorSize chunk at a time on every
+	// strategy, so it has no pipeline, and Exec rejects it. The constant
+	// and its String name stay because the metric names
+	// exec.strategy_share.<name> are built by looping over the constants
+	// from StrategyRow to StrategyJoin.
 	StrategyVectorized
-	// StrategyBitmap is StrategyHybrid's aggregate path with bit-vectors
-	// instead of selection vectors. An ablation strategy, never
-	// cost-chosen.
+	// StrategyBitmap named StrategyHybrid's aggregate path with
+	// bit-vectors instead of selection vectors. It has no pipeline, and
+	// Exec rejects it; the constant stays for the metric names, as
+	// StrategyVectorized does.
 	StrategyBitmap
 	// StrategyJoin is the streaming hash-join operator (ExecJoin): the
 	// greedily chosen build side folds into a hash table segment-at-a-time,
@@ -117,7 +122,8 @@ type segPlanFunc func(seg *storage.Segment, rows int, q *query.Query, estSel flo
 
 // segAccessPlan costs one segment's layout, scaled to rows tuples, by
 // dispatching to the strategy's registered segPlan. Strategies without
-// one (reorg, delta, encoded, the ablation strategies) are never costed.
+// one (reorg, delta, encoded, and those without a registry row) are never
+// costed.
 func segAccessPlan(s Strategy, seg *storage.Segment, rows int, q *query.Query, estSel float64) []costmodel.GroupAccess {
 	e, ok := strategies[s]
 	if !ok || e.segPlan == nil {
@@ -178,9 +184,10 @@ func columnSegPlan(seg *storage.Segment, rows int, q *query.Query, estSel float6
 			return nil
 		}
 		inter := 0
-		if out.Kind != OutAggregates {
-			// Projections and expressions materialize a full
-			// intermediate column per attribute.
+		if !scalarColumns(out) {
+			// Projections, expressions and aggregates of expressions
+			// or by group materialize a full intermediate column per
+			// attribute.
 			inter = int(float64(rows) * outSel)
 		}
 		accesses = append(accesses, costmodel.GroupAccess{
@@ -233,7 +240,7 @@ func hybridSegPlan(seg *storage.Segment, rows int, q *query.Query, estSel float6
 		// temporary vector: two extra full-length passes per contributing
 		// group. A single fused group (StrategyRow) avoids this — that is
 		// the gap that makes merged groups worth creating.
-		if out.Kind == OutExpression || out.Kind == OutAggExpression {
+		if out.Kind == OutExpression || scalarSum(out) {
 			inter += 2 * int(float64(rows)*outSel)
 		}
 		accesses = append(accesses, costmodel.GroupAccess{
@@ -254,6 +261,35 @@ func genericSegPlan(seg *storage.Segment, rows int, q *query.Query, estSel float
 		accesses[i].IntermediateWords += accesses[i].Rows * accesses[i].Used / 2
 	}
 	return accesses
+}
+
+// scalarColumns reports whether out is a scalar aggregate of bare columns
+// (select max(a), sum(b), ...): late materialization folds each straight
+// from its column, with no intermediate.
+func scalarColumns(out Outputs) bool {
+	if out.Kind != OutGrouped || len(out.GroupBy) > 0 {
+		return false
+	}
+	for _, e := range out.GroupArgs {
+		if _, ok := e.(*expr.Col); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// scalarSum reports whether out is one scalar aggregate of a sum of
+// columns (select sum(a+b+c), §4.1's mix), which the hybrid strategy
+// builds through per-group temporaries like an expression.
+func scalarSum(out Outputs) bool {
+	if out.Kind != OutGrouped || len(out.GroupBy) > 0 || len(out.GroupArgs) != 1 {
+		return false
+	}
+	if _, ok := out.GroupArgs[0].(*expr.Col); ok {
+		return false
+	}
+	_, ok := SumLeaves(out.GroupArgs[0])
+	return ok
 }
 
 // bestCoveringGroupSeg returns the narrowest single group of seg covering

@@ -7,16 +7,16 @@ import (
 	"h2o/internal/storage"
 )
 
-// This file holds the encoded-direct strategy: aggregate-shaped queries
-// (OutAggregates, OutAggExpression, OutGrouped) and projections with
-// splittable conjunctive predicates are answered straight from the
-// per-column encoded blocks of sealed segments (storage/encode.go), without
-// materializing flat data. Per 4096-row block the kernel classifies each
-// predicate against the block's exact min/max header: blocks no row of
-// which can match are skipped without touching their payload,
-// fully-matching blocks fold their exact min/max/sum/rows statistics into
-// the aggregate states without decoding, and only genuinely partial blocks
-// pay a decode — and then only for the columns the query actually reads.
+// This file holds the encoded-direct strategy: aggregates, scalar or
+// grouped, and projections with splittable conjunctive predicates are
+// answered straight from the per-column encoded blocks of sealed segments
+// (storage/encode.go), without materializing flat data. Per 4096-row block
+// the kernel classifies each predicate against the block's exact min/max
+// header: blocks no row of which can match are skipped without touching
+// their payload, fully-matching blocks of a scalar aggregate fold their
+// exact min/max/sum/rows statistics into the accumulator without decoding,
+// and only the other blocks pay a decode — and then only for the columns
+// the query actually reads.
 // A projection decodes its projected columns only in blocks with
 // survivors. On mmap-backed spill files a skipped block's payload pages
 // are never faulted in at all.
@@ -248,150 +248,85 @@ func (er *encReader) blockSel(bi int, preds []ColPred, sel []int32, stats *Strat
 	return sel, true, len(sel) > 0
 }
 
-// foldSelected folds vals at the selected block-relative rows into st,
-// accumulating a block-local run and committing it through AddSummary:
-// one tight gather loop per aggregate instead of a per-row Add with its
-// per-call operator dispatch.
-func foldSelected(st *expr.AggState, vals []data.Value, sel []int32) {
-	if len(sel) == 0 {
-		return
-	}
-	switch st.Op {
-	case expr.AggSum, expr.AggAvg, expr.AggCount:
-		var sum data.Value
-		for _, r := range sel {
-			sum += vals[r]
-		}
-		st.AddSummary(0, 0, sum, int64(len(sel)))
-	default: // AggMin, AggMax
-		mn, mx := vals[sel[0]], vals[sel[0]]
-		for _, r := range sel[1:] {
-			if x := vals[r]; x < mn {
-				mn = x
-			} else if x > mx {
-				mx = x
-			}
-		}
-		st.AddSummary(mn, mx, 0, int64(len(sel)))
-	}
-}
-
-// encodedSegmentScan folds one pinned segment into the caller's
-// accumulators (states for flat aggregates, ga for grouped ones) using
-// the encoded block kernel. ok is false — and nothing has been folded —
-// when the segment's needed groups hold no encodings or the output shape
-// has no encoded path; the caller then falls back to a flat scan. preds
-// must come from a successful SplitConjunction.
-func encodedSegmentScan(seg *storage.Segment, out Outputs, preds []ColPred, states []*expr.AggState, ga *groupedAcc, stats *StrategyStats) (ok bool, err error) {
-	var foldAttrs []data.AttrID
-	switch out.Kind {
-	case OutAggregates:
-		foldAttrs = out.AggAttrs
-	case OutAggExpression:
-		foldAttrs = out.ExprAttrs
-	case OutGrouped:
-		foldAttrs = groupedScanAttrs(out)
-	default:
-		return false, nil
-	}
+// encodedSegmentScan folds one pinned segment into ga using the encoded
+// block kernel. ok is false — and nothing has been folded — when the
+// segment's needed groups hold no encodings; the caller then falls back to
+// a flat scan. preds must come from a successful SplitConjunction.
+func encodedSegmentScan(seg *storage.Segment, out Outputs, preds []ColPred, ga *groupedAcc, stats *StrategyStats) (ok bool, err error) {
+	foldAttrs := groupedScanAttrs(out)
 	er, ok, err := newEncReader(seg, readAttrs(foldAttrs, preds))
 	if err != nil || !ok {
 		return false, err
 	}
-
-	// sum(a+b+...), avg and count decompose over blocks, so a fully
-	// matching block folds from per-column sums alone; min/max over an
-	// expression must see row values.
-	summable := out.ExprAgg == expr.AggSum || out.ExprAgg == expr.AggAvg || out.ExprAgg == expr.AggCount
-
-	// Grouped folds bind keys and aggregate arguments to the current
-	// block's decoded columns.
-	var gf *groupedFolder
-	if out.Kind == OutGrouped {
-		gf = newGroupedFolder(out, foldAttrs, nil, seg)
-	}
+	// Keys and aggregate arguments bind to the current block's decoded
+	// columns.
+	gf := newGroupedFolder(out, foldAttrs, nil, seg)
+	headers := ga.scalar() && headerFoldable(gf.args)
 
 	nBlocks := (seg.Rows + storage.EncBlockRows - 1) / storage.EncBlockRows
 	selBuf := make([]int32, 0, storage.EncBlockRows)
-	var exprCols [][]data.Value
-	if out.Kind == OutAggExpression {
-		exprCols = make([][]data.Value, len(out.ExprAttrs))
-	}
 	for bi := 0; bi < nBlocks; bi++ {
-		n := storage.EncBlockRows
-		if r := seg.Rows - bi*storage.EncBlockRows; r < n {
-			n = r
-		}
+		n := min(storage.EncBlockRows, seg.Rows-bi*storage.EncBlockRows)
 		sel, haveSel, live := er.blockSel(bi, preds, selBuf, stats)
 		if !live {
 			continue
 		}
-
-		switch out.Kind {
-		case OutAggregates:
-			if !haveSel {
-				// Every row matches: fold the exact block statistics,
-				// payloads untouched.
-				for i, a := range out.AggAttrs {
-					b := er.blockOf(a, bi)
-					states[i].AddSummary(b.Min, b.Max, b.Sum, int64(b.Rows))
-				}
-				if stats != nil {
-					stats.DecodeSkips++
-				}
-				continue
+		if !haveSel && headers {
+			// Every row matches: fold the exact block statistics,
+			// payloads untouched.
+			er.foldHeaders(ga, gf.args, bi, n)
+			if stats != nil {
+				stats.DecodeSkips++
 			}
-			for i, a := range out.AggAttrs {
-				vals := er.block(a, bi, stats)
-				foldSelected(states[i], vals, sel)
-			}
-
-		case OutAggExpression:
-			if !haveSel && summable {
-				var total data.Value
-				for _, a := range out.ExprAttrs {
-					total += er.blockOf(a, bi).Sum
-				}
-				states[0].AddSummary(0, 0, total, int64(n))
-				if stats != nil {
-					stats.DecodeSkips++
-				}
-				continue
-			}
-			for i, a := range out.ExprAttrs {
-				exprCols[i] = er.block(a, bi, stats)
-			}
-			st := states[0]
-			if haveSel {
-				for _, r := range sel {
-					var v data.Value
-					for _, col := range exprCols {
-						v += col[r]
-					}
-					st.Add(v)
-				}
-			} else {
-				for r := 0; r < n; r++ {
-					var v data.Value
-					for _, col := range exprCols {
-						v += col[r]
-					}
-					st.Add(v)
-				}
-			}
-
-		case OutGrouped:
-			for _, a := range foldAttrs {
-				gf.binds[a] = colBinding{d: er.block(a, bi, stats), stride: 1}
-			}
-			if haveSel {
-				gf.foldSel(ga, sel)
-			} else {
-				gf.foldRange(ga, 0, n)
-			}
+			continue
+		}
+		for _, a := range foldAttrs {
+			gf.binds[a] = colBinding{d: er.block(a, bi, stats), stride: 1}
+		}
+		if haveSel {
+			gf.foldSel(ga, sel)
+		} else {
+			gf.foldRange(ga, 0, n)
 		}
 	}
 	return true, nil
+}
+
+// headerFoldable reports whether a block every row of which qualifies
+// folds into a scalar accumulator from its columns' header statistics:
+// count needs only the row count, sum and avg of a sum of columns the
+// columns' sums, min and max of one column its min or max. min and max of
+// a sum, and any other argument expression, must see row values.
+func headerFoldable(args []folderArg) bool {
+	for _, a := range args {
+		switch {
+		case a.op == expr.AggCount:
+		case a.cols == nil:
+			return false
+		case len(a.cols) > 1 && (a.op == expr.AggMin || a.op == expr.AggMax):
+			return false
+		}
+	}
+	return true
+}
+
+// foldHeaders folds block bi, all n of whose rows qualify, into the
+// scalar accumulator ga from the block headers alone; args must be
+// headerFoldable.
+func (er *encReader) foldHeaders(ga *groupedAcc, args []folderArg, bi, n int) {
+	ga.count[0] += int64(n)
+	for j, a := range args {
+		switch a.op {
+		case expr.AggSum, expr.AggAvg:
+			for _, c := range a.cols {
+				ga.add(j, 0, er.blockOf(c, bi).Sum)
+			}
+		case expr.AggMin:
+			ga.add(j, 0, er.blockOf(a.cols[0], bi).Min)
+		case expr.AggMax:
+			ga.add(j, 0, er.blockOf(a.cols[0], bi).Max)
+		}
+	}
 }
 
 // encodedProjectionScan materializes one pinned segment's qualifying rows
@@ -480,43 +415,4 @@ func ServesEncoded(rel *storage.Relation, q *query.Query) bool {
 		}
 	}
 	return false
-}
-
-// encodedSegPartial is the encoded pipeline's per-segment operator: the
-// block-header fold kernel when the segment's needed groups hold
-// encodings, the flat filter path otherwise — routed per segment, so one
-// query over a mixed relation serves each segment from its best form.
-func encodedSegPartial(seg *storage.Segment, q *query.Query, out Outputs, preds []ColPred, stats *StrategyStats) (*partial, error) {
-	states := newStates(out)
-	var ga *groupedAcc
-	if out.Kind == OutGrouped {
-		ga = newGroupedAcc(out)
-	}
-	if err := encodedOrFlatSegment(seg, q, out, preds, states, ga, stats); err != nil {
-		return nil, err
-	}
-	return &partial{states: states, groups: ga}, nil
-}
-
-// encodedOrFlatSegment scans one pinned segment into the global
-// accumulators: the encoded block kernel when the needed groups hold
-// encodings, otherwise the flat per-segment partial path with fresh
-// per-segment states merged in.
-func encodedOrFlatSegment(seg *storage.Segment, q *query.Query, out Outputs, preds []ColPred, states []*expr.AggState, ga *groupedAcc, stats *StrategyStats) error {
-	ok, err := encodedSegmentScan(seg, out, preds, states, ga, stats)
-	if err != nil || ok {
-		return err
-	}
-	sp, err := scanSegmentPartial(seg, q, out, preds, true, stats)
-	if err != nil {
-		return err
-	}
-	if out.Kind == OutGrouped {
-		ga.mergeMap(sp.Groups)
-		return nil
-	}
-	for i, st := range sp.States {
-		states[i].Merge(st)
-	}
-	return nil
 }

@@ -24,6 +24,11 @@ import (
 const (
 	eqSchemaWidth = 6
 	eqSegCap      = 128
+	// eqLongSegCap sizes the segments of eqRelation's long row choice,
+	// eqLongRows: one segment longer than two fold chunks, so every
+	// strategy's fold crosses chunk boundaries, and a tail.
+	eqLongSegCap = 3*VectorSize - 5
+	eqLongRows   = eqLongSegCap + 45
 	// eqSpreadAttr is the attribute eqSpreadKey may spread over int64.
 	eqSpreadAttr = eqSchemaWidth - 1
 )
@@ -42,13 +47,18 @@ func eqSpreadKey(rng *rand.Rand, col []data.Value) {
 }
 
 // eqRelation builds one randomized relation: random size (including zero
-// rows and exact segment-boundary sizes), random base layout, random
-// per-segment group additions so segments legitimately disagree on layout.
+// rows, exact segment-boundary sizes and a segment longer than two fold
+// chunks), random base layout, random per-segment group additions so
+// segments legitimately disagree on layout.
 func eqRelation(t testing.TB, rng *rand.Rand) *storage.Relation {
 	t.Helper()
 	schema := data.SyntheticSchema("R", eqSchemaWidth)
-	rowChoices := []int{0, 1, eqSegCap - 1, eqSegCap, 3 * eqSegCap, 4*eqSegCap + 77}
+	rowChoices := []int{0, 1, eqSegCap - 1, eqSegCap, 3 * eqSegCap, 4*eqSegCap + 77, eqLongRows}
 	rows := rowChoices[rng.Intn(len(rowChoices))]
+	segCap := eqSegCap
+	if rows == eqLongRows {
+		segCap = eqLongSegCap
+	}
 
 	var tb *data.Table
 	if rng.Intn(2) == 0 {
@@ -62,9 +72,9 @@ func eqRelation(t testing.TB, rng *rand.Rand) *storage.Relation {
 
 	var rel *storage.Relation
 	if rng.Intn(2) == 0 {
-		rel = storage.BuildColumnMajorSeg(tb, eqSegCap)
+		rel = storage.BuildColumnMajorSeg(tb, segCap)
 	} else {
-		rel = storage.BuildRowMajorSeg(tb, false, eqSegCap)
+		rel = storage.BuildRowMajorSeg(tb, false, segCap)
 	}
 
 	// Mixed layouts: stitch extra groups into a random subset of segments,
@@ -382,13 +392,6 @@ func eqStrategies(rng *rand.Rand) []eqStrategy {
 		{"generic", false, func(rel *storage.Relation, q *query.Query) (*Result, error) {
 			return Exec(rel, q, ExecOpts{Strategy: StrategyGeneric})
 		}},
-		{"vectorized", false, func(rel *storage.Relation, q *query.Query) (*Result, error) {
-			sizes := []int{0, 7, 64, 1024}
-			return Exec(rel, q, ExecOpts{Strategy: StrategyVectorized, VectorSize: sizes[rng.Intn(len(sizes))]})
-		}},
-		{"bitmap", false, func(rel *storage.Relation, q *query.Query) (*Result, error) {
-			return Exec(rel, q, ExecOpts{Strategy: StrategyBitmap})
-		}},
 		{"encoded", false, func(rel *storage.Relation, q *query.Query) (*Result, error) {
 			return Exec(rel, q, ExecOpts{Strategy: StrategyEncoded})
 		}},
@@ -414,9 +417,9 @@ func checkEquivalence(t *testing.T, rng *rand.Rand, rel *storage.Relation, q *qu
 		t.Fatalf("reference execution failed for %s: %v", q, err)
 	}
 	want = trimLimit(q, want)
-	if len(q.GroupBy) > 0 {
+	if Classify(q).Kind == OutGrouped {
 		if ref := refGroupedExec(t, rel, q); !want.Equal(ref) {
-			t.Fatalf("generic grouped %s diverged from the row-at-a-time fold:\n got %v\nwant %v", q, want.Data, ref.Data)
+			t.Fatalf("generic aggregate %s diverged from the row-at-a-time fold:\n got %v\nwant %v", q, want.Data, ref.Data)
 		}
 	}
 
@@ -677,11 +680,9 @@ func TestDeltaRepairEquivalence(t *testing.T) {
 					t.Fatalf("repair diverged on %s after mutation %d:\n got %v\nwant %v",
 						q, m, got.Data, want.Data)
 				}
-				if len(q.GroupBy) > 0 {
-					if ref := refGroupedExec(t, rel, q); !want.Equal(ref) {
-						t.Fatalf("generic grouped %s diverged from the row-at-a-time fold after mutation %d:\n got %v\nwant %v",
-							q, m, want.Data, ref.Data)
-					}
+				if ref := refGroupedExec(t, rel, q); !want.Equal(ref) {
+					t.Fatalf("generic aggregate %s diverged from the row-at-a-time fold after mutation %d:\n got %v\nwant %v",
+						q, m, want.Data, ref.Data)
 				}
 				// The repaired payload becomes the next round's cache, just
 				// as the serving layer republishes it.

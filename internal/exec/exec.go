@@ -40,9 +40,6 @@ type ExecOpts struct {
 	// > 1, serial execution when <= 1. The reorg pipeline is always
 	// serial (it mutates per-segment layout state).
 	Workers int
-	// VectorSize is the chunk size of StrategyVectorized; <= 0 selects
-	// the L1-sized default (VectorSize).
-	VectorSize int
 	// HotMask restricts StrategyReorg's stitching to the marked segments
 	// (nil stitches every segment).
 	HotMask []bool
@@ -78,17 +75,17 @@ type strategyEntry struct {
 
 // strategies is the registry. StrategyDelta has no pipeline builder: its
 // result shape is a PartialResult, served by ExecDelta (which shares this
-// file's claim loop for its fan-out).
+// file's claim loop for its fan-out). StrategyJoin spans two relations and
+// is served by ExecJoin; StrategyVectorized and StrategyBitmap have no row
+// at all (see their constants).
 var strategies = map[Strategy]strategyEntry{
-	StrategyRow:        {build: buildRow, costRank: 0, explainRank: 0, plannable: true, segPlan: rowSegPlan},
-	StrategyHybrid:     {build: buildHybrid, costRank: 1, explainRank: 1, plannable: true, segPlan: hybridSegPlan},
-	StrategyColumn:     {build: buildColumn, costRank: 2, explainRank: 2, plannable: true, segPlan: columnSegPlan},
-	StrategyGeneric:    {build: buildGeneric, costRank: -1, explainRank: 3, plannable: true, segPlan: genericSegPlan},
-	StrategyVectorized: {build: buildVectorized, costRank: -1, explainRank: -1, plannable: true},
-	StrategyBitmap:     {build: buildBitmap, costRank: -1, explainRank: -1, plannable: true},
-	StrategyEncoded:    {build: buildEncoded, costRank: -1, explainRank: -1},
-	StrategyReorg:      {build: buildReorg, costRank: -1, explainRank: -1},
-	StrategyDelta:      {costRank: -1, explainRank: -1},
+	StrategyRow:     {build: buildRow, costRank: 0, explainRank: 0, plannable: true, segPlan: rowSegPlan},
+	StrategyHybrid:  {build: buildHybrid, costRank: 1, explainRank: 1, plannable: true, segPlan: hybridSegPlan},
+	StrategyColumn:  {build: buildColumn, costRank: 2, explainRank: 2, plannable: true, segPlan: columnSegPlan},
+	StrategyGeneric: {build: buildGeneric, costRank: -1, explainRank: 3, plannable: true, segPlan: genericSegPlan},
+	StrategyEncoded: {build: buildEncoded, costRank: -1, explainRank: -1},
+	StrategyReorg:   {build: buildReorg, costRank: -1, explainRank: -1},
+	StrategyDelta:   {costRank: -1, explainRank: -1},
 }
 
 // rankedStrategies returns the registry entries with rank(entry) >= 0 in
@@ -193,9 +190,6 @@ type pipeline struct {
 	// scan is the per-segment operator: Filter → Project/Agg/Group over
 	// the pinned segment, emitting that segment's partial.
 	scan func(c *segCtx) (*partial, error)
-	// merge, when non-nil, replaces the default mergePartials(out, ...)
-	// (the generic pipeline's mixed-shape merge).
-	merge func(partials []*partial) (*Result, error)
 }
 
 // run drives the pipeline: plan the segment tasks (SegSource policy),
@@ -375,9 +369,6 @@ func (p *pipeline) pin(seg *storage.Segment) (bool, error) {
 
 // finish merges the per-segment partials into the final result.
 func (p *pipeline) finish(partials []*partial) (*Result, error) {
-	if p.merge != nil {
-		return p.merge(partials)
-	}
 	return mergePartials(p.out, partials), nil
 }
 
@@ -511,50 +502,6 @@ func buildHybrid(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipelin
 	}, nil
 }
 
-// buildVectorized is the chunked pipeline (§3.3): hybrid's operators over
-// vectorSize-row chunks whose intermediates stay L1-resident. The scratch
-// vectors are allocated per segment scan, so chunks share them but
-// concurrent segment tasks never do.
-func buildVectorized(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline, error) {
-	out, preds, err := splittableShape(q)
-	if err != nil {
-		return nil, err
-	}
-	vs := opts.VectorSize
-	if vs <= 0 {
-		vs = VectorSize
-	}
-	return &pipeline{
-		out:   out,
-		preds: preds,
-		limit: limitFor(out, q),
-		scan: func(c *segCtx) (*partial, error) {
-			return vectorSegPartial(c.seg, q, out, preds, vs, c.stats)
-		},
-	}, nil
-}
-
-// buildBitmap is hybrid's aggregate path with bit-vectors instead of
-// selection vectors; it serves the plain and grouped aggregation
-// templates only.
-func buildBitmap(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline, error) {
-	out := Classify(q)
-	if out.Kind != OutAggregates && out.Kind != OutGrouped {
-		return nil, ErrUnsupported
-	}
-	preds, splittable := SplitConjunction(q.Where)
-	if !splittable {
-		return nil, ErrUnsupported
-	}
-	return &pipeline{
-		out:   out,
-		preds: preds,
-		scan: func(c *segCtx) (*partial, error) {
-			return bitmapSegPartial(c.seg, q, out, preds, c.stats)
-		},
-	}, nil
-}
-
 // buildEncoded is the encoded-direct pipeline: aggregate-shaped queries
 // fold and projections materialize straight from the per-column encoded
 // blocks of sealed segments. Routing is per segment — segments whose
@@ -564,9 +511,7 @@ func buildBitmap(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipelin
 // declining whole-query when pruning leaves only flat segments.
 func buildEncoded(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline, error) {
 	out := Classify(q)
-	switch out.Kind {
-	case OutAggregates, OutAggExpression, OutGrouped, OutProjection:
-	default:
+	if out.Kind != OutGrouped && out.Kind != OutProjection {
 		return nil, ErrUnsupported
 	}
 	preds, splittable := SplitConjunction(q.Where)
@@ -575,7 +520,7 @@ func buildEncoded(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeli
 	}
 	limit := limitFor(out, q)
 	scan := func(c *segCtx) (*partial, error) {
-		return encodedSegPartial(c.seg, q, out, preds, c.stats)
+		return segmentPartial(c.seg, q, out, preds, true, c.stats)
 	}
 	if out.Kind == OutProjection {
 		scan = func(c *segCtx) (*partial, error) {
@@ -593,94 +538,42 @@ func buildEncoded(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeli
 
 // buildGeneric is the interpreted pipeline (paper §3.4): a
 // tuple-at-a-time operator reading through per-attribute accessor
-// indirection. It serves every query shape — including the mixed shapes
-// the template pipelines refuse — so it needs its own merge stage.
+// indirection. It serves every select shape the template pipelines
+// refuse, except one that mixes aggregates with plain columns outside
+// GROUP BY keys: that shape has no executor at all, so it gets a
+// definitive error instead of ErrUnsupported.
 func buildGeneric(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline, error) {
 	prunePreds, splittable := SplitConjunction(q.Where)
 	if !splittable {
 		prunePreds = nil
 	}
-	if len(q.GroupBy) > 0 {
-		out := Classify(q)
+	out := Classify(q)
+	if len(q.GroupBy) > 0 || q.HasAggregates() {
 		if out.Kind != OutGrouped {
-			// Unlike the specialized pipelines, which report ErrUnsupported
-			// and fall back here, an invalid grouped select shape has no
-			// executor at all, so it gets a definitive error.
-			return nil, fmt.Errorf("exec: grouped query %q: every select item must be an aggregate or a group-by column", q.String())
+			return nil, fmt.Errorf("exec: query %q: every select item must be an aggregate or a group-by column", q.String())
 		}
 		return &pipeline{
 			out:   out,
 			preds: prunePreds,
 			scan: func(c *segCtx) (*partial, error) {
-				ga := newGroupedAcc(out)
-				if err := genericGroupedSegmentScan(c.seg, q, out, ga); err != nil {
+				p := newPartial(out)
+				if err := genericGroupedSegmentScan(c.seg, q, out, p.groups); err != nil {
 					return nil, err
 				}
-				return &partial{groups: ga}, nil
+				return p, nil
 			},
 		}, nil
 	}
-	hasAgg := q.HasAggregates()
-	labels := make([]string, len(q.Items))
-	for i, it := range q.Items {
-		labels[i] = it.String()
-	}
-	itemStates := func() []*expr.AggState {
-		states := make([]*expr.AggState, len(q.Items))
-		for i, it := range q.Items {
-			if it.Agg != nil {
-				states[i] = expr.NewAggState(it.Agg.Op)
-			}
-		}
-		return states
-	}
-	limit := 0
-	if !hasAgg {
-		limit = q.Limit
-	}
 	return &pipeline{
+		out:   out,
 		preds: prunePreds,
-		limit: limit,
+		limit: q.Limit,
 		scan: func(c *segCtx) (*partial, error) {
-			states := itemStates()
-			res := &Result{}
-			if err := genericSegmentScan(c.seg, q, hasAgg, states, res); err != nil {
+			p := &partial{}
+			if err := genericSegmentScan(c.seg, q, p); err != nil {
 				return nil, err
 			}
-			return &partial{states: states, data: res.Data, rows: res.Rows}, nil
-		},
-		merge: func(partials []*partial) (*Result, error) {
-			if hasAgg {
-				// Mixed agg/non-agg selects collapse to one row with zero
-				// values for scalar items — the engine only plans pure
-				// shapes, this is a safety net.
-				states := itemStates()
-				for _, p := range partials {
-					for i, st := range p.states {
-						if st != nil {
-							states[i].Merge(st)
-						}
-					}
-				}
-				vals := make([]data.Value, len(q.Items))
-				for i := range q.Items {
-					if states[i] != nil {
-						vals[i] = states[i].Result()
-					}
-				}
-				return &Result{Cols: labels, Rows: 1, Data: vals}, nil
-			}
-			res := &Result{Cols: labels}
-			total := 0
-			for _, p := range partials {
-				total += len(p.data)
-			}
-			res.Data = make([]data.Value, 0, total)
-			for _, p := range partials {
-				res.Data = append(res.Data, p.data...)
-				res.Rows += p.rows
-			}
-			return res, nil
+			return p, nil
 		},
 	}, nil
 }
@@ -739,18 +632,13 @@ func buildReorg(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline
 		force:      isHot,
 		scan: func(c *segCtx) (*partial, error) {
 			if isHot(c.si, c.seg) {
-				states := newStates(out)
-				var ga *groupedAcc
-				if out.Kind == OutGrouped {
-					ga = newGroupedAcc(out)
-				}
-				res := &Result{}
-				g, err := reorgScanSegment(c.seg, out, preds, norm, states, res, ga)
+				p := newPartial(out)
+				g, err := reorgScanSegment(c.seg, out, preds, norm, p)
 				if err != nil {
 					return nil, err
 				}
 				newGroups[c.si] = g
-				return &partial{states: states, data: res.Data, rows: res.Rows, groups: ga}, nil
+				return p, nil
 			}
 			// Cold segment: answer from the existing layout. Stats stay nil
 			// — intermediate accounting belongs to the cost-compared

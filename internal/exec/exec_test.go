@@ -1,11 +1,14 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"h2o/internal/costmodel"
 	"h2o/internal/data"
 	"h2o/internal/expr"
 	"h2o/internal/query"
@@ -237,9 +240,14 @@ func TestClassify(t *testing.T) {
 		kind OutKind
 	}{
 		{query.Projection("R", []data.AttrID{1, 2}, nil), OutProjection},
-		{query.Aggregation("R", expr.AggMax, []data.AttrID{1}, nil), OutAggregates},
+		// Aggregates without GROUP BY are the group with no keys.
+		{query.Aggregation("R", expr.AggMax, []data.AttrID{1}, nil), OutGrouped},
 		{query.ArithExpression("R", []data.AttrID{1, 2}, nil), OutExpression},
-		{query.AggExpression("R", []data.AttrID{1, 2}, nil), OutAggExpression},
+		{query.AggExpression("R", []data.AttrID{1, 2}, nil), OutGrouped},
+		{&query.Query{Table: "R", Items: []query.SelectItem{
+			{Agg: &expr.Agg{Op: expr.AggSum, Arg: &expr.Arith{Op: expr.Mul, L: &expr.Col{ID: 0}, R: &expr.Col{ID: 1}}}},
+			{Agg: &expr.Agg{Op: expr.AggCount, Arg: &expr.Col{ID: 2}}},
+		}}, OutGrouped}, // any argument expression, any number of items
 		{&query.Query{Table: "R"}, OutOther},
 		{&query.Query{Table: "R", Items: []query.SelectItem{
 			{Expr: &expr.Arith{Op: expr.Mul, L: &expr.Col{ID: 0}, R: &expr.Col{ID: 1}}},
@@ -247,18 +255,54 @@ func TestClassify(t *testing.T) {
 		{&query.Query{Table: "R", Items: []query.SelectItem{
 			{Expr: &expr.Col{ID: 0}},
 			{Agg: &expr.Agg{Op: expr.AggSum, Arg: &expr.Col{ID: 1}}},
-		}}, OutOther}, // mixed select
+		}}, OutOther}, // mixed select: a plain column outside GROUP BY keys
+		{&query.Query{Table: "R", Items: []query.SelectItem{
+			{Agg: &expr.Agg{Op: expr.AggSum, Arg: &expr.Col{ID: 1}}},
+			{Expr: &expr.Arith{Op: expr.Add, L: &expr.Col{ID: 0}, R: &expr.Col{ID: 1}}},
+		}}, OutOther}, // mixed select: an expression beside an aggregate
+		{&query.Query{Table: "R", GroupBy: []expr.Col{{ID: 2}}, Items: []query.SelectItem{
+			{Expr: &expr.Col{ID: 0}},
+			{Agg: &expr.Agg{Op: expr.AggSum, Arg: &expr.Col{ID: 1}}},
+		}}, OutOther}, // a plain column that is not a key
 	}
 	for i, c := range cases {
-		if got := Classify(c.q); got.Kind != c.kind {
+		got := Classify(c.q)
+		if got.Kind != c.kind {
 			t.Errorf("case %d: kind = %v, want %v", i, got.Kind, c.kind)
+		}
+		if got.Kind == OutGrouped && len(c.q.GroupBy) == 0 {
+			if len(got.GroupBy) != 0 || len(got.GroupOps) != len(c.q.Items) {
+				t.Errorf("case %d: scalar aggregate classified with keys %v and %d aggregates", i, got.GroupBy, len(got.GroupOps))
+			}
+			for _, ki := range got.ItemKey {
+				if ki != -1 {
+					t.Errorf("case %d: scalar item key %v", i, got.ItemKey)
+				}
+			}
+		}
+	}
+	// A mixed select has no executor: the generic pipeline refuses it with
+	// a definitive error, not ErrUnsupported and not a made-up row.
+	tb := data.Generate(data.SyntheticSchema("R", 4), 10, 1)
+	mixed := &query.Query{Table: "R", Items: []query.SelectItem{
+		{Expr: &expr.Col{ID: 0}},
+		{Agg: &expr.Agg{Op: expr.AggSum, Arg: &expr.Col{ID: 1}}},
+	}}
+	for _, rel := range []*storage.Relation{storage.BuildColumnMajor(tb), storage.BuildRowMajor(tb, false)} {
+		for _, s := range []Strategy{StrategyRow, StrategyColumn, StrategyHybrid, StrategyEncoded} {
+			if _, err := Exec(rel, mixed, ExecOpts{Strategy: s}); err != ErrUnsupported {
+				t.Errorf("%v on a mixed select: err = %v, want ErrUnsupported", s, err)
+			}
+		}
+		if res, err := Exec(rel, mixed, ExecOpts{Strategy: StrategyGeneric}); err == nil || err == ErrUnsupported {
+			t.Errorf("generic on a mixed select: result %v, err = %v, want a definitive error", res, err)
 		}
 	}
 	// A single column is a projection, not an expression.
 	if got := Classify(query.Projection("R", []data.AttrID{5}, nil)); got.Kind != OutProjection {
 		t.Errorf("single column = %v", got.Kind)
 	}
-	for _, k := range []OutKind{OutProjection, OutAggregates, OutExpression, OutAggExpression, OutOther} {
+	for _, k := range []OutKind{OutProjection, OutExpression, OutGrouped, OutOther} {
 		if k.String() == "" {
 			t.Fatal("empty kind name")
 		}
@@ -327,42 +371,6 @@ func TestRefineSel(t *testing.T) {
 	}
 }
 
-func TestAggKernelsMatchStates(t *testing.T) {
-	tb := data.Generate(data.SyntheticSchema("R", 1), 777, 11)
-	g := storage.BuildGroup(tb, []data.AttrID{0})
-	sel := []int32{0, 5, 100, 700}
-	for _, op := range []expr.AggOp{expr.AggSum, expr.AggMax, expr.AggMin, expr.AggCount, expr.AggAvg} {
-		s := expr.NewAggState(op)
-		for r := 0; r < g.Rows; r++ {
-			s.Add(tb.Cols[0][r])
-		}
-		if got := AggColumnAll(g, 0, op); got != s.Result() {
-			t.Fatalf("AggColumnAll(%v) = %d, want %d", op, got, s.Result())
-		}
-		s2 := expr.NewAggState(op)
-		for _, r := range sel {
-			s2.Add(tb.Cols[0][r])
-		}
-		if got := AggColumnSel(g, 0, op, sel); got != s2.Result() {
-			t.Fatalf("AggColumnSel(%v) = %d, want %d", op, got, s2.Result())
-		}
-		vals := []data.Value{3, -1, 7, 7}
-		s3 := expr.NewAggState(op)
-		for _, v := range vals {
-			s3.Add(v)
-		}
-		if got := AggVector(vals, op); got != s3.Result() {
-			t.Fatalf("AggVector(%v) = %d, want %d", op, got, s3.Result())
-		}
-	}
-	if AggColumnSel(g, 0, expr.AggSum, nil) != 0 {
-		t.Fatal("empty selection should aggregate to 0")
-	}
-	if AggVector(nil, expr.AggMax) != 0 {
-		t.Fatal("empty vector should aggregate to 0")
-	}
-}
-
 func TestSumOffsetsKernels(t *testing.T) {
 	tb := data.Generate(data.SyntheticSchema("R", 6), 300, 13)
 	g := storage.BuildGroup(tb, []data.AttrID{0, 1, 2, 3, 4, 5})
@@ -394,25 +402,6 @@ func TestSumOffsetsKernels(t *testing.T) {
 				t.Fatalf("k=%d SumOffsetsSel idx %d wrong", k, i)
 			}
 		}
-	}
-}
-
-func TestAddVectorsMaterialized(t *testing.T) {
-	a := []data.Value{1, 2, 3}
-	b := []data.Value{10, 20, 30}
-	c := []data.Value{100, 200, 300}
-	got := AddVectorsMaterialized([][]data.Value{a, b, c})
-	if !reflect.DeepEqual(got, []data.Value{111, 222, 333}) {
-		t.Fatalf("sum = %v", got)
-	}
-	// Single input must copy, not alias.
-	single := AddVectorsMaterialized([][]data.Value{a})
-	single[0] = 99
-	if a[0] == 99 {
-		t.Fatal("single-column result aliases input")
-	}
-	if AddVectorsMaterialized(nil) != nil {
-		t.Fatal("empty input should be nil")
 	}
 }
 
@@ -510,6 +499,125 @@ func TestAccessPlans(t *testing.T) {
 			t.Fatal("empty strategy name")
 		}
 	}
+	checkScalarPlans(t, col, row, grp)
+}
+
+// scalarPlanShapes are the repository benchmark's scalar select shapes:
+// its fresh scalar aggregate (sum, count and max under an a0 range), its
+// sum of columns, and a multi-aggregate over six columns.
+func scalarPlanShapes() []*query.Query {
+	agg := func(op expr.AggOp, a data.AttrID) query.SelectItem {
+		return query.SelectItem{Agg: &expr.Agg{Op: op, Arg: &expr.Col{ID: a}}}
+	}
+	a0Range := &expr.And{Terms: []expr.Pred{
+		&expr.Cmp{Op: expr.Ge, L: &expr.Col{ID: 0}, R: &expr.Const{V: -100_000_000}},
+		&expr.Cmp{Op: expr.Lt, L: &expr.Col{ID: 0}, R: &expr.Const{V: 100_000_000}},
+	}}
+	return []*query.Query{
+		{Table: "R", Where: a0Range, Items: []query.SelectItem{agg(expr.AggSum, 3), agg(expr.AggCount, 0), agg(expr.AggMax, 4)}},
+		query.AggExpression("R", []data.AttrID{1, 5, 9, 11}, query.PredLt(6, 500_000_000)),
+		{Table: "R", Where: query.PredLt(0, 0), Items: []query.SelectItem{
+			agg(expr.AggSum, 1), agg(expr.AggMax, 2), agg(expr.AggMin, 4),
+			agg(expr.AggCount, 7), agg(expr.AggAvg, 9), agg(expr.AggSum, 10),
+		}},
+	}
+}
+
+// planString renders an access plan compactly and exactly: one
+// {stride width used rows selectivity intermediates} tuple per access.
+func planString(plan []costmodel.GroupAccess) string {
+	if plan == nil {
+		return "nil"
+	}
+	var b strings.Builder
+	for _, a := range plan {
+		fmt.Fprintf(&b, "{%d %d %d %d %v %d}", a.Stride, a.Width, a.Used, a.Rows, a.Selectivity, a.IntermediateWords)
+	}
+	return b.String()
+}
+
+// checkScalarPlans pins the exact access plans of every costed strategy
+// for the benchmark's scalar shapes on row-major, column-major,
+// three-group and per-segment mixed layouts, so the chooser's picks for
+// them stay where they are.
+func checkScalarPlans(t *testing.T, col, row, grp *storage.Relation) {
+	t.Helper()
+	tb := data.Generate(data.SyntheticSchema("R", testAttrs), testRows, 77)
+	mixed := storage.BuildColumnMajorSeg(tb, testRows/4)
+	all := make([]data.AttrID, testAttrs)
+	for a := range all {
+		all[a] = a
+	}
+	for _, si := range []int{0, 2} {
+		g, err := storage.StitchSeg(mixed.Segments[si], all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mixed.Segments[si].AddGroup(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rels := []*storage.Relation{row, col, grp, mixed}
+	want := scalarPlanWant
+	var got []string
+	for _, q := range scalarPlanShapes() {
+		for _, s := range CostedStrategies() {
+			for _, rel := range rels {
+				got = append(got, planString(AccessPlan(s, rel, q, 0.25)))
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d plans, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			shape, rest := i/(3*len(rels)), i%(3*len(rels))
+			t.Errorf("%s: %v on layout %d: plan %s, want %s", scalarPlanShapes()[shape], CostedStrategies()[rest/len(rels)], rest%len(rels), got[i], want[i])
+		}
+	}
+}
+
+// scalarPlanWant lists checkScalarPlans' expected plans: per shape, per
+// costed strategy (row, hybrid, column), the row-major, column-major,
+// three-group and mixed layouts.
+var scalarPlanWant = []string{
+	"{12 12 3 2000 1 0}",
+	"nil",
+	"nil",
+	"nil",
+	"{12 12 3 2000 1 250}",
+	"{1 1 1 2000 1 250}{1 1 1 2000 0.25 0}{1 1 1 2000 0.25 0}",
+	"{4 4 2 2000 1 250}{3 3 1 2000 0.25 0}",
+	"{12 12 3 500 1 62}{1 1 1 500 1 62}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{12 12 3 500 1 62}{1 1 1 500 1 62}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}",
+	"{12 12 1 2000 1 250}{12 12 1 2000 0.25 0}{12 12 1 2000 0.25 0}{12 12 1 2000 0.25 0}",
+	"{1 1 1 2000 1 250}{1 1 1 2000 0.25 0}{1 1 1 2000 0.25 0}{1 1 1 2000 0.25 0}",
+	"{4 4 1 2000 1 250}{4 4 1 2000 0.25 0}{4 4 1 2000 0.25 0}{3 3 1 2000 0.25 0}",
+	"{1 1 1 500 1 62}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 1 62}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 1 62}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 1 62}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}",
+	"{12 12 5 2000 1 0}",
+	"nil",
+	"nil",
+	"nil",
+	"{12 12 5 2000 1 1250}",
+	"{1 1 1 2000 0.25 1000}{1 1 1 2000 0.25 1000}{1 1 1 2000 1 1250}{1 1 1 2000 0.25 1000}{1 1 1 2000 0.25 1000}",
+	"{3 3 2 2000 1 1250}{5 5 2 2000 0.25 1000}{4 4 1 2000 0.25 1000}",
+	"{12 12 5 500 1 312}{1 1 1 500 0.25 250}{1 1 1 500 0.25 250}{1 1 1 500 1 312}{1 1 1 500 0.25 250}{1 1 1 500 0.25 250}{12 12 5 500 1 312}{1 1 1 500 0.25 250}{1 1 1 500 0.25 250}{1 1 1 500 1 312}{1 1 1 500 0.25 250}{1 1 1 500 0.25 250}",
+	"{12 12 1 2000 1 250}{12 12 1 2000 0.25 500}{12 12 1 2000 0.25 500}{12 12 1 2000 0.25 500}{12 12 1 2000 0.25 500}",
+	"{1 1 1 2000 1 250}{1 1 1 2000 0.25 500}{1 1 1 2000 0.25 500}{1 1 1 2000 0.25 500}{1 1 1 2000 0.25 500}",
+	"{3 3 1 2000 1 250}{4 4 1 2000 0.25 500}{3 3 1 2000 0.25 500}{5 5 1 2000 0.25 500}{5 5 1 2000 0.25 500}",
+	"{1 1 1 500 1 62}{1 1 1 500 0.25 125}{1 1 1 500 0.25 125}{1 1 1 500 0.25 125}{1 1 1 500 0.25 125}{1 1 1 500 1 62}{1 1 1 500 0.25 125}{1 1 1 500 0.25 125}{1 1 1 500 0.25 125}{1 1 1 500 0.25 125}{1 1 1 500 1 62}{1 1 1 500 0.25 125}{1 1 1 500 0.25 125}{1 1 1 500 0.25 125}{1 1 1 500 0.25 125}{1 1 1 500 1 62}{1 1 1 500 0.25 125}{1 1 1 500 0.25 125}{1 1 1 500 0.25 125}{1 1 1 500 0.25 125}",
+	"{12 12 7 2000 1 0}",
+	"nil",
+	"nil",
+	"nil",
+	"{12 12 7 2000 1 250}",
+	"{1 1 1 2000 1 250}{1 1 1 2000 0.25 0}{1 1 1 2000 0.25 0}{1 1 1 2000 0.25 0}{1 1 1 2000 0.25 0}{1 1 1 2000 0.25 0}{1 1 1 2000 0.25 0}",
+	"{4 4 3 2000 1 250}{5 5 3 2000 0.25 0}{3 3 1 2000 0.25 0}",
+	"{12 12 7 500 1 62}{1 1 1 500 1 62}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{12 12 7 500 1 62}{1 1 1 500 1 62}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}",
+	"{12 12 1 2000 1 250}{12 12 1 2000 0.25 0}{12 12 1 2000 0.25 0}{12 12 1 2000 0.25 0}{12 12 1 2000 0.25 0}{12 12 1 2000 0.25 0}{12 12 1 2000 0.25 0}",
+	"{1 1 1 2000 1 250}{1 1 1 2000 0.25 0}{1 1 1 2000 0.25 0}{1 1 1 2000 0.25 0}{1 1 1 2000 0.25 0}{1 1 1 2000 0.25 0}{1 1 1 2000 0.25 0}",
+	"{4 4 1 2000 1 250}{4 4 1 2000 0.25 0}{4 4 1 2000 0.25 0}{3 3 1 2000 0.25 0}{5 5 1 2000 0.25 0}{5 5 1 2000 0.25 0}{5 5 1 2000 0.25 0}",
+	"{1 1 1 500 1 62}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 1 62}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 1 62}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 1 62}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}{1 1 1 500 0.25 0}",
 }
 
 // Property: for random single-predicate aggregation queries, row, column,

@@ -11,25 +11,29 @@ import (
 	"h2o/internal/storage"
 )
 
-// This file holds the grouped-aggregation machinery shared by every
-// strategy. A per-scan accumulator (groupedAcc) hands each group a dense
-// id through a key directory (keyDir: dense key - lo for a small single-key
-// span, hashed otherwise) and keeps the group states in typed int64 arrays
-// indexed by id: one row count shared by every aggregate, and one array per
-// sum, avg, min or max aggregate. A folder (groupedFolder) binds the keys
-// and aggregate arguments to one segment's layout — or one column group,
-// or one encoded block — and folds a selection one VectorSize chunk at a
-// time: the chunk's group ids are computed once, then each aggregate runs
-// one tight loop over its argument values. Every strategy folds through
-// it; only the join's joined rows (foldJoined) fold one at a time.
+// This file holds the aggregation machinery every aggregate output shares,
+// grouped or not. A per-scan accumulator (groupedAcc) hands each group a
+// dense id through a key directory (keyDir: dense key - lo for a small
+// single-key span, hashed otherwise) and keeps the group states in typed
+// int64 arrays indexed by id: one row count shared by every aggregate, and
+// one array per sum, avg, min or max aggregate. A scalar aggregate is the
+// group with no keys: its one group has id 0, every row folds into it,
+// and it is a result row even when no row qualifies. A folder
+// (groupedFolder) binds the keys and aggregate arguments to one segment's
+// layout — or one column group, or one encoded block — and folds a
+// selection one VectorSize chunk at a time: the chunk's group ids are
+// computed once, each aggregate's argument values are built the way the
+// strategy builds them, then each aggregate runs one tight loop over them.
+// Every strategy, the join's joined rows and the merges of partials update
+// aggregate state through this one accumulator.
 //
-// The canonical map form, encoded group key → one expr.AggState per
-// aggregate, is built once per finished accumulator by groups(), for the
-// SegPartial payloads of delta repair; groupedResult reads the typed
-// arrays directly. All strategies emit groups ordered ascending by key
-// vector, so grouped results are bit-identical across strategies and the
-// delta-repair path, and LIMIT on a grouped query is a deterministic
-// prefix of groups.
+// The canonical forms of delta repair's SegPartial payloads — encoded group
+// key → one expr.AggState per aggregate, or for no keys one AggState per
+// aggregate — are built once per finished accumulator by groups() and
+// states(); groupedResult reads the typed arrays directly. All strategies
+// emit groups ordered ascending by key vector, so grouped results are
+// bit-identical across strategies and the delta-repair path, and LIMIT on a
+// grouped query is a deterministic prefix of groups.
 
 // encodeGroupKey appends the order-preserving fixed-width encoding of key to
 // dst: each value is sign-flipped and written big-endian, so lexicographic
@@ -64,7 +68,9 @@ const denseMaxSlots = 4096
 // group ids, and per id a row count and one typed state per aggregate
 // select item, in item order. A group is live once its count is positive.
 // min and max arrays start at their operator's identity (MaxInt64,
-// MinInt64), so a compare needs no first-value flag.
+// MinInt64), so a compare needs no first-value flag; a state is read only
+// for a group that has rows. With no keys the directory is dense over the
+// one id 0.
 type groupedAcc struct {
 	ops   []expr.AggOp
 	dir   keyDir
@@ -73,12 +79,20 @@ type groupedAcc struct {
 }
 
 func newGroupedAcc(out Outputs) *groupedAcc {
-	return &groupedAcc{
+	ga := &groupedAcc{
 		ops:  out.GroupOps,
 		dir:  keyDir{width: len(out.GroupBy)},
 		vals: make([][]data.Value, len(out.GroupOps)),
 	}
+	if ga.scalar() {
+		ga.dir = keyDir{dense: true, n: 1}
+		ga.extend(1)
+	}
+	return ga
 }
+
+// scalar reports whether ga has no group keys: every row folds into id 0.
+func (ga *groupedAcc) scalar() bool { return ga.dir.width == 0 }
 
 // identity is op's starting state: the value every fold of op leaves
 // unchanged.
@@ -163,6 +177,9 @@ func (ga *groupedAcc) live() []int32 {
 // and a dense one converts when kv falls outside its span.
 func (ga *groupedAcc) id(kv []data.Value) int32 {
 	d := &ga.dir
+	if ga.scalar() {
+		return 0
+	}
 	if !d.planned() {
 		*d = hashedKeyDir(d.width, 0)
 	}
@@ -225,11 +242,31 @@ var chunkOrder = func() []int32 {
 }()
 
 // fold folds the value of row sel[i], read through b, into group ids[i] of
-// aggregate j: one loop per operator over the typed state array. Count
-// aggregates have no array: the shared count already holds them.
+// aggregate j — into group 0 when ids is nil, the scalar case, through one
+// register accumulator: one loop per operator over the typed state array.
+// Count aggregates have no array: the shared count already holds them.
 func (ga *groupedAcc) fold(j int, ids []int32, b *colBinding, sel []int32) {
 	s := ga.vals[j]
 	d, stride, off := b.d, b.stride, b.off
+	if ids == nil {
+		acc := s[0]
+		switch ga.ops[j] {
+		case expr.AggSum, expr.AggAvg:
+			for _, r := range sel {
+				acc += d[int(r)*stride+off]
+			}
+		case expr.AggMin:
+			for _, r := range sel {
+				acc = min(acc, d[int(r)*stride+off])
+			}
+		case expr.AggMax:
+			for _, r := range sel {
+				acc = max(acc, d[int(r)*stride+off])
+			}
+		}
+		s[0] = acc
+		return
+	}
 	sel = sel[:len(ids)]
 	switch ga.ops[j] {
 	case expr.AggSum, expr.AggAvg:
@@ -295,18 +332,27 @@ func (ga *groupedAcc) mergeMap(m map[string][]*expr.AggState) {
 			ga.count[id]++ // a key-only group: any positive count marks it live
 			continue
 		}
-		ga.count[id] += src[0].Count
-		for j, st := range src {
-			if st.Count > 0 {
-				ga.add(j, id, st.Acc)
-			}
+		ga.mergeStates(id, src)
+	}
+}
+
+// mergeStates folds one group's canonical states (one per aggregate) into
+// group id; a scalar SegPartial's States merge into id 0. src is not
+// mutated.
+func (ga *groupedAcc) mergeStates(id int32, src []*expr.AggState) {
+	if len(src) == 0 {
+		return
+	}
+	ga.count[id] += src[0].Count
+	for j, st := range src {
+		if st.Count > 0 {
+			ga.add(j, id, st.Acc)
 		}
 	}
 }
 
 // groups builds the canonical map of the live groups: encoded group key →
-// one AggState per aggregate, each set by AddSummary from the typed state.
-// All groups' states share two allocations.
+// one AggState per aggregate. All groups' states share two allocations.
 func (ga *groupedAcc) groups() map[string][]*expr.AggState {
 	live := ga.live()
 	m := make(map[string][]*expr.AggState, len(live))
@@ -317,16 +363,7 @@ func (ga *groupedAcc) groups() map[string][]*expr.AggState {
 	var kb []byte
 	for g, id := range live {
 		sts := ptrs[g*w : (g+1)*w : (g+1)*w]
-		for j, op := range ga.ops {
-			var v data.Value
-			if ga.vals[j] != nil {
-				v = ga.vals[j][id]
-			}
-			st := &block[g*w+j]
-			st.Op = op
-			st.AddSummary(v, v, v, ga.count[id])
-			sts[j] = st
-		}
+		ga.stateOf(id, block[g*w:(g+1)*w], sts)
 		kv = ga.dir.key(id, kv[:0])
 		kb = encodeGroupKey(kb[:0], kv)
 		m[string(kb)] = sts
@@ -334,11 +371,38 @@ func (ga *groupedAcc) groups() map[string][]*expr.AggState {
 	return m
 }
 
+// states builds a scalar accumulator's canonical form: one AggState per
+// aggregate, each empty when no row was folded.
+func (ga *groupedAcc) states() []*expr.AggState {
+	sts := make([]*expr.AggState, len(ga.ops))
+	ga.stateOf(0, make([]expr.AggState, len(ga.ops)), sts)
+	return sts
+}
+
+// stateOf sets block[j], and points sts[j] at it, to group id's state of
+// aggregate j, as AddSummary folds it from the typed state.
+func (ga *groupedAcc) stateOf(id int32, block []expr.AggState, sts []*expr.AggState) {
+	for j, op := range ga.ops {
+		var v data.Value
+		if ga.vals[j] != nil {
+			v = ga.vals[j][id]
+		}
+		st := &block[j]
+		st.Op = op
+		st.AddSummary(v, v, v, ga.count[id])
+		sts[j] = st
+	}
+}
+
 // groupedResult materializes the accumulated groups as a Result with one row
-// per group, ordered ascending by key vector. Key items read from the
-// directory; aggregate items finalize their typed states.
+// per group, ordered ascending by key vector — for no keys, exactly one
+// row. Key items read from the directory; aggregate items finalize their
+// typed states.
 func groupedResult(out Outputs, ga *groupedAcc) *Result {
 	live := ga.live()
+	if ga.scalar() {
+		live = []int32{0}
+	}
 	w := ga.dir.width
 	keys := make([]data.Value, 0, len(live)*w)
 	for _, id := range live {
@@ -381,7 +445,7 @@ func groupedResult(out Outputs, ga *groupedAcc) *Result {
 			}
 			j := aggIdx[i]
 			st := expr.AggState{Op: ga.ops[j], Count: ga.count[id]}
-			if ga.vals[j] != nil {
+			if ga.vals[j] != nil && st.Count > 0 {
 				st.Acc = ga.vals[j][id]
 			}
 			res.Data = append(res.Data, st.Result())
@@ -391,12 +455,15 @@ func groupedResult(out Outputs, ga *groupedAcc) *Result {
 }
 
 // groupedScanAttrs returns the attributes a grouped fold must read: the
-// group keys plus every aggregate-argument attribute. Predicate columns are
+// group keys plus every attribute of an aggregate argument whose values
+// are folded (a count never reads its argument). Predicate columns are
 // excluded — the caller's selection machinery has already applied them.
 func groupedScanAttrs(out Outputs) []data.AttrID {
 	attrs := append([]data.AttrID(nil), out.GroupBy...)
-	for _, e := range out.GroupArgs {
-		attrs = e.Attrs(attrs)
+	for j, e := range out.GroupArgs {
+		if out.GroupOps[j] != expr.AggCount {
+			attrs = e.Attrs(attrs)
+		}
 	}
 	return data.SortedUnique(attrs)
 }
@@ -429,8 +496,9 @@ func bindAttrs(assign map[data.AttrID]*storage.ColumnGroup, attrs []data.AttrID)
 
 // groupedFolder folds selections of one layout's rows into a groupedAcc.
 // Keys and aggregate arguments read through binds (attribute id →
-// binding): pure column sums by position, other argument expressions (and
-// the generic strategy's predicate) through the get accessor at row.
+// binding): column arguments directly, sums of columns by position, other
+// argument expressions (and the generic strategy's predicate) through the
+// get accessor at row.
 type groupedFolder struct {
 	keys  []data.AttrID
 	args  []folderArg
@@ -441,18 +509,55 @@ type groupedFolder struct {
 	lo, hi  data.Value // the single key's exact bounds, when bounded
 	bounded bool
 
+	// pairwise, set by the column-late strategy, builds a sum of columns
+	// by late materialization: every column is gathered into an
+	// intermediate and every addition writes a fresh one, each word
+	// counted into stats (which may be nil).
+	pairwise bool
+	stats    *StrategyStats
+
+	// tuple, set for a folder bound to one strided column group (the row
+	// strategy's layout), is the group whose mini-tuples push reads as it
+	// queues each row, while the tuple is hot: the keys and column
+	// arguments are copied out of it (the words at offsets toffs), and each
+	// sum of columns is summed across it (the words at offsets tsums[k]),
+	// into one row of the chunk's tuple block tbuf. Chunk row i holds its
+	// copies, then its sums, from tbuf[i*tw]; attribute a's column is
+	// tpos[a]-1, and tcols binds each column. The folds read those columns
+	// in chunk order.
+	tuple *storage.ColumnGroup
+	toffs []int
+	tsums [][]int
+	tw    int
+	tpos  []int
+	tbuf  []data.Value
+	tcols []colBinding
+
 	sel  []int32      // rows queued by push
 	ids  []int32      // the chunk's group ids, grown to the largest chunk
 	kbuf []data.Value // the chunk's key vectors, back to back
 	vals []data.Value // the chunk's values of one argument
+	tmp  []data.Value // a sum's scratch: one group's share, or the intermediates
 }
 
 // folderArg is one aggregate: its operator, and its argument as a sum of
 // bound columns or (cols nil) an expression read through the accessor.
+// parts splits a sum of several columns by the column group storing them,
+// when the folder is bound to groups; tcol is the sum's tuple column + 1
+// on a tuple folder.
 type folderArg struct {
-	op   expr.AggOp
-	cols []data.AttrID
-	e    expr.Expr
+	op    expr.AggOp
+	cols  []data.AttrID
+	parts []sumPart
+	tcol  int
+	e     expr.Expr
+}
+
+// sumPart is the share of a sum of columns that one column group stores:
+// the word offsets of its summed columns within the group's mini-tuples.
+type sumPart struct {
+	g    *storage.ColumnGroup
+	offs []int
 }
 
 // keyBounds reads the exact bounds of an attribute's values, as
@@ -482,11 +587,28 @@ func newGroupedFolder(out Outputs, attrs []data.AttrID, groupOf func(data.AttrID
 		f.lo, f.hi, f.bounded = bounds.Bounds(f.keys[0])
 	}
 	for j, e := range out.GroupArgs {
-		f.args[j].op = out.GroupOps[j]
-		if attrs, ok := SumLeaves(e); ok {
-			f.args[j].cols = attrs
-		} else {
-			f.args[j].e = e
+		a := &f.args[j]
+		a.op = out.GroupOps[j]
+		cols, ok := SumLeaves(e)
+		if !ok {
+			a.e = e
+			continue
+		}
+		a.cols = cols
+		if groupOf == nil || len(cols) < 2 || a.op == expr.AggCount {
+			continue
+		}
+		for _, c := range cols {
+			g := groupOf(c)
+			off, _ := g.Offset(c)
+			i := 0
+			for i < len(a.parts) && a.parts[i].g != g {
+				i++
+			}
+			if i == len(a.parts) {
+				a.parts = append(a.parts, sumPart{g: g})
+			}
+			a.parts[i].offs = append(a.parts[i].offs, off)
 		}
 	}
 	f.get = func(a data.AttrID) data.Value { return f.binds[a].at(f.row) }
@@ -513,13 +635,75 @@ func segmentFolder(seg *storage.Segment, attrs []data.AttrID, out Outputs) (*gro
 }
 
 // columnGroupFolder binds out's groups against one covering column group,
-// the fused row kernels' layout.
+// the fused row kernels' layout: a strided group's tuples are read row by
+// row.
 func columnGroupFolder(g *storage.ColumnGroup, out Outputs) *groupedFolder {
-	return newGroupedFolder(out, g.Attrs, func(data.AttrID) *storage.ColumnGroup { return g }, g)
+	f := newGroupedFolder(out, groupedScanAttrs(out), func(data.AttrID) *storage.ColumnGroup { return g }, g)
+	if g.Stride == 1 {
+		return f
+	}
+	f.tuple = g
+	f.tpos = make([]int, len(f.binds))
+	read := func(a data.AttrID) {
+		if f.tpos[a] == 0 {
+			off, _ := g.Offset(a)
+			f.toffs = append(f.toffs, off)
+			f.tpos[a] = len(f.toffs)
+		}
+	}
+	for _, a := range f.keys {
+		read(a)
+	}
+	for j := range f.args {
+		if a := &f.args[j]; a.op != expr.AggCount && len(a.cols) == 1 {
+			read(a.cols[0])
+		}
+	}
+	for j := range f.args { // the sums follow every copied column
+		if a := &f.args[j]; a.op != expr.AggCount && a.parts != nil {
+			f.tsums = append(f.tsums, a.parts[0].offs)
+			a.tcol = len(f.toffs) + len(f.tsums)
+		}
+	}
+	f.tw = len(f.toffs) + len(f.tsums)
+	f.tbuf = make([]data.Value, f.tw*VectorSize)
+	f.tcols = make([]colBinding, f.tw)
+	for k := range f.tcols {
+		f.tcols[k] = colBinding{d: f.tbuf, stride: f.tw, off: k}
+	}
+	return f
 }
 
-// push queues row r; every full chunk of queued rows folds at once.
+// column returns the binding attribute a is read through in the chunk sel,
+// and the selection to read it with: the tuple columns in chunk order, or
+// a's own binding at sel's rows.
+func (f *groupedFolder) column(a data.AttrID, sel []int32) (*colBinding, []int32) {
+	if f.tuple != nil {
+		return &f.tcols[f.tpos[a]-1], chunkOrder[:len(sel)]
+	}
+	return &f.binds[a], sel
+}
+
+// push queues row r — a tuple folder copies its columns out while its
+// tuple is hot, to the next chunk row of tbuf — and folds every full
+// chunk of queued rows at once.
 func (f *groupedFolder) push(ga *groupedAcc, r int) {
+	if f.tuple != nil {
+		i := len(f.sel) * f.tw
+		row := f.tbuf[i : i+f.tw]
+		tup := f.tuple.Data[r*f.tuple.Stride:]
+		for k, off := range f.toffs {
+			row[k] = tup[off]
+		}
+		row = row[len(f.toffs):]
+		for k, offs := range f.tsums {
+			var v data.Value
+			for _, o := range offs {
+				v += tup[o]
+			}
+			row[k] = v
+		}
+	}
 	f.sel = append(f.sel, int32(r))
 	if len(f.sel) == VectorSize {
 		f.flush(ga)
@@ -536,6 +720,13 @@ func (f *groupedFolder) flush(ga *groupedAcc) {
 
 // foldSel folds the rows listed in sel, one chunk at a time.
 func (f *groupedFolder) foldSel(ga *groupedAcc, sel []int32) {
+	if f.tuple != nil {
+		for _, r := range sel {
+			f.push(ga, int(r))
+		}
+		f.flush(ga)
+		return
+	}
 	for len(sel) > 0 {
 		n := min(len(sel), VectorSize)
 		f.foldChunk(ga, sel[:n])
@@ -551,73 +742,147 @@ func (f *groupedFolder) foldRange(ga *groupedAcc, lo, hi int) {
 	f.flush(ga)
 }
 
+// scratch returns a buffer of n values backed by *buf, grown as needed.
+func scratch(buf *[]data.Value, n int) []data.Value {
+	if len(*buf) < n {
+		*buf = make([]data.Value, n)
+	}
+	return (*buf)[:n]
+}
+
 // foldChunk folds at most VectorSize rows: it gathers their key vectors,
-// turns them into group ids once (planning ga's directory on first use),
-// then folds each aggregate's argument values in one typed loop.
+// turns them into group ids once (planning ga's directory on first use) —
+// or, with no keys, counts them into group 0 — then folds each
+// aggregate's argument values in one typed loop.
 func (f *groupedFolder) foldChunk(ga *groupedAcc, sel []int32) {
 	n, w := len(sel), len(f.keys)
-	if len(f.ids) < n {
-		f.ids, f.kbuf, f.vals = make([]int32, n), make([]data.Value, n*w), make([]data.Value, n)
-	}
-	keys := f.kbuf[:n*w]
-	for j, a := range f.keys {
-		b := &f.binds[a]
-		for i, r := range sel {
-			keys[i*w+j] = b.at(int(r))
+	var ids []int32
+	if w == 0 {
+		ga.count[0] += int64(n)
+	} else {
+		if len(f.ids) < n {
+			f.ids, f.kbuf = make([]int32, n), make([]data.Value, n*w)
 		}
-	}
-	if !ga.dir.planned() {
-		lo, hi := f.lo, f.hi
-		if !f.bounded && w == 1 {
-			lo, hi = keys[0], keys[0]
-			for _, k := range keys {
-				lo, hi = min(lo, k), max(hi, k)
+		keys := f.kbuf[:n*w]
+		for j, a := range f.keys {
+			b, rows := f.column(a, sel)
+			for i, r := range rows {
+				keys[i*w+j] = b.at(int(r))
 			}
 		}
-		ga.plan(lo, hi)
+		if !ga.dir.planned() {
+			lo, hi := f.lo, f.hi
+			if !f.bounded && w == 1 {
+				lo, hi = keys[0], keys[0]
+				for _, k := range keys {
+					lo, hi = min(lo, k), max(hi, k)
+				}
+			}
+			ga.plan(lo, hi)
+		}
+		ids = f.ids[:n]
+		ga.ids(keys, ids)
 	}
-	ids := f.ids[:n]
-	ga.ids(keys, ids)
 	for j := range f.args {
 		a := &f.args[j]
 		if a.op == expr.AggCount {
 			continue
 		}
 		if len(a.cols) == 1 {
-			ga.fold(j, ids, &f.binds[a.cols[0]], sel)
+			b, rows := f.column(a.cols[0], sel)
+			ga.fold(j, ids, b, rows)
 			continue
 		}
-		vals := f.vals[:n]
-		if a.cols != nil {
-			b := &f.binds[a.cols[0]]
-			for i, r := range sel {
-				vals[i] = b.at(int(r))
-			}
-			for _, c := range a.cols[1:] {
-				b := &f.binds[c]
-				for i, r := range sel {
-					vals[i] += b.at(int(r))
-				}
-			}
-		} else {
-			for i, r := range sel {
-				f.row = int(r)
-				vals[i] = a.e.Eval(f.get)
+		if a.tcol > 0 {
+			ga.fold(j, ids, &f.tcols[a.tcol-1], chunkOrder[:n])
+			continue
+		}
+		ga.fold(j, ids, &colBinding{d: f.argVals(a, sel), stride: 1}, chunkOrder[:n])
+	}
+}
+
+// argVals builds the values of a's argument at the rows of sel: an
+// expression through the accessor, and a sum of columns the strategy's
+// way — pairwise through materialized intermediates (column-late), one
+// fused offset-sum pass per column group that stores a share of it
+// (hybrid and generic read each tuple's share at once), or one column at
+// a time over unbound groups (encoded blocks). A tuple folder's sums are
+// already in its tuple columns.
+func (f *groupedFolder) argVals(a *folderArg, sel []int32) []data.Value {
+	n := len(sel)
+	vals := scratch(&f.vals, n)
+	switch {
+	case a.cols == nil:
+		for i, r := range sel {
+			f.row = int(r)
+			vals[i] = a.e.Eval(f.get)
+		}
+	case f.pairwise:
+		return f.pairwiseSum(a.cols, sel)
+	case a.parts != nil:
+		SumOffsetsSel(a.parts[0].g, a.parts[0].offs, sel, vals)
+		for _, p := range a.parts[1:] {
+			tmp := scratch(&f.tmp, n)
+			SumOffsetsSel(p.g, p.offs, sel, tmp)
+			for i := range vals {
+				vals[i] += tmp[i]
 			}
 		}
-		ga.fold(j, ids, &colBinding{d: vals, stride: 1}, chunkOrder[:n])
+	default:
+		b := &f.binds[a.cols[0]]
+		for i, r := range sel {
+			vals[i] = b.at(int(r))
+		}
+		for _, c := range a.cols[1:] {
+			b := &f.binds[c]
+			for i, r := range sel {
+				vals[i] += b.at(int(r))
+			}
+		}
 	}
+	return vals
+}
+
+// pairwiseSum is late materialization's sum of columns (§3.3): each
+// column's values at sel are gathered into an intermediate column, and
+// a+b+c materializes a+b before adding c — the intermediate traffic the
+// cost model charges the column-late strategy for.
+func (f *groupedFolder) pairwiseSum(cols []data.AttrID, sel []int32) []data.Value {
+	n := len(sel)
+	arena := scratch(&f.tmp, (2*len(cols)-1)*n)
+	gather := func(c data.AttrID, dst []data.Value) {
+		b := &f.binds[c]
+		for i, r := range sel {
+			dst[i] = b.at(int(r))
+		}
+	}
+	acc := arena[:n]
+	gather(cols[0], acc)
+	for k, c := range cols[1:] {
+		col := arena[(2*k+1)*n : (2*k+2)*n]
+		gather(c, col)
+		sum := arena[(2*k+2)*n : (2*k+3)*n]
+		for i := range sum {
+			sum[i] = acc[i] + col[i]
+		}
+		acc = sum
+	}
+	if f.stats != nil {
+		f.stats.IntermediateWords += len(arena)
+	}
+	return acc
 }
 
 // foldGroupedSel folds one segment's qualifying rows into ga: the absolute
 // in-segment row ids listed in sel when haveSel, every row otherwise. It is
-// the grouped phase-2 shared by the selection-vector strategies (column,
-// hybrid).
-func foldGroupedSel(seg *storage.Segment, out Outputs, ga *groupedAcc, sel []int32, haveSel bool) error {
+// the aggregate phase 2 shared by the selection-vector strategies (column,
+// hybrid); pairwise selects the column strategy's late-materialized sums.
+func foldGroupedSel(seg *storage.Segment, out Outputs, ga *groupedAcc, sel []int32, haveSel, pairwise bool, stats *StrategyStats) error {
 	f, err := segmentFolder(seg, groupedScanAttrs(out), out)
 	if err != nil {
 		return err
 	}
+	f.pairwise, f.stats = pairwise, stats
 	if haveSel {
 		f.foldSel(ga, sel)
 	} else {
@@ -626,11 +891,12 @@ func foldGroupedSel(seg *storage.Segment, out Outputs, ga *groupedAcc, sel []int
 	return nil
 }
 
-// genericGroupedSegmentScan is the grouped per-segment body of the generic
-// interpreter: a tuple-at-a-time loop evaluating the predicate tree through
-// accessor indirection, folding the qualifying rows chunk by chunk. The
-// partial-result layer reuses it with a fresh accumulator to compute
-// grouped SegPartials on layouts the fused row kernel cannot serve.
+// genericGroupedSegmentScan is the aggregate per-segment body of the
+// generic interpreter, grouped or not: a tuple-at-a-time loop evaluating
+// the predicate tree through accessor indirection, folding the qualifying
+// rows chunk by chunk. The partial-result layer reuses it with a fresh
+// accumulator to compute SegPartials on layouts and predicate shapes no
+// kernel serves.
 func genericGroupedSegmentScan(seg *storage.Segment, q *query.Query, out Outputs, ga *groupedAcc) error {
 	f, err := segmentFolder(seg, q.AllAttrs(), out)
 	if err != nil {

@@ -13,8 +13,14 @@ import (
 
 // refGroupedFold is the reference grouped fold: row at a time, one
 // AggState.Add per aggregate into a map keyed by the encoded key vector.
+// With no keys the one group, keyed "", exists before any row.
 func refGroupedFold(out Outputs, cols [][]data.Value, sel []int32) map[string][]*expr.AggState {
 	m := map[string][]*expr.AggState{}
+	if len(out.GroupBy) == 0 {
+		for _, op := range out.GroupOps {
+			m[""] = append(m[""], expr.NewAggState(op))
+		}
+	}
 	var row int
 	get := func(a data.AttrID) data.Value { return cols[a][row] }
 	kv := make([]data.Value, len(out.GroupBy))

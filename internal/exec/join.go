@@ -518,8 +518,8 @@ func ExecJoin(left, right *storage.Relation, q *query.Query, opts ExecOpts) (*Re
 
 // JoinRepairable reports whether the join query q can be maintained by
 // probe-side delta repair (ExecJoinDelta): exactly one join between two
-// distinct tables, no LIMIT, and an aggregate or grouped output that
-// ExecJoin serves (OutAggregates, OutAggExpression or OutGrouped). Such a
+// distinct tables, no LIMIT, and an aggregate output, scalar or grouped
+// (OutGrouped), that ExecJoin serves. Such a
 // result is a merge of per-probe-segment partials over one build hash
 // table, so with the build side unchanged an append to the probe side
 // folds only the appended rows: Δ(R ⋈ S) = ΔR ⋈ S. A self-join is refused:
@@ -528,11 +528,7 @@ func JoinRepairable(q *query.Query) bool {
 	if q == nil || q.Limit != 0 || len(q.Joins) != 1 || q.Joins[0].Table == q.Table {
 		return false
 	}
-	switch Classify(q).Kind {
-	case OutAggregates, OutAggExpression, OutGrouped:
-		return true
-	}
-	return false
+	return Classify(q).Kind == OutGrouped
 }
 
 // ExecJoinDelta is ExecDelta for a join query: per-probe-segment partials
@@ -659,11 +655,8 @@ func (jp *joinProbe) scan(c *segCtx) (*partial, error) {
 	m := &joinMatches{
 		jp:    jp,
 		binds: bindAttrs(assign, jp.attrs),
-		p:     &partial{states: newStates(jp.out)},
+		p:     newPartial(jp.out),
 		kvals: make([]data.Value, len(jp.out.GroupBy)),
-	}
-	if jp.out.Kind == OutGrouped {
-		m.p.groups = newGroupedAcc(jp.out)
 	}
 	m.get = m.value
 	filter := jp.side.bindFilter(assign)
@@ -737,7 +730,8 @@ func (m *joinMatches) value(a data.AttrID) data.Value {
 }
 
 // foldJoined folds one joined row into the partial, by output shape —
-// the same shapes mergePartials combines.
+// the same shapes mergePartials combines. An aggregate row, scalar or
+// grouped, folds into the partial's accumulator.
 func foldJoined(out Outputs, p *partial, get expr.Accessor, kvals []data.Value) {
 	switch out.Kind {
 	case OutProjection:
@@ -752,16 +746,6 @@ func foldJoined(out Outputs, p *partial, get expr.Accessor, kvals []data.Value) 
 		}
 		p.data = append(p.data, acc)
 		p.rows++
-	case OutAggregates:
-		for i, a := range out.AggAttrs {
-			p.states[i].Add(get(a))
-		}
-	case OutAggExpression:
-		var acc data.Value
-		for _, a := range out.ExprAttrs {
-			acc += get(a)
-		}
-		p.states[0].Add(acc)
 	case OutGrouped:
 		for i, a := range out.GroupBy {
 			kvals[i] = get(a)

@@ -257,10 +257,7 @@ func nestedLoopJoin(t testing.TB, left, right *storage.Relation, q *query.Query)
 	out := Classify(q)
 	j := q.Joins[0]
 
-	p := &partial{states: newStates(out)}
-	if out.Kind == OutGrouped {
-		p.groups = newGroupedAcc(out)
-	}
+	p := newPartial(out)
 	kvals := make([]data.Value, len(out.GroupBy))
 	var lrow, rrow []data.Value
 	get := func(a data.AttrID) data.Value {

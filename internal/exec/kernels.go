@@ -248,8 +248,8 @@ func RefineSel(g *storage.ColumnGroup, preds []GroupPred, sel []int32) []int32 {
 // groupFilter is a conjunction of column predicates bound to one segment's
 // groups. Predicates that share a group evaluate together in one kernel
 // pass, and groups run in first-use order: the first filters with
-// FilterGroup, the rest refine the survivors with RefineSel. The hybrid,
-// vectorized and hash-join operators all filter through it.
+// FilterGroup, the rest refine the survivors with RefineSel. The hybrid
+// and hash-join operators filter through it.
 type groupFilter []boundGroup
 
 type boundGroup struct {
@@ -304,140 +304,6 @@ func GatherColumn(g *storage.ColumnGroup, off int, sel []int32, out []data.Value
 	}
 	for i, r := range sel {
 		out[i] = d[int(r)*stride+off]
-	}
-}
-
-// AggColumnAll folds an aggregate over every row of the attribute at offset
-// off.
-func AggColumnAll(g *storage.ColumnGroup, off int, op expr.AggOp) data.Value {
-	d, stride, rows := g.Data, g.Stride, g.Rows
-	if rows == 0 {
-		return 0
-	}
-	idx := off
-	switch op {
-	case expr.AggSum:
-		var acc data.Value
-		for r := 0; r < rows; r++ {
-			acc += d[idx]
-			idx += stride
-		}
-		return acc
-	case expr.AggMax:
-		acc := d[idx]
-		idx += stride
-		for r := 1; r < rows; r++ {
-			if v := d[idx]; v > acc {
-				acc = v
-			}
-			idx += stride
-		}
-		return acc
-	case expr.AggMin:
-		acc := d[idx]
-		idx += stride
-		for r := 1; r < rows; r++ {
-			if v := d[idx]; v < acc {
-				acc = v
-			}
-			idx += stride
-		}
-		return acc
-	case expr.AggCount:
-		return data.Value(rows)
-	case expr.AggAvg:
-		var acc data.Value
-		for r := 0; r < rows; r++ {
-			acc += d[idx]
-			idx += stride
-		}
-		return acc / data.Value(rows)
-	default:
-		panic("exec: unknown aggregate")
-	}
-}
-
-// AggColumnSel folds an aggregate over the rows in sel of the attribute at
-// offset off.
-func AggColumnSel(g *storage.ColumnGroup, off int, op expr.AggOp, sel []int32) data.Value {
-	if len(sel) == 0 {
-		return 0
-	}
-	d, stride := g.Data, g.Stride
-	switch op {
-	case expr.AggSum:
-		var acc data.Value
-		for _, r := range sel {
-			acc += d[int(r)*stride+off]
-		}
-		return acc
-	case expr.AggMax:
-		acc := d[int(sel[0])*stride+off]
-		for _, r := range sel[1:] {
-			if v := d[int(r)*stride+off]; v > acc {
-				acc = v
-			}
-		}
-		return acc
-	case expr.AggMin:
-		acc := d[int(sel[0])*stride+off]
-		for _, r := range sel[1:] {
-			if v := d[int(r)*stride+off]; v < acc {
-				acc = v
-			}
-		}
-		return acc
-	case expr.AggCount:
-		return data.Value(len(sel))
-	case expr.AggAvg:
-		var acc data.Value
-		for _, r := range sel {
-			acc += d[int(r)*stride+off]
-		}
-		return acc / data.Value(len(sel))
-	default:
-		panic("exec: unknown aggregate")
-	}
-}
-
-// AggVector folds an aggregate over a materialized vector of values.
-func AggVector(vals []data.Value, op expr.AggOp) data.Value {
-	if len(vals) == 0 {
-		return 0
-	}
-	switch op {
-	case expr.AggSum:
-		var acc data.Value
-		for _, v := range vals {
-			acc += v
-		}
-		return acc
-	case expr.AggMax:
-		acc := vals[0]
-		for _, v := range vals[1:] {
-			if v > acc {
-				acc = v
-			}
-		}
-		return acc
-	case expr.AggMin:
-		acc := vals[0]
-		for _, v := range vals[1:] {
-			if v < acc {
-				acc = v
-			}
-		}
-		return acc
-	case expr.AggCount:
-		return data.Value(len(vals))
-	case expr.AggAvg:
-		var acc data.Value
-		for _, v := range vals {
-			acc += v
-		}
-		return acc / data.Value(len(vals))
-	default:
-		panic("exec: unknown aggregate")
 	}
 }
 
@@ -503,29 +369,4 @@ func SumOffsetsSel(g *storage.ColumnGroup, offs []int, sel []int32, out []data.V
 			out[i] = acc
 		}
 	}
-}
-
-// AddVectorsMaterialized sums k full-length column vectors the way the
-// paper's column-major strategy does (§3.3): pairwise, materializing every
-// intermediate result as a fresh column ("computing a+b+c results into the
-// materialization of two intermediate columns"). The extra memory traffic is
-// the effect Figures 10c and 10f measure.
-func AddVectorsMaterialized(cols [][]data.Value) []data.Value {
-	if len(cols) == 0 {
-		return nil
-	}
-	acc := cols[0]
-	for _, next := range cols[1:] {
-		inter := make([]data.Value, len(acc))
-		for i := range inter {
-			inter[i] = acc[i] + next[i]
-		}
-		acc = inter
-	}
-	if len(cols) == 1 {
-		out := make([]data.Value, len(acc))
-		copy(out, acc)
-		return out
-	}
-	return acc
 }

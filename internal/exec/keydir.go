@@ -12,7 +12,9 @@ import "h2o/internal/data"
 // lookup is one unsigned subtraction and one bounds check, so keys below
 // lo wrap to huge offsets and fail the same check, and spans are computed
 // in unsigned arithmetic, so keys covering the whole int64 domain cannot
-// overflow them. Only single-value keys are dense.
+// overflow them. Only single-value keys are dense, apart from the one
+// empty key vector of a scalar aggregate: a dense directory of width 0
+// with the one id 0.
 //
 // A hashed directory hands ids out in insertion order and finds them
 // through an open-addressing table: a power-of-two slot count kept at
@@ -158,6 +160,9 @@ func (d *keyDir) toHashed(live []int32) {
 
 // key appends the key vector of id to dst.
 func (d *keyDir) key(id int32, dst []data.Value) []data.Value {
+	if d.width == 0 {
+		return dst
+	}
 	if d.dense {
 		return append(dst, d.lo+data.Value(id))
 	}

@@ -19,12 +19,12 @@ type segTask struct {
 	lo, hi int
 }
 
-// partial is one segment's contribution.
+// partial is one segment's contribution: materialized rows, or for an
+// aggregate output (OutGrouped) the range's accumulator.
 type partial struct {
-	states []*expr.AggState
 	data   []data.Value
 	rows   int
-	groups *groupedAcc // OutGrouped: this range's group map
+	groups *groupedAcc
 }
 
 // rangeFilter evaluates one segment's filter. The compiled path (bound
@@ -91,21 +91,6 @@ func scanRange(g *storage.ColumnGroup, out Outputs, bound []GroupPred, generic e
 			}
 			base += stride
 		}
-	case OutAggregates:
-		offs := mustOffsets(g, out.AggAttrs)
-		p.states = make([]*expr.AggState, len(offs))
-		for i, op := range out.AggOps {
-			p.states[i] = expr.NewAggState(op)
-		}
-		base := lo * stride
-		for r := lo; r < hi; r++ {
-			if flt.passes(base) {
-				for i, o := range offs {
-					p.states[i].Add(d[base+o])
-				}
-			}
-			base += stride
-		}
 	case OutExpression:
 		offs := mustOffsets(g, out.ExprAttrs)
 		base := lo * stride
@@ -120,21 +105,6 @@ func scanRange(g *storage.ColumnGroup, out Outputs, bound []GroupPred, generic e
 			}
 			base += stride
 		}
-	case OutAggExpression:
-		offs := mustOffsets(g, out.ExprAttrs)
-		st := expr.NewAggState(out.ExprAgg)
-		base := lo * stride
-		for r := lo; r < hi; r++ {
-			if flt.passes(base) {
-				var acc data.Value
-				for _, o := range offs {
-					acc += d[base+o]
-				}
-				st.Add(acc)
-			}
-			base += stride
-		}
-		p.states = []*expr.AggState{st}
 	case OutGrouped:
 		f := columnGroupFolder(g, out)
 		ga := newGroupedAcc(out)

@@ -124,85 +124,73 @@ type PartialResult struct {
 }
 
 // Repairable reports whether q's result can be maintained by delta repair:
-// every select item must be an aggregate (count/sum/min/max/avg over any
-// argument expression — all decomposable over disjoint segments) and the
-// query must carry no LIMIT. Grouped queries are repairable when their
-// select shape classifies as OutGrouped — aggregates plus bare group-key
-// columns — since per-segment group maps merge key-wise under the same
-// decomposition law. Join queries are not repairable here: ExecDelta scans
-// one relation, and a join's partials are per probe segment over a build
-// hash table of the other — JoinRepairable and ExecJoinDelta serve them.
-// See the partials contract at the top of this file.
+// its select shape must classify as OutGrouped — aggregates (count, sum,
+// min, max or avg over any argument expression, all decomposable over
+// disjoint segments) plus, under GROUP BY, bare group-key columns, since
+// per-segment group maps merge key-wise under the same decomposition law —
+// and the query must carry no LIMIT. Join queries are not repairable
+// here: ExecDelta scans one relation, and a join's partials are per probe
+// segment over a build hash table of the other — JoinRepairable and
+// ExecJoinDelta serve them. See the partials contract at the top of this
+// file.
 func Repairable(q *query.Query) bool {
 	if q == nil || q.Limit != 0 || len(q.Items) == 0 || len(q.Joins) > 0 {
 		return false
 	}
-	if len(q.GroupBy) > 0 {
-		return Classify(q).Kind == OutGrouped
-	}
-	for _, it := range q.Items {
-		if it.Agg == nil {
-			return false
-		}
-	}
-	return true
+	return Classify(q).Kind == OutGrouped
 }
 
 // newPartialResult builds the empty partials container for q. Callers have
-// already checked Repairable(q), so every item has an aggregate (or, for
-// grouped queries, the shape classifies as OutGrouped).
+// already checked that q's shape classifies as OutGrouped; a scalar
+// payload carries no GroupBy and no ItemKey.
 func newPartialResult(q *query.Query) *PartialResult {
+	out := Classify(q)
 	p := &PartialResult{
-		Labels: make([]string, len(q.Items)),
+		Labels: out.Labels,
+		Ops:    out.GroupOps,
 		Segs:   make(map[int]*SegPartial),
 	}
-	for i, it := range q.Items {
-		p.Labels[i] = it.String()
-	}
-	if len(q.GroupBy) > 0 {
-		out := Classify(q)
-		p.Ops = out.GroupOps
+	if len(out.GroupBy) > 0 {
 		p.GroupBy = out.GroupBy
 		p.ItemKey = out.ItemKey
-		return p
-	}
-	p.Ops = make([]expr.AggOp, len(q.Items))
-	for i, it := range q.Items {
-		p.Ops[i] = it.Agg.Op
 	}
 	return p
+}
+
+// outputs returns the aggregate output shape the payload folds: its
+// grouped shape, or for a scalar payload the shape of aggregates alone.
+func (p *PartialResult) outputs() Outputs {
+	out := Outputs{Kind: OutGrouped, Labels: p.Labels, GroupBy: p.GroupBy, ItemKey: p.ItemKey, GroupOps: p.Ops}
+	if len(p.ItemKey) == 0 {
+		out.ItemKey = make([]int, len(p.Ops))
+		for i := range out.ItemKey {
+			out.ItemKey[i] = -1
+		}
+	}
+	return out
+}
+
+// merge folds sp's canonical states into ga.
+func (p *PartialResult) merge(ga *groupedAcc, sp *SegPartial) {
+	if len(p.ItemKey) > 0 {
+		ga.mergeMap(sp.Groups)
+		return
+	}
+	ga.mergeStates(0, sp.States)
 }
 
 // Result combines every segment partial into the final result: one row for
 // ungrouped aggregates, one row per group (ordered ascending by key vector)
 // for grouped ones. Aggregate merging is commutative and associative, so map
 // iteration order does not matter. The inputs are not mutated: merging
-// always happens into fresh accumulators.
+// always happens into a fresh accumulator.
 func (p *PartialResult) Result() *Result {
-	if len(p.ItemKey) > 0 {
-		out := Outputs{
-			Kind:     OutGrouped,
-			Labels:   p.Labels,
-			GroupBy:  p.GroupBy,
-			ItemKey:  p.ItemKey,
-			GroupOps: p.Ops,
-		}
-		ga := newGroupedAcc(out)
-		for _, sp := range p.Segs {
-			ga.mergeMap(sp.Groups)
-		}
-		return groupedResult(out, ga)
-	}
-	states := make([]*expr.AggState, len(p.Ops))
-	for i, op := range p.Ops {
-		states[i] = expr.NewAggState(op)
-	}
+	out := p.outputs()
+	ga := newGroupedAcc(out)
 	for _, sp := range p.Segs {
-		for i, st := range sp.States {
-			states[i].Merge(st)
-		}
+		p.merge(ga, sp)
 	}
-	return aggResult(p.Labels, states)
+	return groupedResult(out, ga)
 }
 
 // Versions snapshots the segment-version vector the partials were computed
@@ -293,21 +281,12 @@ func (p *PartialResult) extend(si int, sp *SegPartial) *SegPartial {
 	if base == nil || base.Version != sp.Base {
 		panic(fmt.Sprintf("exec: suffix partial of segment %d extends version %d, which the prior payload does not hold", si, sp.Base))
 	}
-	if len(p.ItemKey) > 0 {
-		ga := newGroupedAcc(Outputs{GroupBy: p.GroupBy, GroupOps: p.Ops})
-		ga.mergeMap(base.Groups)
-		ga.mergeMap(sp.Groups)
-		return &SegPartial{Version: sp.Version, Groups: ga.groups()}
-	}
-	states := make([]*expr.AggState, len(p.Ops))
-	for i, op := range p.Ops {
-		states[i] = expr.NewAggState(op)
-		states[i].Merge(base.States[i])
-		if sp.States != nil {
-			states[i].Merge(sp.States[i])
-		}
-	}
-	return &SegPartial{Version: sp.Version, States: states}
+	ga := newGroupedAcc(p.outputs())
+	p.merge(ga, base)
+	p.merge(ga, sp)
+	out := segPartialOf(&partial{groups: ga})
+	out.Version = sp.Version
+	return out
 }
 
 // ExecPartials scans every candidate segment of rel for the repairable
@@ -460,10 +439,7 @@ func runDelta(tasks []deltaTask, workers int, fresh *PartialResult, stats *Strat
 // Everything else reads rows through accessor indirection and needs flat
 // data.
 func encodedEligible(out Outputs, splittable bool) bool {
-	if !splittable {
-		return false
-	}
-	return out.Kind == OutAggregates || out.Kind == OutAggExpression || out.Kind == OutGrouped
+	return splittable && out.Kind == OutGrouped
 }
 
 // scanDeltaTask pins one planned segment, scans its partial — of the
@@ -497,9 +473,19 @@ func scanDeltaTask(t deltaTask, q *query.Query, out Outputs, preds []ColPred, sp
 	return sp, faulted, nil
 }
 
-// scanSegmentPartial computes one pinned segment's partial, choosing the
-// per-segment operator from what the segment offers, as the exec pipelines
-// do:
+// scanSegmentPartial computes one pinned segment's SegPartial; see
+// segmentPartial.
+func scanSegmentPartial(seg *storage.Segment, q *query.Query, out Outputs, preds []ColPred, splittable bool, stats *StrategyStats) (*SegPartial, error) {
+	p, err := segmentPartial(seg, q, out, preds, splittable, stats)
+	if err != nil {
+		return nil, err
+	}
+	return segPartialOf(p), nil
+}
+
+// segmentPartial folds one pinned segment's qualifying rows into a fresh
+// accumulator, choosing the per-segment operator from what the segment
+// offers, as the exec pipelines do:
 //
 //  1. encoded blocks, when the segment's needed groups hold encodings (an
 //     encoded-resident rung, an mmap-backed fault, or a sealed-with-encoding
@@ -510,67 +496,48 @@ func scanDeltaTask(t deltaTask, q *query.Query, out Outputs, preds []ColPred, sp
 //  3. the hybrid selection-vector kernel, for a splittable conjunction on
 //     any layout — column-major included, where no single group covers a
 //     multi-attribute aggregate;
-//  4. the generic interpreter, only for what no kernel serves: a
-//     non-splittable predicate over several groups, or a mixed aggregate
-//     shape (OutOther).
+//  4. the generic interpreter, only for a non-splittable predicate over
+//     several groups.
 //
-// Every rung emits the same per-segment aggregate states, so the choice
-// never changes the partial, only its cost.
-func scanSegmentPartial(seg *storage.Segment, q *query.Query, out Outputs, preds []ColPred, splittable bool, stats *StrategyStats) (*SegPartial, error) {
+// Every rung folds the same accumulator, so the choice never changes the
+// partial, only its cost. The encoded pipeline uses it as its per-segment
+// operator: a flat segment takes the flat rungs.
+func segmentPartial(seg *storage.Segment, q *query.Query, out Outputs, preds []ColPred, splittable bool, stats *StrategyStats) (*partial, error) {
 	if encodedEligible(out, splittable) {
-		p := &partial{states: newStates(out)}
-		if out.Kind == OutGrouped {
-			p.groups = newGroupedAcc(out)
-		}
-		ok, err := encodedSegmentScan(seg, out, preds, p.states, p.groups, stats)
+		p := newPartial(out)
+		ok, err := encodedSegmentScan(seg, out, preds, p.groups, stats)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			return segPartialOf(p), nil
+			return p, nil
 		}
 	}
-	if out.Kind != OutOther {
-		if g := bestCoveringGroupSeg(seg, q); g != nil {
-			if !splittable {
-				return segPartialOf(scanRange(g, out, nil, q.Where, 0, seg.Rows)), nil
-			}
-			if bound, ok := BindPreds(g, preds); ok {
-				return segPartialOf(scanRange(g, out, bound, nil, 0, seg.Rows)), nil
-			}
+	if g := bestCoveringGroupSeg(seg, q); g != nil {
+		if !splittable {
+			return scanRange(g, out, nil, q.Where, 0, seg.Rows), nil
 		}
-		if splittable {
-			// Nil stats: intermediate accounting belongs to the
-			// cost-compared strategies, as on reorg's cold segments.
-			p, err := hybridSegPartial(seg, q, out, preds, nil)
-			if err != nil {
-				return nil, err
-			}
-			return segPartialOf(p), nil
+		if bound, ok := BindPreds(g, preds); ok {
+			return scanRange(g, out, bound, nil, 0, seg.Rows), nil
 		}
 	}
-	if out.Kind == OutGrouped {
-		ga := newGroupedAcc(out)
-		if err := genericGroupedSegmentScan(seg, q, out, ga); err != nil {
-			return nil, err
-		}
-		return &SegPartial{Groups: ga.groups()}, nil
+	if splittable {
+		// Nil stats: intermediate accounting belongs to the
+		// cost-compared strategies, as on reorg's cold segments.
+		return hybridSegPartial(seg, q, out, preds, nil)
 	}
-	states := make([]*expr.AggState, len(q.Items))
-	for i, it := range q.Items {
-		states[i] = expr.NewAggState(it.Agg.Op)
-	}
-	if err := genericSegmentScan(seg, q, true, states, nil); err != nil {
+	p := newPartial(out)
+	if err := genericGroupedSegmentScan(seg, q, out, p.groups); err != nil {
 		return nil, err
 	}
-	return &SegPartial{States: states}, nil
+	return p, nil
 }
 
-// segPartialOf wraps one aggregate-shaped kernel partial as a SegPartial:
-// its group map for grouped shapes, its states otherwise.
+// segPartialOf wraps one aggregate partial as a SegPartial: its group map,
+// or for no keys its one state per aggregate.
 func segPartialOf(p *partial) *SegPartial {
-	if p.groups != nil {
-		return &SegPartial{Groups: p.groups.groups()}
+	if p.groups.scalar() {
+		return &SegPartial{States: p.groups.states()}
 	}
-	return &SegPartial{States: p.states}
+	return &SegPartial{Groups: p.groups.groups()}
 }

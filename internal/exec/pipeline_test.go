@@ -31,8 +31,8 @@ func TestStrategyRegistry(t *testing.T) {
 		StrategyColumn:     true,
 		StrategyHybrid:     true,
 		StrategyGeneric:    true,
-		StrategyVectorized: true,
-		StrategyBitmap:     true,
+		StrategyVectorized: false,
+		StrategyBitmap:     false,
 		StrategyEncoded:    false,
 		StrategyReorg:      false,
 		StrategyDelta:      false,
@@ -42,8 +42,17 @@ func TestStrategyRegistry(t *testing.T) {
 			t.Fatalf("Plannable(%v) = %v, want %v", s, got, want)
 		}
 	}
-	if StrategyVectorized.String() != "vectorized" || StrategyBitmap.String() != "bitmap" {
-		t.Fatalf("new strategy names: %q, %q", StrategyVectorized, StrategyBitmap)
+	// The metric names exec.strategy_share.<name> loop over the constants
+	// from StrategyRow to StrategyJoin: the retired constants keep their
+	// places and names.
+	var names []string
+	for s := StrategyRow; s <= StrategyJoin; s++ {
+		names = append(names, s.String())
+	}
+	want := []string{"row-fused", "column-late", "hybrid-groups", "generic", "online-reorg",
+		"delta-repair", "encoded-direct", "vectorized", "bitmap", "hash-join"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("strategy names %v, want %v", names, want)
 	}
 }
 
@@ -51,7 +60,7 @@ func TestExecRejectsUnbuildableStrategies(t *testing.T) {
 	tb := data.Generate(data.SyntheticSchema("R", 4), 10, 1)
 	rel := storage.BuildColumnMajor(tb)
 	q := query.Aggregation("R", expr.AggSum, []data.AttrID{1}, nil)
-	for _, s := range []Strategy{StrategyDelta, Strategy(99)} {
+	for _, s := range []Strategy{StrategyDelta, StrategyVectorized, StrategyBitmap, StrategyJoin, Strategy(99)} {
 		_, err := Exec(rel, q, ExecOpts{Strategy: s})
 		if err == nil || !strings.Contains(err.Error(), "no pipeline builder") {
 			t.Fatalf("Exec with strategy %v: err = %v, want a no-pipeline-builder error", s, err)
@@ -61,8 +70,8 @@ func TestExecRejectsUnbuildableStrategies(t *testing.T) {
 
 // TestSegmentOperatorsHandBuilt runs every per-segment operator directly on
 // each segment of hand-built relations — one sized exactly at the segment
-// boundary, one with a partial tail — and checks the partial's aggregate
-// states against a naive loop over that segment's row range.
+// boundary, one with a partial tail — and checks the partial's scalar
+// accumulator against a naive loop over that segment's row range.
 func TestSegmentOperatorsHandBuilt(t *testing.T) {
 	for _, rows := range []int{opSegCap, 2*opSegCap + 17} {
 		tb := data.Generate(data.SyntheticSchema("R", 4), rows, int64(rows))
@@ -83,17 +92,8 @@ func TestSegmentOperatorsHandBuilt(t *testing.T) {
 			{"hybrid", func(seg *storage.Segment) (*partial, error) {
 				return hybridSegPartial(seg, q, out, preds, nil)
 			}},
-			{"vectorized-7", func(seg *storage.Segment) (*partial, error) {
-				return vectorSegPartial(seg, q, out, preds, 7, nil)
-			}},
-			{"vectorized-1024", func(seg *storage.Segment) (*partial, error) {
-				return vectorSegPartial(seg, q, out, preds, 1024, nil)
-			}},
-			{"bitmap", func(seg *storage.Segment) (*partial, error) {
-				return bitmapSegPartial(seg, q, out, preds, nil)
-			}},
 			{"encoded", func(seg *storage.Segment) (*partial, error) {
-				return encodedSegPartial(seg, q, out, preds, nil)
+				return segmentPartial(seg, q, out, preds, true, nil)
 			}},
 		}
 		base := 0
@@ -113,10 +113,14 @@ func TestSegmentOperatorsHandBuilt(t *testing.T) {
 				if err != nil {
 					t.Fatalf("rows=%d seg=%d op=%s: %v", rows, si, name, err)
 				}
-				if len(p.states) != 2 {
-					t.Fatalf("rows=%d seg=%d op=%s: %d states, want 2", rows, si, name, len(p.states))
+				if !p.groups.scalar() {
+					t.Fatalf("rows=%d seg=%d op=%s: a scalar partial with group keys", rows, si, name)
 				}
-				if g1, g2 := p.states[0].Result(), p.states[1].Result(); g1 != want1 || g2 != want2 {
+				states := p.groups.states()
+				if len(states) != 2 {
+					t.Fatalf("rows=%d seg=%d op=%s: %d states, want 2", rows, si, name, len(states))
+				}
+				if g1, g2 := states[0].Result(), states[1].Result(); g1 != want1 || g2 != want2 {
 					t.Fatalf("rows=%d seg=%d op=%s: partial = (%d, %d), want (%d, %d)",
 						rows, si, name, g1, g2, want1, want2)
 				}
@@ -130,7 +134,7 @@ func TestSegmentOperatorsHandBuilt(t *testing.T) {
 			if si < len(rel.Segments)-1 && seg.State() == storage.SegResident {
 				seg.DemoteToEncoded()
 				var st StrategyStats
-				p, err := encodedSegPartial(seg, q, out, preds, &st)
+				p, err := segmentPartial(seg, q, out, preds, true, &st)
 				check("encoded-demoted", p, err)
 				if st.EncodedBytes == 0 && st.DecodeSkips == 0 {
 					t.Fatalf("rows=%d seg=%d: encoded operator on a demoted segment consumed no encoded data", rows, si)
@@ -156,7 +160,7 @@ func TestExecSkipsEmptySegments(t *testing.T) {
 			}
 		}
 		q := query.Aggregation("R", expr.AggSum, []data.AttrID{1}, nil)
-		for _, s := range []Strategy{StrategyRow, StrategyColumn, StrategyHybrid, StrategyVectorized, StrategyBitmap, StrategyGeneric} {
+		for _, s := range []Strategy{StrategyRow, StrategyColumn, StrategyHybrid, StrategyGeneric} {
 			var st StrategyStats
 			if _, err := Exec(rel, q, ExecOpts{Strategy: s, Stats: &st}); err != nil {
 				t.Fatalf("rows=%d strategy %v: %v", rows, s, err)
@@ -189,7 +193,7 @@ func TestWorkersFanOutMatchesSerial(t *testing.T) {
 			return q
 		}(),
 	}
-	strats := []Strategy{StrategyRow, StrategyColumn, StrategyHybrid, StrategyVectorized, StrategyBitmap, StrategyGeneric}
+	strats := []Strategy{StrategyRow, StrategyColumn, StrategyHybrid, StrategyGeneric}
 	for qi, q := range qs {
 		for _, s := range strats {
 			want, err := Exec(rel, q, ExecOpts{Strategy: s})

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"h2o/internal/data"
-	"h2o/internal/expr"
 	"h2o/internal/storage"
 )
 
@@ -28,40 +27,31 @@ import (
 
 // reorgScanSegment stitches one segment's new group while answering the
 // query over the freshly built mini-tuples — the fused copy-and-evaluate
-// loop of Fig. 13, at segment granularity. Aggregates fold into the shared
-// states; materialized rows append to res in segment order.
-func reorgScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, norm []data.AttrID, states []*expr.AggState, res *Result, ga *groupedAcc) (*storage.ColumnGroup, error) {
+// loop of Fig. 13, at segment granularity. Materialized rows append to p
+// in segment order; aggregates fold into p's accumulator.
+func reorgScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, norm []data.AttrID, p *partial) (*storage.ColumnGroup, error) {
 	_, assign, err := seg.CoveringGroups(norm)
 	if err != nil {
 		return nil, err
 	}
 	dst := storage.NewGroup(norm, seg.Rows)
 
-	// Source copy plan: for each destination offset, the source buffer,
-	// stride and offset to read from.
-	type srcRef struct {
-		d      []data.Value
-		stride int
-		off    int
-	}
-	srcs := make([]srcRef, dst.Width)
+	// Source copy plan: for each destination offset, the binding to read
+	// from.
+	srcs := make([]colBinding, dst.Width)
 	for i, a := range dst.Attrs {
-		g := assign[a]
-		off, _ := g.Offset(a)
-		srcs[i] = srcRef{d: g.Data, stride: g.Stride, off: off}
+		srcs[i] = bindingOf(assign[a], a)
 	}
 
 	bound, _ := BindPreds(dst, preds)
 
 	// Output plan against the destination group.
-	var projOffs, exprOffs, aggOffs []int
+	var projOffs, exprOffs []int
 	var gf *groupedFolder
 	switch out.Kind {
 	case OutProjection:
 		projOffs = mustOffsets(dst, out.ProjAttrs)
-	case OutAggregates:
-		aggOffs = mustOffsets(dst, out.AggAttrs)
-	case OutExpression, OutAggExpression:
+	case OutExpression:
 		exprOffs = mustOffsets(dst, out.ExprAttrs)
 	case OutGrouped:
 		gf = columnGroupFolder(dst, out)
@@ -72,58 +62,32 @@ func reorgScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, norm [
 	for r := 0; r < seg.Rows; r++ {
 		// Stitch: materialize the new mini-tuple.
 		for i := range srcs {
-			s := &srcs[i]
-			dd[base+i] = s.d[r*s.stride+s.off]
+			dd[base+i] = srcs[i].at(r)
 		}
 		// Answer: evaluate the query against the freshly built tuple.
 		if passes(dd, base, bound) {
 			switch out.Kind {
 			case OutProjection:
 				for _, o := range projOffs {
-					res.Data = append(res.Data, dd[base+o])
+					p.data = append(p.data, dd[base+o])
 				}
-				res.Rows++
-			case OutAggregates:
-				for i, o := range aggOffs {
-					states[i].Add(dd[base+o])
-				}
+				p.rows++
 			case OutExpression:
 				var acc data.Value
 				for _, o := range exprOffs {
 					acc += dd[base+o]
 				}
-				res.Data = append(res.Data, acc)
-				res.Rows++
-			case OutAggExpression:
-				var acc data.Value
-				for _, o := range exprOffs {
-					acc += dd[base+o]
-				}
-				states[0].Add(acc)
+				p.data = append(p.data, acc)
+				p.rows++
 			case OutGrouped:
-				gf.push(ga, r)
+				gf.push(p.groups, r)
 			}
 		}
 		base += dStride
 	}
 	if gf != nil {
-		gf.flush(ga)
+		gf.flush(p.groups)
 	}
 	dst.BuildZones(0)
 	return dst, nil
-}
-
-func newStates(out Outputs) []*expr.AggState {
-	switch out.Kind {
-	case OutAggregates:
-		states := make([]*expr.AggState, len(out.AggOps))
-		for i, op := range out.AggOps {
-			states[i] = expr.NewAggState(op)
-		}
-		return states
-	case OutAggExpression:
-		return []*expr.AggState{expr.NewAggState(out.ExprAgg)}
-	default:
-		return nil
-	}
 }

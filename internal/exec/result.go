@@ -1,15 +1,15 @@
 // Package exec implements H2O's execution strategies (paper §3.3) as
 // per-segment streaming operator pipelines behind one entry point:
 //
-//	Exec(rel, q, ExecOpts{Strategy, Workers, VectorSize, HotMask, Stats})
+//	Exec(rel, q, ExecOpts{Strategy, Workers, HotMask, Stats, ...})
 //
 // Every strategy — the volcano-style fused row scan with predicate
 // push-down, column-at-a-time late materialization, the hybrid
-// group-of-columns strategy, its vectorized and bitmap variants, the
-// generic tuple-at-a-time interpreter (§3.4, Fig. 14), the encoded-direct
-// block kernel, and the online-reorganization executor that creates a new
-// layout while answering the query (§3.2, Fig. 13) — is a pipeline of the
-// same three stages:
+// group-of-columns strategy, the generic tuple-at-a-time interpreter
+// (§3.4, Fig. 14), the encoded-direct block kernel, and the
+// online-reorganization executor that creates a new layout while
+// answering the query (§3.2, Fig. 13) — is a pipeline of the same three
+// stages:
 //
 //	SegSource ──► Filter ──► Project / Aggregate / Group ──► merge
 //	(prune → pin/fault →     (one *partial* per segment)     (segment
@@ -43,34 +43,33 @@
 // the cost-based chooser's candidate list and the operator generator's
 // template set all derive from it, so they agree by construction.
 //
-// # Segments and partial results
+// # Aggregates, segments and partial results
 //
-// Within a segment, aggregate items fold into per-segment accumulator
-// states that merge associatively across segments — the property the
-// fan-out uses to stay bit-identical to the serial scan, and that the
-// partial-result layer (partials.go) makes durable: for *repairable*
-// queries (every select item a decomposable aggregate or a group-by key,
-// no LIMIT — see Repairable), ExecPartials keeps each candidate segment's
-// states as a versioned SegPartial, and ExecDelta later rescans only the
-// segments whose versions moved (through the same claim loop),
-// re-combining with the retained partials. Each rescan picks the segment's
-// operator the way the pipelines do — encoded blocks, the fused
-// single-group kernel, the hybrid selection-vector kernel — and falls back
-// to the generic interpreter only for shapes no kernel serves (see
-// scanSegmentPartial). The serving layer's delta
-// repair, and the O(changed segments) repair cost it buys, rest entirely
-// on that contract; the partials contract at the top of partials.go
-// spells out which aggregates decompose and why LIMIT disqualifies
-// repair.
+// Every aggregate output folds through one accumulator (grouped.go): a
+// key directory hands out group ids, typed int64 arrays hold the states,
+// and each strategy filters rows and builds argument values its own way,
+// then folds them one VectorSize chunk at a time. A scalar aggregate is
+// the group with no keys. Accumulators merge associatively across
+// segments — the property the fan-out uses to stay bit-identical to the
+// serial scan, and that the partial-result layer (partials.go) makes
+// durable: for *repairable* queries (every select item a decomposable
+// aggregate or a group-by key, no LIMIT — see Repairable), ExecPartials
+// keeps each candidate segment's states as a versioned SegPartial, and
+// ExecDelta later rescans only the segments whose versions moved (through
+// the same claim loop), re-combining with the retained partials. Each
+// rescan picks the segment's operator the way the pipelines do — encoded
+// blocks, the fused single-group kernel, the hybrid selection-vector
+// kernel — and falls back to the generic interpreter only for predicates
+// no kernel serves (see segmentPartial). The serving layer's delta repair,
+// and the O(changed segments) repair cost it buys, rest entirely on that
+// contract; the partials contract at the top of partials.go spells out
+// which aggregates decompose and why LIMIT disqualifies repair.
 //
-// GROUP BY rides the same machinery (grouped.go): every pipeline folds
-// qualifying rows into a per-segment map of encoded group key → AggState
-// vector, maps merge key-wise across segments and workers, and results
-// materialize one row per group ordered ascending by key vector — an
-// order-preserving key encoding makes the sort a plain string sort — so
-// grouped results are bit-identical across strategies and the repair path,
+// Grouped results materialize one row per group ordered ascending by key
+// vector — an order-preserving key encoding makes the sort a plain string
+// sort — so they are bit-identical across strategies and the repair path,
 // and LIMIT on a grouped query is a deterministic prefix of groups applied
-// after the merge.
+// after the merge. A scalar result is always exactly one row.
 package exec
 
 import (
@@ -117,7 +116,7 @@ func (r *Result) Equal(o *Result) bool {
 	return true
 }
 
-// VectorSize is the number of values processed per vector; vectors of this
-// size stay L1-resident ("vectors fit in the L1 cache for better cache
-// locality", §3.3).
+// VectorSize is the number of rows an aggregate fold processes per chunk;
+// chunk buffers of this size stay L1-resident ("vectors fit in the L1
+// cache for better cache locality", §3.3).
 const VectorSize = 1024

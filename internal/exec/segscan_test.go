@@ -54,12 +54,6 @@ func TestSelectiveScanSkipsColdSegments(t *testing.T) {
 		{"hybrid", func(rel *storage.Relation, st *StrategyStats) (*Result, error) {
 			return Exec(rel, q, ExecOpts{Strategy: StrategyHybrid, Stats: st})
 		}},
-		{"vectorized", func(rel *storage.Relation, st *StrategyStats) (*Result, error) {
-			return Exec(rel, q, ExecOpts{Strategy: StrategyVectorized, Stats: st})
-		}},
-		{"bitmap", func(rel *storage.Relation, st *StrategyStats) (*Result, error) {
-			return Exec(rel, q, ExecOpts{Strategy: StrategyBitmap, Stats: st})
-		}},
 	}
 	for _, s := range strategies {
 		for _, rel := range []*storage.Relation{col, row} {
@@ -121,9 +115,6 @@ func TestLimitStopsConsumingSegments(t *testing.T) {
 	st = StrategyStats{}
 	res, err = Exec(col, q, ExecOpts{Strategy: StrategyColumn, Stats: &st})
 	check("column", res, &st, err)
-	st = StrategyStats{}
-	res, err = Exec(col, q, ExecOpts{Strategy: StrategyVectorized, Stats: &st})
-	check("vectorized", res, &st, err)
 	st = StrategyStats{}
 	res, err = Exec(row, q, ExecOpts{Strategy: StrategyRow, Stats: &st})
 	check("row-fused", res, &st, err)
@@ -200,9 +191,6 @@ func TestMixedLayoutSegmentsAgree(t *testing.T) {
 		}
 		if res, err := Exec(rel, q, ExecOpts{Strategy: StrategyGeneric}); err != nil || !res.Equal(want) {
 			t.Fatalf("query %d generic on mixed layout: err=%v", qi, err)
-		}
-		if res, err := Exec(rel, q, ExecOpts{Strategy: StrategyVectorized}); err != nil || !res.Equal(want) {
-			t.Fatalf("query %d vectorized on mixed layout: err=%v", qi, err)
 		}
 	}
 }

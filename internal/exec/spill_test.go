@@ -81,9 +81,6 @@ func TestAllStrategiesFaultSpilledSegments(t *testing.T) {
 		{"generic", func(q *query.Query) (*Result, error) {
 			return Exec(rel, q, ExecOpts{Strategy: StrategyGeneric})
 		}},
-		{"vectorized", func(q *query.Query) (*Result, error) {
-			return Exec(rel, q, ExecOpts{Strategy: StrategyVectorized})
-		}},
 	}
 
 	for _, q := range queries {
@@ -107,21 +104,6 @@ func TestAllStrategiesFaultSpilledSegments(t *testing.T) {
 				t.Fatalf("%s diverged on spilled relation for %s", s.name, q)
 			}
 		}
-	}
-
-	// The bitmap ablation path supports aggregations only.
-	aggQ := queries[0]
-	want, err := Exec(rel, aggQ, ExecOpts{Strategy: StrategyGeneric})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unloadSealed(rel)
-	got, err := Exec(rel, aggQ, ExecOpts{Strategy: StrategyBitmap})
-	if err != nil {
-		t.Fatalf("bitmap on spilled relation: %v", err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("bitmap strategy diverged on spilled relation")
 	}
 }
 

@@ -121,18 +121,9 @@ func ExecRow(g *storage.ColumnGroup, q *query.Query) (*Result, error) {
 }
 
 // mergePartials combines per-segment partials in segment order: aggregate
-// states merge associatively, materialized rows concatenate.
+// accumulators merge associatively, materialized rows concatenate.
 func mergePartials(out Outputs, partials []*partial) *Result {
-	switch out.Kind {
-	case OutAggregates, OutAggExpression:
-		states := newStates(out)
-		for _, p := range partials {
-			for i, st := range p.states {
-				states[i].Merge(st)
-			}
-		}
-		return aggResult(out.Labels, states)
-	case OutGrouped:
+	if out.Kind == OutGrouped {
 		ga := newGroupedAcc(out)
 		for _, p := range partials {
 			if p.groups != nil {
@@ -140,41 +131,45 @@ func mergePartials(out Outputs, partials []*partial) *Result {
 			}
 		}
 		return groupedResult(out, ga)
-	default:
-		res := &Result{Cols: out.Labels}
-		total := 0
-		for _, p := range partials {
-			total += len(p.data)
-		}
-		res.Data = make([]data.Value, 0, total)
-		for _, p := range partials {
-			res.Data = append(res.Data, p.data...)
-			res.Rows += p.rows
-		}
-		return res
 	}
+	res := &Result{Cols: out.Labels}
+	total := 0
+	for _, p := range partials {
+		total += len(p.data)
+	}
+	res.Data = make([]data.Value, 0, total)
+	for _, p := range partials {
+		res.Data = append(res.Data, p.data...)
+		res.Rows += p.rows
+	}
+	return res
 }
 
 // columnSegPartial is the column pipeline's per-segment operator: the
 // late-materialization stages over one pinned segment, emitted as that
 // segment's partial.
 func columnSegPartial(seg *storage.Segment, out Outputs, preds []ColPred, stats *StrategyStats) (*partial, error) {
-	states := newStates(out)
-	var ga *groupedAcc
-	if out.Kind == OutGrouped {
-		ga = newGroupedAcc(out)
-	}
-	res := &Result{}
-	if err := columnScanSegment(seg, out, preds, states, res, ga, stats); err != nil {
+	p := newPartial(out)
+	if err := columnScanSegment(seg, out, preds, p, stats); err != nil {
 		return nil, err
 	}
-	return &partial{states: states, data: res.Data, rows: res.Rows, groups: ga}, nil
+	return p, nil
+}
+
+// newPartial returns an empty partial for out: with an accumulator for an
+// aggregate output.
+func newPartial(out Outputs) *partial {
+	p := &partial{}
+	if out.Kind == OutGrouped {
+		p.groups = newGroupedAcc(out)
+	}
+	return p
 }
 
 // columnScanSegment runs the late-materialization pipeline over one segment,
-// appending materialized rows to res and folding aggregates into states (or
-// into the grouped accumulator ga for OutGrouped).
-func columnScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, states []*expr.AggState, res *Result, ga *groupedAcc, stats *StrategyStats) error {
+// appending materialized rows to p or folding aggregates into its
+// accumulator.
+func columnScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, p *partial, stats *StrategyStats) error {
 	// Phase 1: predicate evaluation, one column at a time.
 	var sel []int32
 	haveSel := false
@@ -211,23 +206,8 @@ func columnScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, state
 
 	// Phase 2: compute outputs.
 	switch out.Kind {
-	case OutAggregates:
-		for i, a := range out.AggAttrs {
-			g, err := seg.GroupFor(a)
-			if err != nil {
-				return err
-			}
-			off, _ := g.Offset(a)
-			if haveSel {
-				foldSel(states[i], g, off, sel)
-			} else {
-				foldRange(states[i], g, off, 0, seg.Rows)
-			}
-		}
-		return nil
-
 	case OutGrouped:
-		return foldGroupedSel(seg, out, ga, sel, haveSel)
+		return foldGroupedSel(seg, out, p.groups, sel, haveSel, true, stats)
 
 	case OutProjection:
 		cols, n, err := gatherOutputColumns(seg, out.ProjAttrs, sel, haveSel, stats)
@@ -236,17 +216,17 @@ func columnScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, state
 		}
 		// Tuple reconstruction: stitch the intermediate columns row-major.
 		w := len(cols)
-		base := len(res.Data)
-		res.Data = append(res.Data, make([]data.Value, n*w)...)
+		base := len(p.data)
+		p.data = append(p.data, make([]data.Value, n*w)...)
 		for j, col := range cols {
 			for i, v := range col {
-				res.Data[base+i*w+j] = v
+				p.data[base+i*w+j] = v
 			}
 		}
-		res.Rows += n
+		p.rows += n
 		return nil
 
-	case OutExpression, OutAggExpression:
+	case OutExpression:
 		cols, n, err := gatherOutputColumns(seg, out.ExprAttrs, sel, haveSel, stats)
 		if err != nil {
 			return err
@@ -255,11 +235,8 @@ func columnScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, state
 		// column per addition. A single arena backs all intermediates — the
 		// strategy's cost is the materialization *traffic*, not allocator
 		// churn.
-		var final []data.Value
-		if len(cols) == 1 {
-			final = make([]data.Value, n)
-			copy(final, cols[0])
-		} else {
+		final := cols[0]
+		if len(cols) > 1 {
 			arena := make([]data.Value, (len(cols)-1)*n)
 			acc := cols[0]
 			for step, next := range cols[1:] {
@@ -274,14 +251,8 @@ func columnScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, state
 				stats.IntermediateWords += (len(cols) - 1) * n
 			}
 		}
-		if out.Kind == OutExpression {
-			res.Data = append(res.Data, final...)
-			res.Rows += n
-			return nil
-		}
-		for _, v := range final {
-			states[0].Add(v)
-		}
+		p.data = append(p.data, final...)
+		p.rows += n
 		return nil
 	}
 	return ErrUnsupported
@@ -328,25 +299,11 @@ func gatherOutputColumns(seg *storage.Segment, attrs []data.AttrID, sel []int32,
 // (with nil stats — intermediate accounting belongs to the cost-compared
 // strategies).
 func hybridSegPartial(seg *storage.Segment, q *query.Query, out Outputs, preds []ColPred, stats *StrategyStats) (*partial, error) {
-	states := newStates(out)
-	var ga *groupedAcc
-	if out.Kind == OutGrouped {
-		ga = newGroupedAcc(out)
-	}
-	res := &Result{}
-	if err := hybridScanSegment(seg, q, out, preds, states, res, ga, stats); err != nil {
-		return nil, err
-	}
-	return &partial{states: states, data: res.Data, rows: res.Rows, groups: ga}, nil
-}
-
-// hybridScanSegment runs the multi-group selection-vector strategy over one
-// segment, resolving groups against that segment's own layout.
-func hybridScanSegment(seg *storage.Segment, q *query.Query, out Outputs, preds []ColPred, states []*expr.AggState, res *Result, ga *groupedAcc, stats *StrategyStats) error {
 	_, assign, err := seg.CoveringGroups(q.AllAttrs())
 	if err != nil {
-		return err
+		return nil, err
 	}
+	p := newPartial(out)
 
 	// Predicates sharing a group evaluate in one pass, groups in first-seen
 	// order, so the most-selective-first heuristics of the caller are honored.
@@ -360,20 +317,11 @@ func hybridScanSegment(seg *storage.Segment, q *query.Query, out Outputs, preds 
 	}
 
 	switch out.Kind {
-	case OutAggregates:
-		for i, a := range out.AggAttrs {
-			g := assign[a]
-			off, _ := g.Offset(a)
-			if haveSel {
-				foldSel(states[i], g, off, sel)
-			} else {
-				foldRange(states[i], g, off, 0, seg.Rows)
-			}
-		}
-		return nil
-
 	case OutGrouped:
-		return foldGroupedSel(seg, out, ga, sel, haveSel)
+		if err := foldGroupedSel(seg, out, p.groups, sel, haveSel, false, nil); err != nil {
+			return nil, err
+		}
+		return p, nil
 
 	case OutProjection:
 		n := seg.Rows
@@ -381,26 +329,25 @@ func hybridScanSegment(seg *storage.Segment, q *query.Query, out Outputs, preds 
 			n = len(sel)
 		}
 		w := len(out.ProjAttrs)
-		base := len(res.Data)
-		res.Data = append(res.Data, make([]data.Value, n*w)...)
+		p.data = make([]data.Value, n*w)
 		for j, a := range out.ProjAttrs {
 			g := assign[a]
 			off, _ := g.Offset(a)
 			d, stride := g.Data, g.Stride
 			if haveSel {
 				for i, r := range sel {
-					res.Data[base+i*w+j] = d[int(r)*stride+off]
+					p.data[i*w+j] = d[int(r)*stride+off]
 				}
 			} else {
 				for r := 0; r < n; r++ {
-					res.Data[base+r*w+j] = d[r*stride+off]
+					p.data[r*w+j] = d[r*stride+off]
 				}
 			}
 		}
-		res.Rows += n
-		return nil
+		p.rows = n
+		return p, nil
 
-	case OutExpression, OutAggExpression:
+	case OutExpression:
 		n := seg.Rows
 		if haveSel {
 			n = len(sel)
@@ -430,72 +377,32 @@ func hybridScanSegment(seg *storage.Segment, q *query.Query, out Outputs, preds 
 				acc[i] += tmp[i]
 			}
 		}
-		if out.Kind == OutExpression {
-			res.Data = append(res.Data, acc...)
-			res.Rows += n
-			return nil
-		}
-		for _, v := range acc {
-			states[0].Add(v)
-		}
-		return nil
+		p.data, p.rows = acc, n
+		return p, nil
 	}
-	return ErrUnsupported
+	return nil, ErrUnsupported
 }
 
-// genericSegmentScan is the per-segment body of the generic interpreter: a
-// tuple-at-a-time loop over one pinned segment, evaluating the predicate
-// tree and select expressions through per-attribute accessor indirection.
-// Aggregate items fold into states (one per select item, in item order);
-// non-aggregate outputs append to res. The partial-result layer reuses it
-// with fresh per-segment states to compute SegPartials on layouts or query
-// shapes the fused kernels cannot serve.
-func genericSegmentScan(seg *storage.Segment, q *query.Query, hasAgg bool, states []*expr.AggState, res *Result) error {
-	_, assign, err := seg.CoveringGroups(q.AllAttrs())
+// genericSegmentScan is the per-segment body of the generic interpreter
+// for row outputs: a tuple-at-a-time loop over one pinned segment,
+// evaluating the predicate tree and select expressions through
+// per-attribute accessor indirection and appending every qualifying row's
+// outputs to p. Aggregate outputs fold through genericGroupedSegmentScan.
+func genericSegmentScan(seg *storage.Segment, q *query.Query, p *partial) error {
+	f, err := segmentFolder(seg, q.AllAttrs(), Outputs{})
 	if err != nil {
 		return err
 	}
-	type binding struct {
-		d      []data.Value
-		stride int
-		off    int
-	}
-	binds := map[data.AttrID]binding{}
-	for a, g := range assign {
-		off, _ := g.Offset(a)
-		binds[a] = binding{d: g.Data, stride: g.Stride, off: off}
-	}
-	row := 0
-	get := func(a data.AttrID) data.Value {
-		b := binds[a]
-		return b.d[row*b.stride+b.off]
-	}
-	for row = 0; row < seg.Rows; row++ {
-		if q.Where != nil && !q.Where.EvalBool(get) {
+	for f.row = 0; f.row < seg.Rows; f.row++ {
+		if q.Where != nil && !q.Where.EvalBool(f.get) {
 			continue
 		}
-		if hasAgg {
-			for i, it := range q.Items {
-				if it.Agg != nil {
-					states[i].Add(it.Agg.Arg.Eval(get))
-				}
-			}
-		} else {
-			for _, it := range q.Items {
-				res.Data = append(res.Data, it.Expr.Eval(get))
-			}
-			res.Rows++
+		for _, it := range q.Items {
+			p.data = append(p.data, it.Expr.Eval(f.get))
 		}
+		p.rows++
 	}
 	return nil
-}
-
-func aggResult(labels []string, states []*expr.AggState) *Result {
-	res := &Result{Cols: labels, Rows: 1, Data: make([]data.Value, len(states))}
-	for i, s := range states {
-		res.Data[i] = s.Result()
-	}
-	return res
 }
 
 func mustOffsets(g *storage.ColumnGroup, attrs []data.AttrID) []int {

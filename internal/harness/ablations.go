@@ -6,51 +6,8 @@ import (
 	"h2o/internal/data"
 	"h2o/internal/exec"
 	"h2o/internal/expr"
-	"h2o/internal/query"
 	"h2o/internal/storage"
-	"h2o/internal/workload"
 )
-
-// RunAblationVector sweeps the vector size of the chunked (vectorized)
-// executor on an expression query: tiny vectors pay per-chunk overhead,
-// full-column "vectors" lose L1 residency — the sweet spot sits at the
-// L1-sized default the paper adopts (§3.3, "vectors fit in the L1 cache").
-func RunAblationVector(cfg Config) (*Table, error) {
-	const nAttrs = 60
-	tb := data.GenerateSelective(data.SyntheticSchema("R", nAttrs), cfg.Rows150, cfg.Seed)
-	col := storage.BuildColumnMajor(tb)
-
-	attrs := append([]data.AttrID{0}, rangeAttrs(10, 19)...)
-	q := query.AggExpression("R", attrs, workload.DialPredicate(tb.Rows, 0.5))
-
-	sizes := []int{64, 256, 1024, 4096, 16384, tb.Rows}
-	if cfg.Quick {
-		sizes = []int{64, 1024, tb.Rows}
-	}
-	t := &Table{
-		Title:   "ablation-vector: chunk size of the vectorized executor (expression, sel 50%)",
-		Columns: []string{"vector_size", "time_ms", "vs_default"},
-	}
-	base := measure(cfg.Repeats, func() {
-		if _, err := exec.Exec(col, q, exec.ExecOpts{Strategy: exec.StrategyVectorized, VectorSize: exec.VectorSize}); err != nil {
-			panic(err)
-		}
-	})
-	for _, vs := range sizes {
-		d := measure(cfg.Repeats, func() {
-			if _, err := exec.Exec(col, q, exec.ExecOpts{Strategy: exec.StrategyVectorized, VectorSize: vs}); err != nil {
-				panic(err)
-			}
-		})
-		label := itoa(vs)
-		if vs == tb.Rows {
-			label = "full-column"
-		}
-		t.AddRow(label, ms(d), ratio(d, base))
-	}
-	t.Notes = append(t.Notes, fmt.Sprintf("default (%d values, L1-resident) baseline: %s ms", exec.VectorSize, ms(base)))
-	return t, nil
-}
 
 // RunAblationZonemap measures block-skipping zone maps (the lightweight end
 // of the paper's "adaptive indexing together with adaptive data layouts"
@@ -98,42 +55,5 @@ func RunAblationZonemap(cfg Config) (*Table, error) {
 		run("shuffled", gUni, zmUni, data.ValueLo+data.Value(2e9*sel), sel)
 	}
 	t.Notes = append(t.Notes, "zone maps are rebuilt for free during reorganization; they only pay off on position-clustered attributes")
-	return t, nil
-}
-
-// RunAblationBitmap compares the two qualifying-tuple representations —
-// selection vectors (lists of ids, Fig. 6) and bit-vectors (§2.1's
-// alternative) — on a filtered aggregation across the selectivity range.
-// Id lists win when few tuples qualify; bitmaps amortize better as
-// selectivity grows.
-func RunAblationBitmap(cfg Config) (*Table, error) {
-	const nAttrs = 60
-	tb := data.GenerateSelective(data.SyntheticSchema("R", nAttrs), cfg.Rows150, cfg.Seed)
-	col := storage.BuildColumnMajor(tb)
-
-	attrs := append([]data.AttrID{0}, rangeAttrs(20, 29)...)
-	sels := []float64{0.001, 0.01, 0.1, 0.5, 0.9}
-	if cfg.Quick {
-		sels = []float64{0.01, 0.9}
-	}
-	t := &Table{
-		Title:   "ablation-bitmap: selection vectors vs bit-vectors (filtered aggregation)",
-		Columns: []string{"selectivity", "sel_vector_ms", "bitmap_ms", "bitmap_vs_selvec"},
-	}
-	for _, sel := range sels {
-		q := query.Aggregation("R", aggOp(), attrs, workload.DialPredicate(tb.Rows, sel))
-		sv := measure(cfg.Repeats, func() {
-			if _, err := exec.Exec(col, q, exec.ExecOpts{Strategy: exec.StrategyHybrid}); err != nil {
-				panic(err)
-			}
-		})
-		bm := measure(cfg.Repeats, func() {
-			if _, err := exec.Exec(col, q, exec.ExecOpts{Strategy: exec.StrategyBitmap}); err != nil {
-				panic(err)
-			}
-		})
-		t.AddRow(percentF(sel), ms(sv), ms(bm), ratio(bm, sv))
-	}
-	t.Notes = append(t.Notes, "a bit-vector costs rows/8 bytes at any selectivity; an id list costs 4 bytes per qualifying tuple")
 	return t, nil
 }

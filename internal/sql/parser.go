@@ -191,6 +191,12 @@ func (p *parser) parseSelect() (*query.Query, error) {
 		if err := p.parseGroupBy(q); err != nil {
 			return nil, err
 		}
+	} else if q.HasAggregates() {
+		// Without GROUP BY an aggregate select list is one group with no
+		// keys: no plain column has one value per result row.
+		if _, err := checkAggShape(q, nil); err != nil {
+			return nil, err
+		}
 	}
 	if isKeyword(p.cur(), "limit") {
 		p.next()
@@ -382,17 +388,9 @@ func (p *parser) parseGroupBy(q *query.Query) error {
 	}
 	q.GroupBy = keys
 
-	// Shape check: aggregates and bare group-key columns only.
-	selected := map[data.AttrID]bool{}
-	for _, it := range q.Items {
-		if it.Agg != nil {
-			continue
-		}
-		c, ok := it.Expr.(*expr.Col)
-		if !ok || !seen[c.ID] {
-			return fmt.Errorf("sql: select item %q must be an aggregate or a group-by column", it.String())
-		}
-		selected[c.ID] = true
+	selected, err := checkAggShape(q, seen)
+	if err != nil {
+		return err
 	}
 	var prepend []query.SelectItem
 	for i := range keys {
@@ -405,6 +403,24 @@ func (p *parser) parseGroupBy(q *query.Query) error {
 		q.Items = append(prepend, q.Items...)
 	}
 	return nil
+}
+
+// checkAggShape is the shape check of an aggregate select list: every item
+// must be an aggregate or a bare column of keys. It returns the keys the
+// list selects.
+func checkAggShape(q *query.Query, keys map[data.AttrID]bool) (map[data.AttrID]bool, error) {
+	selected := map[data.AttrID]bool{}
+	for _, it := range q.Items {
+		if it.Agg != nil {
+			continue
+		}
+		c, ok := it.Expr.(*expr.Col)
+		if !ok || !keys[c.ID] {
+			return nil, fmt.Errorf("sql: select item %q must be an aggregate or a group-by column", it.String())
+		}
+		selected[c.ID] = true
+	}
+	return selected, nil
 }
 
 func (p *parser) parseSelectItem() (query.SelectItem, error) {

@@ -346,6 +346,33 @@ func TestParseGroupBy(t *testing.T) {
 	}
 }
 
+// TestParseMixedAggregateSelect: without GROUP BY an aggregate select list
+// is one group with no keys, so a plain column or expression beside an
+// aggregate has no value for the one result row and is rejected with the
+// grouped shape's error. Aggregates alone, and plain items alone, parse.
+func TestParseMixedAggregateSelect(t *testing.T) {
+	for _, bad := range []string{
+		"select a0, sum(a1) from R",
+		"select sum(a1), a0 from R where a2 < 5",
+		"select a0 + a2, count(a1) from R",
+		"select sum(a1), a0 from R limit 3",
+	} {
+		_, err := Parse(bad, resolver())
+		if err == nil || !strings.Contains(err.Error(), "must be an aggregate or a group-by column") {
+			t.Errorf("Parse(%q): err = %v, want a select-item shape error", bad, err)
+		}
+	}
+	for _, good := range []string{
+		"select sum(a1), count(a0), max(a2 + a3) from R where a0 < 5",
+		"select a0, a1 + a2 from R",
+		"select a1, sum(a2) from R group by a1",
+	} {
+		if _, err := Parse(good, resolver()); err != nil {
+			t.Errorf("Parse(%q): %v", good, err)
+		}
+	}
+}
+
 func TestParseInsert(t *testing.T) {
 	r := SchemaMap{"R": data.SyntheticSchema("R", 3)}
 	stmt, err := ParseInsert("insert into R values (1, -2, 3), (4, 5, 6)", r)
