@@ -120,9 +120,13 @@ func Propose(rel *storage.Relation, window []query.Info, m *costmodel.Model, cfg
 			}
 			withCost := ev.workloadCost(append(config, cand))
 			gain := baseCost - withCost
+			// The move is priced only for a gain that qualifies: with a
+			// non-negative transform cost, any other gain fails anyway.
+			if gain <= 0 || float64(gain) < cfg.MinGainRatio*float64(baseCost) {
+				continue
+			}
 			segBytes, moveBytes := ev.transformBytes(cand)
-			net := gain - m.TransformCost(moveBytes)
-			if net <= 0 || float64(gain) < cfg.MinGainRatio*float64(baseCost) {
+			if gain-m.TransformCost(moveBytes) <= 0 {
 				continue
 			}
 			if best == nil || gain > best.Gain {

@@ -113,6 +113,8 @@ type Window struct {
 
 	size    int // current dynamic window size N
 	history []query.Info
+	// patterns[i] is history[i].Pattern(), rendered once when observed.
+	patterns []string
 	// sinceAdapt counts queries observed since the last adaptation phase.
 	sinceAdapt int
 	// novelSinceAdapt records whether a shift was detected in the current
@@ -158,11 +160,14 @@ type Observation struct {
 // stable workloads happens at adaptation boundaries (see MarkAdapted), so a
 // stable stream still adapts periodically, just less and less often.
 func (w *Window) Observe(info query.Info) Observation {
-	novel := w.isNovel(info)
+	pat := info.Pattern()
+	novel := w.isNovel(info, pat)
 
 	w.history = append(w.history, info)
+	w.patterns = append(w.patterns, pat)
 	if over := len(w.history) - w.cfg.MaxSize; over > 0 {
 		w.history = w.history[over:]
+		w.patterns = w.patterns[over:]
 	}
 	w.sinceAdapt++
 
@@ -176,18 +181,17 @@ func (w *Window) Observe(info query.Info) Observation {
 	return Observation{Novel: novel, WindowSize: w.size, Due: w.sinceAdapt >= w.size}
 }
 
-// isNovel reports whether info's access pattern is new or rare relative to
-// the retained history: no exact-pattern repetition and low attribute-set
-// overlap with every retained query.
-func (w *Window) isNovel(info query.Info) bool {
+// isNovel reports whether info's access pattern pat is new or rare
+// relative to the retained history: no exact-pattern repetition and low
+// attribute-set overlap with every retained query.
+func (w *Window) isNovel(info query.Info, pat string) bool {
 	if len(w.history) == 0 {
 		return false // nothing to compare against yet
 	}
-	pat := info.Pattern()
 	attrs := info.All()
 	bestOverlap := 0.0
-	for _, h := range w.history {
-		if h.Pattern() == pat {
+	for i, h := range w.history {
+		if w.patterns[i] == pat {
 			return false
 		}
 		if o := jaccard(attrs, h.All()); o > bestOverlap {
@@ -255,8 +259,8 @@ func (w *Window) Matrices() (sel, where *Matrix) {
 func (w *Window) PatternFrequency(info query.Info) int {
 	pat := info.Pattern()
 	n := 0
-	for _, h := range w.history {
-		if h.Pattern() == pat {
+	for _, p := range w.patterns {
+		if p == pat {
 			n++
 		}
 	}

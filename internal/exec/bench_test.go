@@ -188,14 +188,42 @@ func BenchmarkPipelineHybrid(b *testing.B) {
 	benchPipeline(b, storage.BuildRowMajorSeg(tb, false, benchRows/16), StrategyHybrid)
 }
 
+// BenchmarkReorgOnline times the online reorganizing operator over every
+// segment of a 100K-row column-major relation: max10 is max over 10 of 50
+// attributes with no filter; adapt_seq is shaped like that workload's
+// reorganizing selects — sum(a+b+…) over 13 of 100 attributes under one
+// predicate selecting about 15 % of the rows, stitched from the columns
+// and one prior 21-wide group.
 func BenchmarkReorgOnline(b *testing.B) {
-	_, col, _ := benchFixture(b, 50)
-	attrs := []data.AttrID{0, 3, 7, 12, 18, 22, 28, 33, 39, 44}
-	q := query.Aggregation("R", expr.AggMax, attrs, nil)
-	b.SetBytes(int64(len(attrs)) * benchRows * 8)
+	b.Run("max10", func(b *testing.B) {
+		_, col, _ := benchFixture(b, 50)
+		attrs := []data.AttrID{0, 3, 7, 12, 18, 22, 28, 33, 39, 44}
+		benchReorg(b, col, query.Aggregation("R", expr.AggMax, attrs, nil))
+	})
+	b.Run("adapt_seq", func(b *testing.B) {
+		_, col, _ := benchFixture(b, 100)
+		prior := []data.AttrID{2, 5, 9, 14, 17, 23, 26, 31, 35, 38, 47, 52, 56, 61, 64, 70, 73, 79, 84, 90, 97}
+		g, err := storage.Stitch(col, prior)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := col.AddGroup(g); err != nil {
+			b.Fatal(err)
+		}
+		sum := []data.AttrID{5, 11, 14, 20, 26, 33, 41, 52, 58, 64, 77, 85, 93}
+		cut := data.ValueLo + (data.ValueHi-data.ValueLo)*15/100
+		benchReorg(b, col, query.AggExpression("R", sum, query.PredLt(60, cut)))
+	})
+}
+
+// benchReorg times Exec's reorganizing strategy for q over rel, stitching
+// every segment into a group over q's attributes.
+func benchReorg(b *testing.B, rel *storage.Relation, q *query.Query) {
+	attrs := q.AllAttrs()
+	b.SetBytes(int64(len(attrs)) * int64(rel.Rows) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Exec(col, q, ExecOpts{Strategy: StrategyReorg, ReorgAttrs: attrs}); err != nil {
+		if _, err := Exec(rel, q, ExecOpts{Strategy: StrategyReorg, ReorgAttrs: attrs}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -421,11 +421,12 @@ func claimLoop(n, workers int, stop func() bool, fn func(ti int) error) error {
 }
 
 // buildRow is the fused row pipeline (paper Fig. 5): each segment's
-// single covering group is scanned tuple-at-a-time with predicate
-// push-down. Conjunctions of single-column comparisons compile to
-// offset-bound predicates; any other predicate shape is evaluated through
-// a once-per-segment interpreted accessor, so disjunctive filters still
-// stream (and fan out) segment-at-a-time.
+// single covering group is scanned one chunk of tuples at a time with
+// predicate push-down. Conjunctions of single-column comparisons compile
+// to offset-bound predicates that FilterGroup evaluates; any other
+// predicate shape is evaluated through a once-per-segment interpreted
+// accessor, so disjunctive filters still stream (and fan out)
+// segment-at-a-time.
 func buildRow(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline, error) {
 	out := Classify(q)
 	if out.Kind == OutOther {

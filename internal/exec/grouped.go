@@ -517,14 +517,14 @@ type groupedFolder struct {
 	stats    *StrategyStats
 
 	// tuple, set for a folder bound to one strided column group (the row
-	// strategy's layout), is the group whose mini-tuples push reads as it
-	// queues each row, while the tuple is hot: the keys and column
-	// arguments are copied out of it (the words at offsets toffs), and each
-	// sum of columns is summed across it (the words at offsets tsums[k]),
-	// into one row of the chunk's tuple block tbuf. Chunk row i holds its
-	// copies, then its sums, from tbuf[i*tw]; attribute a's column is
-	// tpos[a]-1, and tcols binds each column. The folds read those columns
-	// in chunk order.
+	// strategy's layout), is the group whose mini-tuples foldSel reads a
+	// chunk's selection from in one pass, tuple by tuple: the keys and
+	// column arguments are copied out of each (the words at offsets toffs),
+	// and each sum of columns is summed across it (the words at offsets
+	// tsums[k]), into one row of the chunk's tuple block tbuf. Chunk row i
+	// holds its copies, then its sums, from tbuf[i*tw]; attribute a's
+	// column is tpos[a]-1, and tcols binds each column. The folds read
+	// those columns in chunk order.
 	tuple *storage.ColumnGroup
 	toffs []int
 	tsums [][]int
@@ -533,7 +533,6 @@ type groupedFolder struct {
 	tbuf  []data.Value
 	tcols []colBinding
 
-	sel  []int32      // rows queued by push
 	ids  []int32      // the chunk's group ids, grown to the largest chunk
 	kbuf []data.Value // the chunk's key vectors, back to back
 	vals []data.Value // the chunk's values of one argument
@@ -684,62 +683,52 @@ func (f *groupedFolder) column(a data.AttrID, sel []int32) (*colBinding, []int32
 	return &f.binds[a], sel
 }
 
-// push queues row r — a tuple folder copies its columns out while its
-// tuple is hot, to the next chunk row of tbuf — and folds every full
-// chunk of queued rows at once.
-func (f *groupedFolder) push(ga *groupedAcc, r int) {
-	if f.tuple != nil {
-		i := len(f.sel) * f.tw
-		row := f.tbuf[i : i+f.tw]
-		tup := f.tuple.Data[r*f.tuple.Stride:]
-		for k, off := range f.toffs {
-			row[k] = tup[off]
-		}
-		row = row[len(f.toffs):]
-		for k, offs := range f.tsums {
-			var v data.Value
-			for _, o := range offs {
-				v += tup[o]
-			}
-			row[k] = v
-		}
-	}
-	f.sel = append(f.sel, int32(r))
-	if len(f.sel) == VectorSize {
-		f.flush(ga)
-	}
-}
-
-// flush folds the queued rows.
-func (f *groupedFolder) flush(ga *groupedAcc) {
-	if len(f.sel) > 0 {
-		f.foldChunk(ga, f.sel)
-		f.sel = f.sel[:0]
-	}
-}
-
-// foldSel folds the rows listed in sel, one chunk at a time.
+// foldSel folds the rows listed in sel, one chunk at a time. A tuple
+// folder first copies each chunk's tuples into its tuple block in one
+// loop.
 func (f *groupedFolder) foldSel(ga *groupedAcc, sel []int32) {
-	if f.tuple != nil {
-		for _, r := range sel {
-			f.push(ga, int(r))
-		}
-		f.flush(ga)
-		return
-	}
 	for len(sel) > 0 {
 		n := min(len(sel), VectorSize)
+		if f.tuple != nil {
+			f.copyTuples(sel[:n])
+		}
 		f.foldChunk(ga, sel[:n])
 		sel = sel[n:]
 	}
 }
 
+// copyTuples copies the keys and column arguments of the tuples listed in
+// sel, and sums each sum of columns across them, into rows 0, 1, … of the
+// tuple block.
+func (f *groupedFolder) copyTuples(sel []int32) {
+	d, stride, tw := f.tuple.Data, f.tuple.Stride, f.tw
+	nc := len(f.toffs)
+	for i, r := range sel {
+		row := f.tbuf[i*tw : i*tw+tw]
+		tup := d[int(r)*stride:]
+		for k, off := range f.toffs {
+			row[k] = tup[off]
+		}
+		for k, offs := range f.tsums {
+			var v data.Value
+			for _, o := range offs {
+				v += tup[o]
+			}
+			row[nc+k] = v
+		}
+	}
+}
+
 // foldRange folds rows [lo, hi).
 func (f *groupedFolder) foldRange(ga *groupedAcc, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		f.push(ga, r)
+	sel := make([]int32, VectorSize)
+	for c := lo; c < hi; c += VectorSize {
+		n := min(VectorSize, hi-c)
+		for i := range sel[:n] {
+			sel[i] = int32(c + i)
+		}
+		f.foldSel(ga, sel[:n])
 	}
-	f.flush(ga)
 }
 
 // scratch returns a buffer of n values backed by *buf, grown as needed.
@@ -902,13 +891,16 @@ func genericGroupedSegmentScan(seg *storage.Segment, q *query.Query, out Outputs
 	if err != nil {
 		return err
 	}
-	for r := 0; r < seg.Rows; r++ {
-		f.row = r
-		if q.Where != nil && !q.Where.EvalBool(f.get) {
-			continue
+	sel := make([]int32, 0, VectorSize)
+	for lo := 0; lo < seg.Rows; lo += VectorSize {
+		sel = sel[:0]
+		for r := lo; r < min(lo+VectorSize, seg.Rows); r++ {
+			f.row = r
+			if q.Where == nil || q.Where.EvalBool(f.get) {
+				sel = append(sel, int32(r))
+			}
 		}
-		f.push(ga, r)
+		f.foldSel(ga, sel)
 	}
-	f.flush(ga)
 	return nil
 }

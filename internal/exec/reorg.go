@@ -13,7 +13,9 @@ import (
 // the tuple qualifies the arithmetic expression in the select is
 // computed. The early materialization strategy allows H2O to generate the
 // data layout and compute the query result without scanning the relation
-// twice."
+// twice." The pass runs a chunk of rows at a time: each chunk is stitched,
+// filtered and folded before the next is stitched, so the query reads the
+// new tuples from cache.
 //
 // Reorganization is *incremental*: only segments for which HotMask[si] is
 // true (nil mask means every segment) are stitched; the remaining
@@ -27,67 +29,34 @@ import (
 
 // reorgScanSegment stitches one segment's new group while answering the
 // query over the freshly built mini-tuples — the fused copy-and-evaluate
-// loop of Fig. 13, at segment granularity. Materialized rows append to p
-// in segment order; aggregates fold into p's accumulator.
+// pass of Fig. 13, at segment granularity. Each VectorSize chunk is
+// stitched one destination column at a time, filtered with the
+// monomorphic FilterGroup kernel, and its survivors are emitted or folded
+// while the chunk is still in cache. Materialized rows append to p
+// in segment order; aggregates fold into p's accumulator. The new group's
+// zone map is assembled from its sources' maps (storage.Stitcher.Finish).
 func reorgScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, norm []data.AttrID, p *partial) (*storage.ColumnGroup, error) {
-	_, assign, err := seg.CoveringGroups(norm)
+	st, err := storage.NewStitcher(seg, norm)
 	if err != nil {
 		return nil, err
 	}
-	dst := storage.NewGroup(norm, seg.Rows)
-
-	// Source copy plan: for each destination offset, the binding to read
-	// from.
-	srcs := make([]colBinding, dst.Width)
-	for i, a := range dst.Attrs {
-		srcs[i] = bindingOf(assign[a], a)
-	}
-
+	dst := st.Group()
 	bound, _ := BindPreds(dst, preds)
-
-	// Output plan against the destination group.
-	var projOffs, exprOffs []int
 	var gf *groupedFolder
-	switch out.Kind {
-	case OutProjection:
-		projOffs = mustOffsets(dst, out.ProjAttrs)
-	case OutExpression:
-		exprOffs = mustOffsets(dst, out.ExprAttrs)
-	case OutGrouped:
-		gf = columnGroupFolder(dst, out)
+	if out.Kind == OutGrouped {
+		gf = newGroupedFolder(out, groupedScanAttrs(out), func(data.AttrID) *storage.ColumnGroup { return dst }, seg)
 	}
-
-	dd, dStride := dst.Data, dst.Stride
-	base := 0
-	for r := 0; r < seg.Rows; r++ {
-		// Stitch: materialize the new mini-tuple.
-		for i := range srcs {
-			dd[base+i] = srcs[i].at(r)
+	e := newEmitter(dst, out)
+	sel := make([]int32, 0, VectorSize)
+	for lo := 0; lo < seg.Rows; lo += VectorSize {
+		hi := min(lo+VectorSize, seg.Rows)
+		st.Rows(lo, hi)
+		sel = FilterGroup(dst, bound, lo, hi-lo, sel[:0])
+		if gf != nil {
+			gf.foldSel(p.groups, sel)
+		} else {
+			e.emit(p, sel)
 		}
-		// Answer: evaluate the query against the freshly built tuple.
-		if passes(dd, base, bound) {
-			switch out.Kind {
-			case OutProjection:
-				for _, o := range projOffs {
-					p.data = append(p.data, dd[base+o])
-				}
-				p.rows++
-			case OutExpression:
-				var acc data.Value
-				for _, o := range exprOffs {
-					acc += dd[base+o]
-				}
-				p.data = append(p.data, acc)
-				p.rows++
-			case OutGrouped:
-				gf.push(p.groups, r)
-			}
-		}
-		base += dStride
 	}
-	if gf != nil {
-		gf.flush(p.groups)
-	}
-	dst.BuildZones(0)
-	return dst, nil
+	return st.Finish(), nil
 }

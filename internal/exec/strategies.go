@@ -96,8 +96,8 @@ func limitFor(out Outputs, q *query.Query) int {
 }
 
 // ExecRow executes q with the volcano-style row strategy over a single group
-// g that must store every attribute the query touches: one fused
-// tuple-at-a-time loop with predicate push-down (paper Figure 5). It is the
+// g that must store every attribute the query touches: one fused scan with
+// predicate push-down (paper Figure 5), a chunk of tuples at a time. It is the
 // per-group kernel; the row pipeline (Exec with StrategyRow) drives it
 // across a relation's segments.
 func ExecRow(g *storage.ColumnGroup, q *query.Query) (*Result, error) {

@@ -10,14 +10,15 @@ import (
 // reading the needed values from the segment's own groups ("blocks from R1
 // and R2 are read and stitched together", paper §3.2). This is the
 // *offline* reorganization primitive at segment granularity — the unit the
-// engine's incremental adaptation moves; the execution layer fuses the same
-// copy loop with predicate evaluation for the online path (Fig. 13).
+// engine's incremental adaptation moves; the execution layer runs the same
+// Stitcher a chunk at a time, fused with predicate evaluation, for the
+// online path (Fig. 13). The new group's zone map is assembled from the
+// sources' maps, not rescanned.
 //
-// The segment's groups must collectively cover attrs; the narrowest
-// available source is used for each attribute.
+// The segment's groups must collectively cover attrs; the covering
+// assignment of Segment.CoveringGroups picks each attribute's source.
 func StitchSeg(seg *Segment, attrs []data.AttrID) (*ColumnGroup, error) {
-	norm := data.SortedUnique(attrs)
-	_, assign, err := seg.CoveringGroups(norm)
+	st, err := NewStitcher(seg, attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -25,20 +26,8 @@ func StitchSeg(seg *Segment, attrs []data.AttrID) (*ColumnGroup, error) {
 		return nil, err
 	}
 	defer seg.Release()
-	dst := NewGroup(norm, seg.Rows)
-	// Copy column-runs one source attribute at a time: each inner loop is a
-	// strided copy, the memory access pattern the paper's stitch operator has.
-	for di, a := range dst.Attrs {
-		src := assign[a]
-		so, _ := src.Offset(a)
-		sStride, dStride := src.Stride, dst.Stride
-		sData, dData := src.Data, dst.Data
-		for r := 0; r < seg.Rows; r++ {
-			dData[r*dStride+di] = sData[r*sStride+so]
-		}
-	}
-	dst.BuildZones(0)
-	return dst, nil
+	st.Rows(0, seg.Rows)
+	return st.Finish(), nil
 }
 
 // Stitch materializes a full-relation-length group for attrs, stitching
@@ -50,27 +39,112 @@ func Stitch(rel *Relation, attrs []data.AttrID) (*ColumnGroup, error) {
 	dst := NewGroup(norm, rel.Rows)
 	base := 0
 	for _, seg := range rel.Segments {
-		_, assign, err := seg.CoveringGroups(norm)
+		cols, err := stitchSources(seg, norm)
 		if err != nil {
 			return nil, err
 		}
 		if _, err := seg.Acquire(); err != nil {
 			return nil, err
 		}
-		for di, a := range dst.Attrs {
-			src := assign[a]
-			so, _ := src.Offset(a)
-			sStride, dStride := src.Stride, dst.Stride
-			sData, dData := src.Data, dst.Data
-			for r := 0; r < seg.Rows; r++ {
-				dData[(base+r)*dStride+di] = sData[r*sStride+so]
-			}
-		}
+		stitchRows(dst, base, cols, 0, seg.Rows)
 		seg.Release()
 		base += seg.Rows
 	}
 	dst.BuildZones(0)
 	return dst, nil
+}
+
+// Stitcher builds one segment's new group over a set of attributes: Rows
+// copies a span of the segment's rows from their source groups, and Finish
+// gives the group its zone map. The online reorganizing operator stitches
+// one chunk at a time and evaluates the query over each chunk while it is
+// in cache; StitchSeg stitches every row at once.
+type Stitcher struct {
+	dst  *ColumnGroup
+	cols []stitchCol
+}
+
+// stitchCol is where one destination column of a stitch reads from: the
+// source group storing the attribute, and the attribute's word offset in
+// the source's mini-tuples.
+type stitchCol struct {
+	g   *ColumnGroup
+	off int
+}
+
+// NewStitcher plans the stitch of seg's rows into a new group over attrs
+// (normalized), whose rows it allocates. It does not read any data, so the
+// caller may pin the segment afterwards.
+func NewStitcher(seg *Segment, attrs []data.AttrID) (*Stitcher, error) {
+	norm := data.SortedUnique(attrs)
+	cols, err := stitchSources(seg, norm)
+	if err != nil {
+		return nil, err
+	}
+	return &Stitcher{dst: NewGroup(norm, seg.Rows), cols: cols}, nil
+}
+
+// stitchSources resolves each attribute of norm to the covering group of
+// seg it is read from.
+func stitchSources(seg *Segment, norm []data.AttrID) ([]stitchCol, error) {
+	_, assign, err := seg.CoveringGroups(norm)
+	if err != nil {
+		return nil, err
+	}
+	cols := make([]stitchCol, len(norm))
+	for i, a := range norm {
+		g := assign[a]
+		cols[i].g = g
+		cols[i].off, _ = g.Offset(a)
+	}
+	return cols, nil
+}
+
+// Group returns the group being built.
+func (s *Stitcher) Group() *ColumnGroup { return s.dst }
+
+// Rows stitches the segment's rows [lo, hi) into the same rows of the new
+// group.
+func (s *Stitcher) Rows(lo, hi int) { stitchRows(s.dst, 0, s.cols, lo, hi) }
+
+// Finish gives the stitched group its zone map and returns the group. Each
+// attribute's per-block min/max are copied from the map of the group it was
+// stitched from — they are properties of the values, not of the layout —
+// and the group is rescanned only when some source has no map over exactly
+// its rows at the default block (suffix views, custom blocks).
+func (s *Stitcher) Finish() *ColumnGroup {
+	if zm := deriveZoneMap(s.dst.Rows, s.cols); zm != nil {
+		s.dst.zm = zm
+	} else {
+		s.dst.BuildZones(0)
+	}
+	return s.dst
+}
+
+// stitchRows is the one stitch copy kernel: rows [lo, hi) of the sources
+// into rows [at+lo, at+hi) of dst, one destination column at a time, so
+// every inner loop is a single strided copy (the access pattern of the
+// paper's stitch operator).
+func stitchRows(dst *ColumnGroup, at int, cols []stitchCol, lo, hi int) {
+	n := hi - lo
+	if n <= 0 {
+		return
+	}
+	ds := dst.Stride
+	for di, c := range cols {
+		ss := c.g.Stride
+		d := dst.Data[(at+lo)*ds+di : (at+hi-1)*ds+di+1]
+		src := c.g.Data[lo*ss+c.off : (hi-1)*ss+c.off+1]
+		if ss == 1 {
+			for r, v := range src {
+				d[r*ds] = v
+			}
+			continue
+		}
+		for r, j := 0, 0; j < len(src); r, j = r+ds, j+ss {
+			d[r] = src[j]
+		}
+	}
 }
 
 // Project materializes a narrower group containing only attrs from a single
@@ -81,19 +155,13 @@ func Project(src *ColumnGroup, attrs []data.AttrID) (*ColumnGroup, error) {
 	if !src.HasAll(norm) {
 		return nil, fmt.Errorf("storage: source group %v does not cover %v", src.Attrs, norm)
 	}
-	dst := NewGroup(norm, src.Rows)
-	offs := make([]int, len(dst.Attrs))
-	for i, a := range dst.Attrs {
-		offs[i], _ = src.Offset(a)
+	s := &Stitcher{dst: NewGroup(norm, src.Rows), cols: make([]stitchCol, len(norm))}
+	for i, a := range norm {
+		s.cols[i].g = src
+		s.cols[i].off, _ = src.Offset(a)
 	}
-	for r := 0; r < src.Rows; r++ {
-		sBase, dBase := r*src.Stride, r*dst.Stride
-		for i, so := range offs {
-			dst.Data[dBase+i] = src.Data[sBase+so]
-		}
-	}
-	dst.BuildZones(0)
-	return dst, nil
+	s.Rows(0, src.Rows)
+	return s.Finish(), nil
 }
 
 // SegTransformBytes returns the number of bytes a reorganization of one

@@ -247,19 +247,24 @@ func (s *Segment) ExactGroup(attrs []data.AttrID) (*ColumnGroup, bool) {
 // narrowest group (least wasted bandwidth). The returned assignment maps
 // each requested attribute to the group chosen for it.
 func (s *Segment) CoveringGroups(attrs []data.AttrID) ([]*ColumnGroup, map[data.AttrID]*ColumnGroup, error) {
-	need := make(map[data.AttrID]bool, len(attrs))
+	// need[a] marks an attribute still missing, left counts them.
+	need := make([]bool, maxAttrID(attrs)+1)
+	left := 0
 	for _, a := range attrs {
-		need[a] = true
+		if a >= 0 && !need[a] {
+			need[a] = true
+			left++
+		}
 	}
 	var chosen []*ColumnGroup
-	assign := make(map[data.AttrID]*ColumnGroup, len(attrs))
-	for len(need) > 0 {
+	assign := make(map[data.AttrID]*ColumnGroup, left)
+	for left > 0 {
 		var best *ColumnGroup
 		bestCover := 0
 		for _, g := range s.Groups {
 			cover := 0
 			for _, a := range g.Attrs {
-				if need[a] {
+				if a < len(need) && need[a] {
 					cover++
 				}
 			}
@@ -271,22 +276,36 @@ func (s *Segment) CoveringGroups(attrs []data.AttrID) ([]*ColumnGroup, map[data.
 			}
 		}
 		if best == nil {
-			missing := make([]data.AttrID, 0, len(need))
-			for a := range need {
-				missing = append(missing, a)
-			}
-			sort.Ints(missing)
-			return nil, nil, fmt.Errorf("storage: attributes %v not covered by any group of %q", missing, s.schema().Name)
+			break
 		}
 		chosen = append(chosen, best)
 		for _, a := range best.Attrs {
-			if need[a] {
+			if a < len(need) && need[a] {
 				assign[a] = best
-				delete(need, a)
+				need[a] = false
+				left--
 			}
 		}
 	}
+	var missing []data.AttrID
+	for _, a := range attrs {
+		if a < 0 || need[a] {
+			missing = append(missing, a)
+		}
+	}
+	if missing != nil {
+		return nil, nil, fmt.Errorf("storage: attributes %v not covered by any group of %q", data.SortedUnique(missing), s.schema().Name)
+	}
 	return chosen, assign, nil
+}
+
+// maxAttrID returns the largest attribute id in attrs, -1 for none.
+func maxAttrID(attrs []data.AttrID) data.AttrID {
+	m := data.AttrID(-1)
+	for _, a := range attrs {
+		m = max(m, a)
+	}
+	return m
 }
 
 // AddGroup registers a new group with the segment. The group must match the

@@ -10,9 +10,11 @@ import (
 // bounds it also maintains, entire segments — that cannot satisfy a
 // predicate. This is the lightweight end of the "adaptive indexing together
 // with adaptive data layouts" direction the paper's conclusions propose:
-// zone maps are built in one pass whenever a group is created or
-// reorganized, and extended incrementally as tuples are appended to the
-// tail segment, so they ride along with layout adaptation for free.
+// zone maps are built in one pass when a group is loaded, assembled from
+// the source groups' maps when a group is stitched by reorganization (a
+// block's min/max depend on the values, not the layout), and extended
+// incrementally as tuples are appended to the tail segment, so they ride
+// along with layout adaptation for free.
 //
 // Skipping only pays off when values cluster by position (e.g. append-
 // ordered timestamps); on uniformly shuffled data every block spans the
@@ -94,6 +96,35 @@ func (z *ZoneMap) extend(g *ColumnGroup) {
 		}
 		z.rows, lo = hi, hi
 	}
+}
+
+// deriveZoneMap assembles the zone map of a group of rows rows whose
+// column i was stitched from cols[i]: zone zi of column i is zone zi of
+// the source's attribute, and so are the whole-group bounds. It returns
+// nil when a source has no map over exactly rows at DefaultZoneBlock; the
+// caller rebuilds from the data then. The result equals BuildZoneMap of
+// the stitched group, so appends extend it like any other map.
+func deriveZoneMap(rows int, cols []stitchCol) *ZoneMap {
+	for _, c := range cols {
+		if sz := c.g.zm; sz == nil || sz.Block != DefaultZoneBlock || sz.rows != rows {
+			return nil
+		}
+	}
+	w := len(cols)
+	z := NewZoneMap(w, DefaultZoneBlock)
+	z.rows = rows
+	z.zones = (rows + z.Block - 1) / z.Block
+	z.mins = make([]data.Value, z.zones*w)
+	z.maxs = make([]data.Value, z.zones*w)
+	for i, c := range cols {
+		sz, so := c.g.zm, c.off
+		for zi, j := 0, so; zi < z.zones; zi, j = zi+1, j+sz.width {
+			z.mins[zi*w+i] = sz.mins[j]
+			z.maxs[zi*w+i] = sz.maxs[j]
+		}
+		z.allMin[i], z.allMax[i] = sz.allMin[so], sz.allMax[so]
+	}
+	return z
 }
 
 // Zones returns the number of blocks.
