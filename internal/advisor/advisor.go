@@ -146,7 +146,7 @@ func Propose(rel *storage.Relation, window []query.Info, m *costmodel.Model, cfg
 		// ("new groups are generated by merging narrow groups with groups
 		// generated in previous iterations").
 		for _, other := range pool.items() {
-			if len(data.Intersect(bestCand, other)) > 0 {
+			if data.IntersectCount(bestCand, other) > 0 {
 				pool.add(data.Union(bestCand, other))
 			}
 		}
@@ -212,7 +212,7 @@ func (ev *evaluator) queryCost(info query.Info, config [][]data.AttrID) costmode
 	for len(remaining) > 0 {
 		bestIdx, bestCover := -1, 0
 		for i, grp := range config {
-			cover := len(data.Intersect(grp, remaining))
+			cover := data.IntersectCount(grp, remaining)
 			if cover > bestCover || (cover == bestCover && cover > 0 && len(grp) < len(config[bestIdx])) {
 				bestIdx, bestCover = i, cover
 			}

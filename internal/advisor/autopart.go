@@ -56,7 +56,7 @@ func AutoPart(nAttrs, rows int, workload []query.Info, m *costmodel.Model) [][]d
 	// attributes.
 	term := func(frag []data.AttrID, info query.Info) costmodel.Seconds {
 		need := info.All()
-		used := len(data.Intersect(frag, need))
+		used := data.IntersectCount(frag, need)
 		if used == 0 {
 			return 0
 		}

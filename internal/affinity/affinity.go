@@ -206,7 +206,7 @@ func jaccard(a, b []data.AttrID) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	inter := len(data.Intersect(a, b))
+	inter := data.IntersectCount(a, b)
 	union := len(a) + len(b) - inter
 	if union == 0 {
 		return 1

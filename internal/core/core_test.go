@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"h2o/internal/affinity"
@@ -470,5 +472,92 @@ func TestModeStrings(t *testing.T) {
 		if m.String() == "" {
 			t.Fatal("empty mode name")
 		}
+	}
+}
+
+// TestReorgWidthInvariant runs one adaptive query sequence — drifting hot
+// attribute sets, with projections, expressions, scalar and grouped
+// aggregates — over a relation of several segments under GOMAXPROCS 1 and
+// 2. Online reorganization fans out across GOMAXPROCS, so the two runs
+// reorganize at different widths; they must give identical answers, the
+// same final layout and the same reorganization counters.
+func TestReorgWidthInvariant(t *testing.T) {
+	tb := table(t)
+	for r := 0; r < tb.Rows; r++ {
+		tb.Cols[7][r] &= 15
+	}
+	queries := func() []*query.Query {
+		rng := rand.New(rand.NewSource(49))
+		sets := [][]data.AttrID{{2, 5, 9, 14}, {1, 7, 11, 20, 26}, {3, 7, 8, 17}}
+		var qs []*query.Query
+		for i := 0; i < 60; i++ {
+			set := sets[(i/20)%len(sets)]
+			where := query.PredLt(set[0], rng.Int63n(2*data.ValueHi)-data.ValueHi)
+			switch i % 4 {
+			case 0:
+				qs = append(qs, query.Aggregation("R", expr.AggSum, set, where))
+			case 1:
+				qs = append(qs, query.ArithExpression("R", set, where))
+			case 2:
+				qs = append(qs, query.Projection("R", set, where))
+			default:
+				q := query.Aggregation("R", expr.AggMax, set[1:], where)
+				q.GroupBy = []expr.Col{{ID: 7}}
+				q.Items = append([]query.SelectItem{{Expr: &expr.Col{ID: 7}}}, q.Items...)
+				qs = append(qs, q)
+			}
+		}
+		return qs
+	}()
+	run := func(procs int) ([]*exec.Result, string, Stats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		opts := DefaultOptions()
+		opts.Window.InitialSize = 10
+		opts.MaxGroups = tAttrs + 2 // later reorganizations drop earlier groups
+		e := New(storage.BuildColumnMajorSeg(tb, 7000), opts)
+		var out []*exec.Result
+		for i, q := range queries {
+			res, _, err := e.Execute(q)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d, query %d (%s): %v", procs, i, q, err)
+			}
+			out = append(out, res)
+		}
+		// Every group left, stitched at either width, must hold the
+		// table's values.
+		base := 0
+		for si, seg := range e.Relation().Segments {
+			for _, g := range seg.Groups {
+				for r := 0; r < seg.Rows; r++ {
+					for _, a := range g.Attrs {
+						if got, want := g.Value(r, a), tb.Value(base+r, a); got != want {
+							t.Fatalf("GOMAXPROCS %d: segment %d group %v row %d a%d = %d, want %d", procs, si, g.Attrs, r, a, got, want)
+						}
+					}
+				}
+			}
+			base += seg.Rows
+		}
+		return out, e.Relation().LayoutSignature(), e.Stats()
+	}
+	serial, serialLayout, serialStats := run(1)
+	if serialStats.Reorgs == 0 {
+		t.Fatalf("the sequence never reorganized: %+v", serialStats)
+	}
+	t.Logf("serial: %d reorgs, %d groups created, %d dropped; layout %s", serialStats.Reorgs, serialStats.GroupsCreated, serialStats.GroupsDropped, serialLayout)
+	par, parLayout, parStats := run(2)
+	for i := range serial {
+		if !reflect.DeepEqual(serial[i], par[i]) {
+			t.Fatalf("query %d (%s): GOMAXPROCS 2 answered %v, 1 answered %v", i, queries[i], par[i].Data, serial[i].Data)
+		}
+		if want := reference(tb, queries[i]); !serial[i].Equal(want) {
+			t.Fatalf("query %d (%s): wrong result", i, queries[i])
+		}
+	}
+	if parLayout != serialLayout {
+		t.Fatalf("layout under GOMAXPROCS 2:\n%s\nunder 1:\n%s", parLayout, serialLayout)
+	}
+	if parStats.Reorgs != serialStats.Reorgs || parStats.GroupsCreated != serialStats.GroupsCreated || parStats.GroupsDropped != serialStats.GroupsDropped {
+		t.Fatalf("stats under GOMAXPROCS 2 %+v, under 1 %+v", parStats, serialStats)
 	}
 }

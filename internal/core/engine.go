@@ -15,6 +15,8 @@
 // stable layout share a read lock and run concurrently (the paper's engines
 // are "tuned to use all the available CPUs"), while inserts, adaptation
 // phases and online reorganizations take an exclusive per-relation lock.
+// An online reorganization fans its chunk ranges out across GOMAXPROCS
+// workers while it holds that lock.
 // Every mutation advances the version counter of each segment it touches;
 // the serving layer (internal/server) keys its result cache on per-query
 // touch fingerprints over those versions (see QueryFingerprint), so a
@@ -32,6 +34,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -107,7 +110,9 @@ type Options struct {
 	AmortizationHorizon int
 	// Parallelism fans fused scans out across this many goroutines, one
 	// task per storage segment (the paper's engines "use all the available
-	// CPUs"). 0 or 1 keeps scans serial.
+	// CPUs"). 0 or 1 keeps scans serial. It applies to scans only: an
+	// online reorganization always fans out across GOMAXPROCS, since it
+	// holds the exclusive lock and every other query waits for it anyway.
 	Parallelism int
 	// HotSegmentReads is the number of scans (since the last adaptation
 	// phase) that marks a segment hot: online reorganization stitches the
@@ -744,6 +749,10 @@ func (e *Engine) tryReorg(q *query.Query, info query.Info, start time.Time) (*ex
 	if horizon <= 0 {
 		horizon = e.windowSize()
 	}
+	// The current plan's cost is the same for every proposal: price it at
+	// the first covering proposal, once per call.
+	var currCost costmodel.Seconds
+	priced := false
 	for i, p := range e.pending {
 		if !data.ContainsAll(p.Attrs, all) {
 			continue
@@ -756,13 +765,15 @@ func (e *Engine) tryReorg(q *query.Query, info query.Info, start time.Time) (*ex
 		// amortize the move within the horizon? Gain and move volume are
 		// both restricted to the hot segments: adapting three hot segments
 		// can pay even when reorganizing the whole relation would not.
-		currStrat, currCost := e.chooseStrategy(q, info)
+		if !priced {
+			_, currCost = e.chooseStrategy(q, info)
+			priced = true
+		}
 		newCost := e.costOnGroup(len(p.Attrs), len(all), info)
 		gain := currCost - newCost
 		if gain <= 0 {
 			continue
 		}
-		_ = currStrat
 		hot, hotRows, hotBytes := e.hotSegments(q, p)
 		if hotRows == 0 {
 			continue
@@ -772,10 +783,13 @@ func (e *Engine) tryReorg(q *query.Query, info query.Info, start time.Time) (*ex
 			continue
 		}
 
+		// Every core, not Options.Parallelism: the pass holds the
+		// exclusive lock, so every other query waits for it anyway.
 		var st exec.StrategyStats
 		var newGroups []*storage.ColumnGroup
 		res, err := exec.Exec(e.rel, q, exec.ExecOpts{
 			Strategy:   exec.StrategyReorg,
+			Workers:    runtime.GOMAXPROCS(0),
 			ReorgAttrs: p.Attrs,
 			HotMask:    hot,
 			NewGroups:  &newGroups,

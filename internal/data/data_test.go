@@ -107,6 +107,42 @@ func TestSetOperations(t *testing.T) {
 	}
 }
 
+func TestIntersectCount(t *testing.T) {
+	for _, tc := range []struct {
+		a, b []AttrID
+		want int
+	}{
+		{nil, nil, 0},
+		{[]AttrID{1, 2}, nil, 0},
+		{nil, []AttrID{1, 2}, 0},
+		{[]AttrID{1, 3, 5, 7}, []AttrID{3, 4, 5}, 2},
+		{[]AttrID{1, 2, 3}, []AttrID{1, 2, 3}, 3},
+		{[]AttrID{1, 2, 3}, []AttrID{4, 5, 6}, 0},
+		{[]AttrID{0}, []AttrID{0, 9}, 1},
+		{[]AttrID{9}, []AttrID{0, 9}, 1},
+	} {
+		if got := IntersectCount(tc.a, tc.b); got != tc.want {
+			t.Errorf("IntersectCount(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
+		if got := IntersectCount(tc.b, tc.a); got != tc.want {
+			t.Errorf("IntersectCount(%v, %v) = %d, want %d", tc.b, tc.a, got, tc.want)
+		}
+	}
+}
+
+// TestIntersectCountMatchesIntersect checks IntersectCount against the
+// length of the set Intersect builds, on random sorted sets.
+func TestIntersectCountMatchesIntersect(t *testing.T) {
+	f := func(xs, ys []uint8) bool {
+		a := SortedUnique(toAttrs(xs))
+		b := SortedUnique(toAttrs(ys))
+		return IntersectCount(a, b) == len(Intersect(a, b))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSetOperationsProperty(t *testing.T) {
 	f := func(xs, ys []uint8) bool {
 		a := SortedUnique(toAttrs(xs))

@@ -134,6 +134,25 @@ func Intersect(a, b []AttrID) []AttrID {
 	return out
 }
 
+// IntersectCount returns the size of the intersection of two sorted
+// attribute sets, len(Intersect(a, b)) without building it.
+func IntersectCount(a, b []AttrID) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
 // Union returns the union of two sorted attribute sets, sorted.
 func Union(a, b []AttrID) []AttrID {
 	out := make([]AttrID, 0, len(a)+len(b))

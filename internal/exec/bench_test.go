@@ -217,13 +217,15 @@ func BenchmarkReorgOnline(b *testing.B) {
 }
 
 // benchReorg times Exec's reorganizing strategy for q over rel, stitching
-// every segment into a group over q's attributes.
+// every segment into a group over q's attributes across GOMAXPROCS workers,
+// as the engine runs it (-cpu sets the width).
 func benchReorg(b *testing.B, rel *storage.Relation, q *query.Query) {
 	attrs := q.AllAttrs()
+	workers := runtime.GOMAXPROCS(0)
 	b.SetBytes(int64(len(attrs)) * int64(rel.Rows) * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Exec(rel, q, ExecOpts{Strategy: StrategyReorg, ReorgAttrs: attrs}); err != nil {
+		if _, err := Exec(rel, q, ExecOpts{Strategy: StrategyReorg, Workers: workers, ReorgAttrs: attrs}); err != nil {
 			b.Fatal(err)
 		}
 	}

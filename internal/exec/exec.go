@@ -36,9 +36,10 @@ import (
 type ExecOpts struct {
 	// Strategy picks the per-segment operator set.
 	Strategy Strategy
-	// Workers is the fan-out width: one goroutine task per segment when
-	// > 1, serial execution when <= 1. The reorg pipeline is always
-	// serial (it mutates per-segment layout state).
+	// Workers is the fan-out width: tasks (whole segments, or row ranges
+	// of them) are claimed by this many goroutines when > 1, run serially
+	// when <= 1. The reorg pipeline splits its hot segments into ranges
+	// that stitch disjoint rows of each new group.
 	Workers int
 	// HotMask restricts StrategyReorg's stitching to the marked segments
 	// (nil stitches every segment).
@@ -170,12 +171,16 @@ type pipeline struct {
 	// encodedPin pins segments at encoded-or-better residency instead of
 	// flat (the encoded-direct pipeline).
 	encodedPin bool
-	// serialOnly refuses fan-out (the reorg pipeline mutates per-segment
-	// layout state in segment order).
-	serialOnly bool
 	// subsplit allows sub-segment row ranges when segments are scarcer
 	// than workers (row pipeline only: scanRange takes [lo, hi)).
 	subsplit bool
+	// rangeRows, when non-nil, returns the length of the row ranges
+	// segment si always splits into, 0 to keep it whole (the reorg
+	// pipeline's hot segments).
+	rangeRows func(si int) int
+	// seal, when non-nil, runs once after every task has been scanned
+	// and before the merge (the reorg pipeline finishes its new groups).
+	seal func()
 	// resolve, when non-nil, runs per non-empty segment before pruning
 	// (the row pipeline's covering-group check, which must error even for
 	// prunable segments).
@@ -196,10 +201,7 @@ type pipeline struct {
 // then scan them serially or fanned out, then merge.
 func (p *pipeline) run(rel *storage.Relation, opts ExecOpts) (*Result, error) {
 	stats := opts.Stats
-	workers := opts.Workers
-	if workers <= 1 || p.serialOnly {
-		workers = 1
-	}
+	workers := max(opts.Workers, 1)
 
 	// SegSource plan phase: skip empty segments, resolve per-segment
 	// bindings, prune via zone maps (counted, and skipped entirely —
@@ -231,6 +233,12 @@ func (p *pipeline) run(rel *storage.Relation, opts ExecOpts) (*Result, error) {
 			}
 			t.bound = bound
 		}
+		if p.rangeRows != nil {
+			if per := p.rangeRows(si); per > 0 {
+				tasks = t.split(per, tasks)
+				continue
+			}
+		}
 		tasks = append(tasks, t)
 	}
 
@@ -242,17 +250,7 @@ func (p *pipeline) run(rel *storage.Relation, opts ExecOpts) (*Result, error) {
 		chunks := (workers + n - 1) / n
 		split := make([]segTask, 0, n*chunks)
 		for _, t := range tasks {
-			per := (t.hi + chunks - 1) / chunks
-			if per < 1 {
-				per = 1
-			}
-			for lo := 0; lo < t.hi; lo += per {
-				hi := lo + per
-				if hi > t.hi {
-					hi = t.hi
-				}
-				split = append(split, segTask{si: t.si, seg: t.seg, g: t.g, bound: t.bound, lo: lo, hi: hi})
-			}
+			split = t.split(max((t.hi+chunks-1)/chunks, 1), split)
 		}
 		tasks = split
 	}
@@ -367,8 +365,12 @@ func (p *pipeline) pin(seg *storage.Segment) (bool, error) {
 	return seg.Acquire()
 }
 
-// finish merges the per-segment partials into the final result.
+// finish seals the pipeline and merges the per-task partials into the
+// final result.
 func (p *pipeline) finish(partials []*partial) (*Result, error) {
+	if p.seal != nil {
+		p.seal()
+	}
 	return mergePartials(p.out, partials), nil
 }
 
@@ -581,18 +583,25 @@ func buildGeneric(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeli
 
 // buildReorg fuses layout creation with query answering (paper §3.2,
 // Fig. 13). Hot segments (HotMask, minus already-adapted ones) bypass
-// pruning — they must be stitched regardless — and run the fused
-// stitch-and-evaluate operator, recording the new group; cold segments
-// run the hybrid operator over their existing layout, pruned as usual.
-// Shapes outside the reorganizing template stitch the new groups up
-// front and answer through the generic pipeline (two passes over the hot
-// segments). Always serial: stitching mutates per-segment layout state.
+// pruning — they must be stitched regardless — and split into
+// chunk-aligned ranges that run the fused stitch-and-evaluate operator
+// over one shared Stitcher per segment; the new groups are finished and
+// recorded after every range has run. Cold segments run the hybrid
+// operator over their existing layout, pruned as usual. Shapes outside
+// the reorganizing template stitch the new groups up front and answer
+// through the generic pipeline (two passes over the hot segments).
 func buildReorg(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline, error) {
 	if len(opts.ReorgAttrs) == 0 {
 		return nil, fmt.Errorf("exec: StrategyReorg needs ExecOpts.ReorgAttrs")
 	}
 	norm := data.SortedUnique(opts.ReorgAttrs)
-	hot := opts.HotMask
+	hot := func(si int, seg *storage.Segment) bool {
+		if opts.HotMask != nil && !opts.HotMask[si] {
+			return false
+		}
+		_, exists := seg.ExactGroup(norm)
+		return !exists // an adapted segment has nothing to stitch
+	}
 	newGroups := make([]*storage.ColumnGroup, len(rel.Segments))
 	if opts.NewGroups != nil {
 		*opts.NewGroups = newGroups
@@ -603,10 +612,7 @@ func buildReorg(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline
 		// Shape outside the reorganizing template: build the layouts with
 		// the plain per-segment stitch and answer via the generic pipeline.
 		for si, seg := range rel.Segments {
-			if hot != nil && !hot[si] {
-				continue
-			}
-			if _, exists := seg.ExactGroup(norm); exists {
+			if !hot(si, seg) {
 				continue
 			}
 			g, err := storage.StitchSeg(seg, norm)
@@ -617,34 +623,43 @@ func buildReorg(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline
 		}
 		return buildGeneric(rel, q, opts)
 	}
-	isHot := func(si int, seg *storage.Segment) bool {
-		if hot != nil && !hot[si] {
-			return false
+	const rangeRows = reorgRangeChunks * VectorSize
+	segs := make([]*reorgSeg, len(rel.Segments))
+	for si, seg := range rel.Segments {
+		if seg.Rows == 0 || !hot(si, seg) {
+			continue
 		}
-		if _, exists := seg.ExactGroup(norm); exists {
-			return false // already adapted: nothing to stitch
+		rs, err := newReorgSeg(seg, norm, preds, rangeRows)
+		if err != nil {
+			return nil, err
 		}
-		return true
+		segs[si] = rs
 	}
 	return &pipeline{
-		out:        out,
-		preds:      preds,
-		serialOnly: true,
-		force:      isHot,
+		out:   out,
+		preds: preds,
+		force: func(si int, _ *storage.Segment) bool { return segs[si] != nil },
+		rangeRows: func(si int) int {
+			if segs[si] == nil {
+				return 0
+			}
+			return rangeRows
+		},
 		scan: func(c *segCtx) (*partial, error) {
-			if isHot(c.si, c.seg) {
-				p := newPartial(out)
-				g, err := reorgScanSegment(c.seg, out, preds, norm, p)
-				if err != nil {
-					return nil, err
-				}
-				newGroups[c.si] = g
-				return p, nil
+			if rs := segs[c.si]; rs != nil {
+				return rs.scanRange(c.seg, out, c.lo, c.hi), nil
 			}
 			// Cold segment: answer from the existing layout. Stats stay nil
 			// — intermediate accounting belongs to the cost-compared
 			// strategies, not the reorganizing operator's cold remainder.
 			return hybridSegPartial(c.seg, q, out, preds, nil)
+		},
+		seal: func() {
+			for si, rs := range segs {
+				if rs != nil {
+					newGroups[si] = rs.finish()
+				}
+			}
 		},
 	}, nil
 }

@@ -21,6 +21,17 @@ type segTask struct {
 	lo, hi int
 }
 
+// split appends t's rows as consecutive ranges of per rows (the last one
+// shorter) to dst.
+func (t segTask) split(per int, dst []segTask) []segTask {
+	for lo := t.lo; lo < t.hi; lo += per {
+		r := t
+		r.lo, r.hi = lo, min(lo+per, t.hi)
+		dst = append(dst, r)
+	}
+	return dst
+}
+
 // partial is one segment's contribution: materialized rows, or for an
 // aggregate output (OutGrouped) the range's accumulator.
 type partial struct {

@@ -25,27 +25,27 @@ func reorgTable(rows int, seed int64) *data.Table {
 
 // reorgLayouts are the source layouts a reorganization stitches from:
 // plain columns, a prior wide group beside the columns, and one padded row
-// group. Each relation is one segment of every row.
+// group, cut into segments of segCap rows.
 var reorgLayouts = []struct {
 	name  string
-	build func(tb *data.Table) *storage.Relation
+	build func(tb *data.Table, segCap int) *storage.Relation
 }{
-	{"columns", func(tb *data.Table) *storage.Relation {
-		return storage.BuildColumnMajorSeg(tb, tb.Rows)
+	{"columns", func(tb *data.Table, segCap int) *storage.Relation {
+		return storage.BuildColumnMajorSeg(tb, segCap)
 	}},
-	{"wide-plus-columns", func(tb *data.Table) *storage.Relation {
+	{"wide-plus-columns", func(tb *data.Table, segCap int) *storage.Relation {
 		groups := []*storage.ColumnGroup{storage.BuildGroup(tb, []data.AttrID{1, 2, 3, 5})}
 		for a := 0; a < tb.Schema.NumAttrs(); a++ {
 			groups = append(groups, storage.BuildGroup(tb, []data.AttrID{a}))
 		}
-		rel, err := storage.NewRelationSeg(tb.Schema, tb.Rows, groups, tb.Rows)
+		rel, err := storage.NewRelationSeg(tb.Schema, tb.Rows, groups, segCap)
 		if err != nil {
 			panic(err)
 		}
 		return rel
 	}},
-	{"padded-row", func(tb *data.Table) *storage.Relation {
-		return storage.BuildRowMajorSeg(tb, true, tb.Rows)
+	{"padded-row", func(tb *data.Table, segCap int) *storage.Relation {
+		return storage.BuildRowMajorSeg(tb, true, segCap)
 	}},
 }
 
@@ -81,45 +81,82 @@ func reorgShapes(where expr.Pred) []*query.Query {
 	}
 }
 
-// checkReorgScan runs q on rel's one segment through the reorganizing
-// strategy over q's attributes plus extra, and checks the answer against
-// the generic strategy, and the stitched group — attributes, stride, data
-// and zone map — against StitchSeg's, its zone map also against a
-// rebuild.
-func checkReorgScan(t *testing.T, rel *storage.Relation, q *query.Query, extra []data.AttrID) {
+// checkReorgScan runs q on rel through the reorganizing strategy over q's
+// attributes plus extra, stitching the segments hot marks (nil: every
+// segment) serially, and checks the answer against the generic strategy and
+// each stitched group — attributes, stride, data and zone map — against
+// StitchSeg's, its zone map also against a rebuild; a segment left cold or
+// already adapted gets none. It then reruns the pass with each worker count
+// of workers and checks the answer and the groups bit for bit against the
+// serial pass.
+func checkReorgScan(t *testing.T, rel *storage.Relation, q *query.Query, extra []data.AttrID, hot []bool, workers ...int) {
 	t.Helper()
 	attrs := data.Union(q.AllAttrs(), data.SortedUnique(extra))
-	var groups []*storage.ColumnGroup
-	got, err := Exec(rel, q, ExecOpts{Strategy: StrategyReorg, ReorgAttrs: attrs, NewGroups: &groups})
-	if err != nil {
-		t.Fatalf("%s: reorg: %v", q, err)
+	reorg := func(workers int) (*Result, []*storage.ColumnGroup) {
+		t.Helper()
+		var groups []*storage.ColumnGroup
+		res, err := Exec(rel, q, ExecOpts{Strategy: StrategyReorg, Workers: workers, ReorgAttrs: attrs, HotMask: hot, NewGroups: &groups})
+		if err != nil {
+			t.Fatalf("%s: reorg with %d workers: %v", q, workers, err)
+		}
+		return res, groups
 	}
+	label := func(workers int) string {
+		return fmt.Sprintf("%s over %d rows in %d segments, reorganized into %v by %d workers", q, rel.Rows, len(rel.Segments), attrs, workers)
+	}
+	serial, serialGroups := reorg(1)
 	want, err := Exec(rel, q, ExecOpts{Strategy: StrategyGeneric})
 	if err != nil {
 		t.Fatalf("%s: generic: %v", q, err)
 	}
-	label := fmt.Sprintf("%s over %d rows, reorganized into %v", q, rel.Rows, attrs)
-	if !got.Equal(want) {
-		t.Fatalf("%s: reorg answered %v, generic %v", label, got.Data, want.Data)
+	if !serial.Equal(want) {
+		t.Fatalf("%s: reorg answered %v, generic %v", label(1), serial.Data, want.Data)
 	}
-	seg := rel.Segments[0]
-	if _, exact := seg.ExactGroup(attrs); exact {
-		return
+	for si, seg := range rel.Segments {
+		g := serialGroups[si]
+		_, exact := seg.ExactGroup(attrs)
+		if exact || seg.Rows == 0 || (hot != nil && !hot[si]) {
+			if g != nil {
+				t.Fatalf("%s: segment %d stitched a group it should not have", label(1), si)
+			}
+			continue
+		}
+		ref, err := storage.StitchSeg(seg, attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSameGroup(t, label(1), si, g, "StitchSeg", ref)
+		if rebuilt := storage.BuildZoneMap(g, 0); !reflect.DeepEqual(g.Zones(), rebuilt) {
+			t.Fatalf("%s: segment %d zone map %+v, rebuilt %+v", label(1), si, g.Zones(), rebuilt)
+		}
 	}
-	g := groups[0]
-	ref, err := storage.StitchSeg(seg, attrs)
-	if err != nil {
-		t.Fatal(err)
+	for _, w := range workers {
+		got, groups := reorg(w)
+		if !reflect.DeepEqual(got, serial) {
+			t.Fatalf("%s: answered %+v, the serial pass %+v", label(w), got, serial)
+		}
+		for si, g := range groups {
+			if g == nil || serialGroups[si] == nil {
+				if g != serialGroups[si] {
+					t.Fatalf("%s: segment %d stitched %v, the serial pass %v", label(w), si, g, serialGroups[si])
+				}
+				continue
+			}
+			checkSameGroup(t, label(w), si, g, "the serial pass", serialGroups[si])
+		}
 	}
-	if !reflect.DeepEqual(g.Attrs, ref.Attrs) || g.Stride != ref.Stride || g.Rows != ref.Rows || !reflect.DeepEqual(g.Data, ref.Data) {
-		t.Fatalf("%s: stitched group %v (stride %d, %d rows) differs from StitchSeg's %v (stride %d, %d rows)",
-			label, g.Attrs, g.Stride, g.Rows, ref.Attrs, ref.Stride, ref.Rows)
+}
+
+// checkSameGroup fails unless segment si's stitched group g has the
+// attributes, stride, rows, data and zone map of want.
+func checkSameGroup(t *testing.T, label string, si int, g *storage.ColumnGroup, name string, want *storage.ColumnGroup) {
+	t.Helper()
+	if !reflect.DeepEqual(g.Attrs, want.Attrs) || g.Stride != want.Stride || g.Rows != want.Rows || !reflect.DeepEqual(g.Data, want.Data) {
+		t.Fatalf("%s: segment %d stitched group %v (stride %d, %d rows) differs from %s's %v (stride %d, %d rows)",
+			label, si, g.Attrs, g.Stride, g.Rows, name, want.Attrs, want.Stride, want.Rows)
 	}
-	if !reflect.DeepEqual(g.Zones(), ref.Zones()) {
-		t.Fatalf("%s: zone map %+v, StitchSeg's %+v", label, g.Zones(), ref.Zones())
-	}
-	if rebuilt := storage.BuildZoneMap(g, 0); !reflect.DeepEqual(g.Zones(), rebuilt) {
-		t.Fatalf("%s: zone map %+v, rebuilt %+v", label, g.Zones(), rebuilt)
+	if !reflect.DeepEqual(g.Zones(), want.Zones()) {
+		t.Fatalf("%s: segment %d zone map %+v, %s's %+v", label, si, g.Zones(), name, want.Zones())
 	}
 }
 
@@ -142,29 +179,73 @@ func TestReorgScanMatchesStitch(t *testing.T) {
 			&expr.And{Terms: []expr.Pred{cmp(expr.Le, 2, mid), cmp(expr.Gt, 7, tb.Cols[7][0])}},
 		}
 		for _, layout := range reorgLayouts {
-			rel := layout.build(tb)
+			rel := layout.build(tb, tb.Rows)
 			for _, where := range preds {
 				for _, q := range reorgShapes(where) {
-					checkReorgScan(t, rel, q, []data.AttrID{0})
+					checkReorgScan(t, rel, q, []data.AttrID{0}, nil)
 				}
 			}
 		}
 	}
 }
 
-// FuzzReorgScan draws a segment size across chunk boundaries, a source
-// layout, a reorganization set covering the query, the aggregates' operators
-// and the predicate's constant, and checks the reorganizing operator as
-// TestReorgScanMatchesStitch does.
+// TestReorgScanParallel checks the range fan-out of the reorganizing
+// operator: relations of several segments, each longer than one range,
+// with a partial tail, every segment hot or only the middle one, at two to
+// four workers, against the serial (one-worker) pass, which is checked
+// against the generic strategy and StitchSeg.
+func TestReorgScanParallel(t *testing.T) {
+	const segCap = reorgRangeChunks*VectorSize + 700
+	rows := 2*segCap + 3001
+	tb := reorgTable(rows, 49)
+	mid := tb.Cols[2][rows/3]
+	where := &expr.Cmp{Op: expr.Lt, L: &expr.Col{ID: 2}, R: &expr.Const{V: mid}}
+	// A predicate every zone map rules out: a6 holds 0–3, so a6 >= 4
+	// prunes the cold segments and selects no row of the hot ones.
+	none := &expr.Cmp{Op: expr.Ge, L: &expr.Col{ID: 6}, R: &expr.Const{V: 4}}
+	for _, layout := range reorgLayouts {
+		rel := layout.build(tb, segCap)
+		if len(rel.Segments) != 3 {
+			t.Fatalf("%s: %d segments, want 3", layout.name, len(rel.Segments))
+		}
+		for _, hot := range [][]bool{nil, {false, true, false}} {
+			for _, w := range []expr.Pred{where, none} {
+				for _, q := range reorgShapes(w) {
+					checkReorgScan(t, rel, q, []data.AttrID{0}, hot, 2, 3, 4)
+				}
+			}
+		}
+	}
+}
+
+// FuzzReorgScan draws a relation size across chunk and range boundaries,
+// a segment capacity that cuts it into one to several segments with a
+// partial tail, a source layout, a reorganization set covering the query,
+// the aggregates' operators, the predicate's constant, which segments are
+// hot and the number of workers (one to four), and checks the
+// reorganizing operator as TestReorgScanMatchesStitch and
+// TestReorgScanParallel do.
 func FuzzReorgScan(f *testing.F) {
-	f.Add(uint16(1025), uint8(0), uint8(0), uint8(0x1f), int64(0), uint8(0))
-	f.Add(uint16(1), uint8(1), uint8(1), uint8(0x03), int64(math.MinInt64), uint8(0xff))
-	f.Add(uint16(3067), uint8(2), uint8(3), uint8(0x14), int64(math.MaxInt64), uint8(0x55))
-	f.Add(uint16(2048), uint8(1), uint8(4), uint8(0x0a), int64(-1<<40), uint8(0x81))
-	f.Fuzz(func(t *testing.T, rows uint16, layout, shape, opBits uint8, c int64, extraBits uint8) {
-		n := 1 + int(rows)%3200
+	f.Add(uint16(1025), uint8(0), uint8(0), uint8(0x1f), int64(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint16(1), uint8(1), uint8(1), uint8(0x03), int64(math.MinInt64), uint8(0xff), uint8(1), uint8(1))
+	f.Add(uint16(3067), uint8(2), uint8(3), uint8(0x14), int64(math.MaxInt64), uint8(0x55), uint8(2), uint8(0xfe))
+	f.Add(uint16(2048), uint8(1), uint8(4), uint8(0x0a), int64(-1<<40), uint8(0x81), uint8(3), uint8(0xff))
+	f.Add(uint16(60000), uint8(0), uint8(3), uint8(0x2c), int64(1<<50), uint8(0x11), uint8(7), uint8(0x05))
+	f.Fuzz(func(t *testing.T, rows uint16, layout, shape, opBits uint8, c int64, extraBits, segBits, hotBits uint8) {
+		n := 1 + int(rows)%24000
 		tb := reorgTable(n, int64(rows)^c)
-		rel := reorgLayouts[int(layout)%len(reorgLayouts)].build(tb)
+		segCap := n
+		if segBits&4 != 0 {
+			segCap = 1 + int(rows>>3)%(reorgRangeChunks*VectorSize*3)
+		}
+		rel := reorgLayouts[int(layout)%len(reorgLayouts)].build(tb, segCap)
+		var hot []bool
+		if hotBits != 0 {
+			hot = make([]bool, len(rel.Segments))
+			for si := range hot {
+				hot[si] = hotBits&(1<<(si%8)) != 0
+			}
+		}
 		ops := []expr.AggOp{expr.AggSum, expr.AggCount, expr.AggMin, expr.AggMax, expr.AggAvg}
 		where := &expr.Cmp{Op: expr.CmpOp(int(opBits>>5) % 6), L: &expr.Col{ID: 2}, R: &expr.Const{V: data.Value(c)}}
 		var q *query.Query
@@ -190,6 +271,6 @@ func FuzzReorgScan(f *testing.F) {
 				extra = append(extra, a)
 			}
 		}
-		checkReorgScan(t, rel, q, extra)
+		checkReorgScan(t, rel, q, extra, hot, 1+int(segBits)%4)
 	})
 }

@@ -59,6 +59,10 @@ func Stitch(rel *Relation, attrs []data.AttrID) (*ColumnGroup, error) {
 // gives the group its zone map. The online reorganizing operator stitches
 // one chunk at a time and evaluates the query over each chunk while it is
 // in cache; StitchSeg stitches every row at once.
+//
+// Rows may run concurrently on disjoint row ranges — each call writes only
+// its own rows of the new group — while the segment is pinned. Finish runs
+// once, after every range has been stitched.
 type Stitcher struct {
 	dst  *ColumnGroup
 	cols []stitchCol

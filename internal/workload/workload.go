@@ -165,7 +165,7 @@ func ShiftSequence(table string, nAttrs, n, phase1 int, seed int64) []*query.Que
 	var setB []data.AttrID
 	for len(setB) < 20 {
 		cand := query.RandomAttrs(nAttrs, 20, rng.Intn)
-		if len(data.Intersect(setA, cand)) == 0 {
+		if data.IntersectCount(setA, cand) == 0 {
 			setB = cand
 		}
 	}
