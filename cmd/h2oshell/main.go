@@ -6,7 +6,7 @@
 //	h2o> select max(a1), max(a5) from R where a0 < 0
 //	h2o> select a3, sum(a1) from R group by a3 limit 10
 //	h2o> \layout        # current column groups
-//	h2o> \stats         # adaptations, reorganizations, operator cache
+//	h2o> \stats         # adaptations, reorganizations, window size
 //	h2o> \cache         # serving layer: result cache hits, executions
 //	h2o> \replay trace.sql
 //	h2o> \quit
@@ -72,9 +72,9 @@ func main() {
 				continue
 			}
 			st := e.Stats()
-			fmt.Printf("queries=%d adaptations=%d reorgs=%d groups_created=%d groups_dropped=%d op_cache_hits=%d misses=%d window=%d version=%d\n",
+			fmt.Printf("queries=%d adaptations=%d reorgs=%d groups_created=%d groups_dropped=%d window=%d version=%d\n",
 				st.Queries, st.Adaptations, st.Reorgs, st.GroupsCreated, st.GroupsDropped,
-				st.OpCacheHits, st.OpCacheMisses, e.WindowSize(), e.Version())
+				e.WindowSize(), e.Version())
 		case line == `\cache`:
 			st := db.ServeStats()
 			fmt.Printf("submitted=%d executed=%d cache_hits=%d cache_misses=%d canceled=%d uncacheable=%d republished=%d repaired=%d repaired_segments=%d memo_hits=%d\n",

@@ -5,11 +5,11 @@
 // simultaneously, monitors the query stream through attribute affinity
 // matrices over a dynamic window, proposes new vertical partitions with a
 // cost model that prices the transformation, creates them lazily — fused
-// into the first query that benefits — and generates specialized access
-// operators per (layout, plan-shape) combination.
+// into the first query that benefits — and answers each query with the
+// specialized scan kernel of the cheapest (layout, strategy) combination.
 //
 // This root package is the public facade: it wires together the internal
-// packages (storage, exec, opgen, advisor, affinity, costmodel, core) into
+// packages (storage, exec, advisor, affinity, costmodel, core) into
 // the small API a downstream user needs. See the examples/ directory for
 // runnable walkthroughs and cmd/h2obench for the harness that regenerates
 // every table and figure of the paper's evaluation.

@@ -14,12 +14,12 @@ func benchTable(b *testing.B, attrs, rows int) *data.Table {
 }
 
 // BenchmarkEngineSteadyState measures a cache-warm adaptive engine answering
-// a recurring query shape (operator cache hit, layout settled).
+// a recurring query shape (layout settled).
 func BenchmarkEngineSteadyState(b *testing.B) {
 	tb := benchTable(b, 50, 50_000)
 	e := NewH2O(tb, DefaultOptions())
 	q := query.Aggregation("R", expr.AggMax, []data.AttrID{3, 9, 17, 25}, query.PredLt(0, 0))
-	// Warm: settle the layout and the operator cache.
+	// Warm: settle the layout.
 	for i := 0; i < 40; i++ {
 		if _, _, err := e.Execute(q); err != nil {
 			b.Fatal(err)
@@ -34,7 +34,7 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 }
 
 // BenchmarkEngineColdShapes measures the engine on a stream of always-new
-// query shapes: every query misses the operator cache and re-plans.
+// query shapes: every query is planned from a fresh access pattern.
 func BenchmarkEngineColdShapes(b *testing.B) {
 	tb := benchTable(b, 50, 50_000)
 	e := NewH2O(tb, DefaultOptions())

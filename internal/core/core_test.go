@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"h2o/internal/affinity"
 	"h2o/internal/data"
@@ -560,4 +562,45 @@ func TestReorgWidthInvariant(t *testing.T) {
 	if parStats.Reorgs != serialStats.Reorgs || parStats.GroupsCreated != serialStats.GroupsCreated || parStats.GroupsDropped != serialStats.GroupsDropped {
 		t.Fatalf("stats under GOMAXPROCS 2 %+v, under 1 %+v", parStats, serialStats)
 	}
+}
+
+// TestEvictionFreesDroppedGroups: groups that evictIfNeeded drops become
+// unreachable once the engine lets go of them (the segment's group slice
+// keeps no stale copy of a dropped pointer).
+func TestEvictionFreesDroppedGroups(t *testing.T) {
+	tb := data.Generate(data.SyntheticSchema("R", 6), 1_000, 5)
+	opts := DefaultOptions()
+	opts.Mode = ModeFrozen
+	opts.MaxGroups = 6 // the six columns; every extra group is over the cap
+	e := New(storage.BuildColumnMajor(tb), opts)
+	seg := e.rel.Segments[0]
+	var freed atomic.Int32
+	func() {
+		for _, g := range seg.Groups {
+			e.lastUsed[g] = 10 // columns stay most recently used
+		}
+		for i, attrs := range [][]data.AttrID{{0, 1}, {2, 3}} {
+			g, err := storage.StitchSeg(seg, attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := seg.AddGroup(g); err != nil {
+				t.Fatal(err)
+			}
+			e.lastUsed[g] = i // {0, 1} is evicted first, then {2, 3}
+			runtime.SetFinalizer(g, func(*storage.ColumnGroup) { freed.Add(1) })
+		}
+	}()
+	e.evictIfNeeded()
+	if got := e.Stats().GroupsDropped; got != 2 {
+		t.Fatalf("GroupsDropped = %d, want 2", got)
+	}
+	for i := 0; i < 50 && freed.Load() < 2; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := freed.Load(); got != 2 {
+		t.Fatalf("%d of 2 evicted groups were collected; the rest are still reachable", got)
+	}
+	runtime.KeepAlive(e)
 }

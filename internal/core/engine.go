@@ -1,10 +1,10 @@
 // Package core assembles H2O (paper Figure 3): the Data Layout Manager that
 // owns the relation's column groups, the Query Processor that picks the best
-// (layout, execution strategy) combination per query with the cost model,
-// the Operator Generator that produces specialized access operators, and the
-// Adaptation Mechanism that monitors the workload through a dynamic query
-// window, proposes new layouts, and creates them lazily — fused into the
-// first query that benefits.
+// (layout, execution strategy) combination per query with the cost model and
+// runs it on exec's specialized kernels, and the Adaptation Mechanism that
+// monitors the workload through a dynamic query window, proposes new
+// layouts, and creates them lazily — fused into the first query that
+// benefits.
 //
 // The package also provides the paper's comparison engines: a static
 // row-store, a static column-store (both sharing this code base, as in §4.1)
@@ -44,7 +44,6 @@ import (
 	"h2o/internal/costmodel"
 	"h2o/internal/data"
 	"h2o/internal/exec"
-	"h2o/internal/opgen"
 	"h2o/internal/query"
 	"h2o/internal/storage"
 )
@@ -93,8 +92,6 @@ type Options struct {
 	Advisor advisor.Config
 	// Cost configures the cost model.
 	Cost costmodel.Params
-	// OpGen configures the operator generator.
-	OpGen opgen.Config
 	// MaxGroups caps the number of co-existing column groups per segment;
 	// beyond it the least-recently-used droppable group is evicted ("there is
 	// not enough space to store these alternatives"). Zero selects an
@@ -179,7 +176,6 @@ func DefaultOptions() Options {
 		Window:  affinity.DefaultConfig(),
 		Advisor: advisor.DefaultConfig(),
 		Cost:    costmodel.Default(),
-		OpGen:   opgen.DefaultConfig(),
 		// MaxGroups 0 = automatic (2x schema width plus slack).
 	}
 }
@@ -227,11 +223,11 @@ type ExecInfo struct {
 	// count. Zero for exact cache hits and full executions; set by the
 	// serving layer (internal/server), never by the engine.
 	RepairedSegments int
-	// CompileTime is the simulated operator-generation cost charged to this
-	// query (zero on operator-cache hits).
+	// Deprecated: always zero; the operator generator is gone. Kept until
+	// the benchmark retires its opgen.* metrics (ROADMAP D2).
 	CompileTime time.Duration
 	// Duration is the measured wall-clock execution time, including
-	// reorganization and compile time.
+	// reorganization time.
 	Duration time.Duration
 	// EstimatedCost is the cost model's estimate for the chosen plan.
 	EstimatedCost costmodel.Seconds
@@ -245,12 +241,16 @@ type ExecInfo struct {
 
 // Stats accumulates engine-lifetime counters.
 type Stats struct {
-	Queries         int
-	Adaptations     int
-	Reorgs          int
-	GroupsCreated   int
-	GroupsDropped   int
-	OpCacheHits     int
+	Queries       int
+	Adaptations   int
+	Reorgs        int
+	GroupsCreated int
+	GroupsDropped int
+	// Deprecated: always zero; the operator generator is gone. Kept until
+	// the benchmark retires its opgen.* metrics (ROADMAP D2).
+	OpCacheHits int
+	// Deprecated: always zero; the operator generator is gone. Kept until
+	// the benchmark retires its opgen.* metrics (ROADMAP D2).
 	OpCacheMisses   int
 	GenericFallback int
 }
@@ -279,7 +279,6 @@ type Engine struct {
 	opts  Options
 	model *costmodel.Model
 	win   *affinity.Window
-	gen   *opgen.Generator
 	// tier enforces MemoryBudgetBytes (nil when no budget is set): it
 	// spills cold sealed segments and serves as the relation's loader.
 	tier *tierManager
@@ -319,7 +318,6 @@ func New(rel *storage.Relation, opts Options) *Engine {
 		opts:     opts,
 		model:    costmodel.New(opts.Cost),
 		win:      affinity.NewWindow(rel.Schema.NumAttrs(), opts.Window),
-		gen:      opgen.New(opts.OpGen),
 		selEst:   make(map[string]float64),
 		lastUsed: make(map[*storage.ColumnGroup]int),
 		declined: make(map[string]struct{}),
@@ -377,9 +375,7 @@ func (e *Engine) Version() uint64 { return e.rel.Version() }
 func (e *Engine) Stats() Stats {
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
-	s := e.stats
-	s.OpCacheHits, s.OpCacheMisses = e.gen.Stats()
-	return s
+	return e.stats
 }
 
 // PendingProposals returns the adaptation proposals awaiting a triggering
@@ -406,8 +402,8 @@ func (e *Engine) windowSize() int {
 
 // Execute runs one query: it monitors the access pattern, periodically runs
 // the adaptation mechanism, lazily materializes a proposed layout when this
-// query benefits, picks the cheapest (layout, strategy) combination, obtains
-// the specialized operator and executes it.
+// query benefits, picks the cheapest (layout, strategy) combination and
+// executes it.
 //
 // Concurrency: queries that neither trigger an adaptation phase nor are
 // covered by a pending layout proposal — the steady state between
@@ -484,123 +480,84 @@ func (e *Engine) execute(q *query.Query) (*exec.Result, ExecInfo, error) {
 // read or write mode.
 func (e *Engine) run(q *query.Query, info query.Info, start time.Time) (*exec.Result, ExecInfo, error) {
 	strategy, estCost := e.chooseStrategy(q, info)
-
-	// Encoded-direct fast path: with the encoded tier enabled, aggregate
-	// and projection shapes run straight over the per-column encoded
-	// blocks of sealed segments — block headers prune or fold whole blocks
-	// without touching their payloads, projections decode only their
-	// output columns in blocks with survivors, and spilled segments fault
-	// in only their compact encoded form instead of rehydrating flat data.
-	// Shapes outside the encoded pipeline's reach (expressions,
-	// unsplittable predicates) fall through to the cost-based paths below.
-	// ServesEncoded gates the attempt on some unpruned segment actually
-	// carrying encoded blocks (or living spilled), so an all-flat relation
-	// never reports StrategyEncoded.
-	if e.opts.EncodedTier && exec.ServesEncoded(e.rel, q) {
-		var st exec.StrategyStats
-		res, err := exec.Exec(e.rel, q, exec.ExecOpts{Strategy: exec.StrategyEncoded, Stats: &st})
-		if err == nil {
-			e.recordSelectivity(info, q, res)
-			e.touchGroups(q)
-			applyLimit(q, res)
-			return res, ExecInfo{
-				Strategy:        exec.StrategyEncoded,
-				Layout:          e.rel.Kind(),
-				EstimatedCost:   estCost,
-				WindowSize:      e.windowSize(),
-				SegmentsScanned: st.SegmentsScanned,
-				SegmentsPruned:  st.SegmentsPruned,
-				SegmentsFaulted: st.SegmentsFaulted,
-				SegmentsTouched: st.Touched,
-				DecodeSkips:     st.DecodeSkips,
-				EncodedBytes:    st.EncodedBytes,
-				Fingerprint:     TouchFingerprintOf(e.rel, q),
-				Duration:        time.Since(start),
-			}, nil
+	var st exec.StrategyStats
+	var res *exec.Result
+	var err error
+	for _, opts := range e.execPlan(q, strategy) {
+		if opts.Strategy == exec.StrategyGeneric && strategy != exec.StrategyGeneric {
+			// The chosen strategy has no operators for this shape.
+			e.stateMu.Lock()
+			e.stats.GenericFallback++
+			e.stateMu.Unlock()
 		}
-		if err != exec.ErrUnsupported {
-			return nil, ExecInfo{}, err
-		}
-	}
-
-	// Parallel fast path: fused row scans fan out with one task per storage
-	// segment, so the parallelism granularity matches the data partitioning.
-	// A hybrid plan degenerates to the same fused scan whenever one group
-	// per segment covers the whole query, so it takes the parallel path too
-	// — intra-query parallelism composes with the inter-query parallelism
-	// of the read lock.
-	if e.opts.Parallelism > 1 && (strategy == exec.StrategyRow || strategy == exec.StrategyHybrid) {
-		if exec.RowCovered(e.rel, q) {
-			var st exec.StrategyStats
-			if res, err := exec.Exec(e.rel, q, exec.ExecOpts{Strategy: exec.StrategyRow, Workers: e.opts.Parallelism, Stats: &st}); err == nil {
-				e.recordSelectivity(info, q, res)
-				e.touchGroups(q)
-				applyLimit(q, res)
-				return res, ExecInfo{
-					Strategy:        strategy,
-					Layout:          e.rel.Kind(),
-					EstimatedCost:   estCost,
-					WindowSize:      e.windowSize(),
-					SegmentsScanned: st.SegmentsScanned,
-					SegmentsPruned:  st.SegmentsPruned,
-					SegmentsFaulted: st.SegmentsFaulted,
-					SegmentsTouched: st.Touched,
-					Fingerprint:     TouchFingerprintOf(e.rel, q),
-					Duration:        time.Since(start),
-				}, nil
+		st = exec.StrategyStats{}
+		opts.Stats = &st
+		if res, err = exec.Exec(e.rel, q, opts); err != exec.ErrUnsupported {
+			// A parallel fused scan stands in for the chosen row or
+			// hybrid plan and reports it.
+			if opts.Strategy == exec.StrategyEncoded || opts.Strategy == exec.StrategyGeneric {
+				strategy = opts.Strategy
 			}
-			// Unsupported shape: fall through to the operator path.
+			break
 		}
-	}
-
-	op, cached, err := e.gen.Operator(strategy, e.rel, q)
-	if err != nil {
-		return nil, ExecInfo{}, err
-	}
-	res, st, err := op.Run(e.rel, q)
-	if err == exec.ErrUnsupported {
-		// Shape outside the template library: generic operator.
-		e.stateMu.Lock()
-		e.stats.GenericFallback++
-		e.stateMu.Unlock()
-		strategy = exec.StrategyGeneric
-		op, cached, err = e.gen.Operator(strategy, e.rel, q)
-		if err != nil {
-			return nil, ExecInfo{}, err
-		}
-		res, st, err = op.Run(e.rel, q)
 	}
 	if err != nil {
 		return nil, ExecInfo{}, err
 	}
-
 	e.recordSelectivity(info, q, res)
 	e.touchGroups(q)
 	applyLimit(q, res)
-
-	ei := ExecInfo{
-		Strategy:      strategy,
-		Layout:        e.rel.Kind(),
-		EstimatedCost: estCost,
-		WindowSize:    e.windowSize(),
-		// Computed under the lock the execution held, so the fingerprint
-		// matches exactly the state the result was read from.
-		Fingerprint: TouchFingerprintOf(e.rel, q),
-		Duration:    time.Since(start),
-	}
-	if st != nil {
-		ei.SegmentsScanned = st.SegmentsScanned
-		ei.SegmentsPruned = st.SegmentsPruned
-		ei.SegmentsFaulted = st.SegmentsFaulted
-		ei.SegmentsTouched = st.Touched
-		ei.DecodeSkips = st.DecodeSkips
-		ei.EncodedBytes = st.EncodedBytes
-	}
-	if !cached {
-		ei.CompileTime = op.CompileTime
-		ei.Duration += op.CompileTime
-	}
+	ei := e.execInfo(q, strategy, &st, start)
+	ei.EstimatedCost = estCost
 	return res, ei, nil
+}
+
+// execPlan lists the pipelines run tries for q, in order; run moves to the
+// next only when one returns exec.ErrUnsupported. Caller holds e.mu.
+//
+//   - Encoded-direct, when the encoded tier is on and some unpruned segment
+//     carries encoded blocks or lives spilled (exec.ServesEncoded): block
+//     headers prune or fold whole blocks without touching their payloads,
+//     and spilled segments fault in only their compact encoded form.
+//     Expressions and unsplittable predicates are outside its reach.
+//   - A fused row scan fanned out across Parallelism workers, one task per
+//     segment, when the chosen plan is row or hybrid and one group per
+//     segment covers the query: a hybrid plan then degenerates to the same
+//     fused scan.
+//   - The chosen strategy, then the generic operator, which serves every
+//     shape.
+func (e *Engine) execPlan(q *query.Query, chosen exec.Strategy) []exec.ExecOpts {
+	plan := make([]exec.ExecOpts, 0, 4)
+	if e.opts.EncodedTier && exec.ServesEncoded(e.rel, q) {
+		plan = append(plan, exec.ExecOpts{Strategy: exec.StrategyEncoded})
+	}
+	if e.opts.Parallelism > 1 && (chosen == exec.StrategyRow || chosen == exec.StrategyHybrid) && exec.RowCovered(e.rel, q) {
+		plan = append(plan, exec.ExecOpts{Strategy: exec.StrategyRow, Workers: e.opts.Parallelism})
+	}
+	plan = append(plan, exec.ExecOpts{Strategy: chosen})
+	if chosen != exec.StrategyGeneric {
+		plan = append(plan, exec.ExecOpts{Strategy: exec.StrategyGeneric})
+	}
+	return plan
+}
+
+// execInfo reports one finished execution of q under strategy s. Caller
+// holds e.mu, so the fingerprint matches exactly the state the result was
+// read from (after any reorganization the query performed).
+func (e *Engine) execInfo(q *query.Query, s exec.Strategy, st *exec.StrategyStats, start time.Time) ExecInfo {
+	return ExecInfo{
+		Strategy:        s,
+		Layout:          e.rel.Kind(),
+		WindowSize:      e.windowSize(),
+		SegmentsScanned: st.SegmentsScanned,
+		SegmentsPruned:  st.SegmentsPruned,
+		SegmentsFaulted: st.SegmentsFaulted,
+		SegmentsTouched: st.Touched,
+		DecodeSkips:     st.DecodeSkips,
+		EncodedBytes:    st.EncodedBytes,
+		Fingerprint:     TouchFingerprintOf(e.rel, q),
+		Duration:        time.Since(start),
+	}
 }
 
 // pendingCoversLocked reports whether any pending proposal covers the
@@ -618,9 +575,7 @@ func (e *Engine) pendingCoversLocked(all []data.AttrID) bool {
 // relation. Every column group — including groups the adaptation mechanism
 // created — grows consistently, and the tail segment's version advances so
 // result caches drop entries for queries that read the tail (entries
-// pinned to other segments by their predicates survive). Cached operators
-// need no invalidation: they rebind the relation on each call and the cost
-// model reads live row counts.
+// pinned to other segments by their predicates survive).
 func (e *Engine) Insert(tuples [][]data.Value) error {
 	e.mu.Lock()
 	err := e.rel.AppendBatch(tuples)
@@ -769,7 +724,7 @@ func (e *Engine) tryReorg(q *query.Query, info query.Info, start time.Time) (*ex
 			_, currCost = e.chooseStrategy(q, info)
 			priced = true
 		}
-		newCost := e.costOnGroup(len(p.Attrs), len(all), info)
+		newCost := e.costOnGroup(len(p.Attrs), len(all))
 		gain := currCost - newCost
 		if gain <= 0 {
 			continue
@@ -824,24 +779,11 @@ func (e *Engine) tryReorg(q *query.Query, info query.Info, start time.Time) (*ex
 		// budget is re-enforced by Execute's epilogue once the exclusive
 		// lock is released.
 
-		ei := ExecInfo{
-			Strategy:            exec.StrategyReorg,
-			Layout:              storage.KindGroup,
-			Reorganized:         true,
-			NewGroup:            p.Attrs,
-			SegmentsReorganized: reorged,
-			SegmentsScanned:     st.SegmentsScanned,
-			SegmentsPruned:      st.SegmentsPruned,
-			SegmentsFaulted:     st.SegmentsFaulted,
-			SegmentsTouched:     st.Touched,
-			// Computed after the new groups were registered (and any
-			// MaxGroups eviction ran), still under the exclusive lock: the
-			// fingerprint describes the post-reorganization state the
-			// result is consistent with.
-			Fingerprint: TouchFingerprintOf(e.rel, q),
-			WindowSize:  e.windowSize(),
-			Duration:    time.Since(start),
-		}
+		ei := e.execInfo(q, exec.StrategyReorg, &st, start)
+		ei.Layout = storage.KindGroup
+		ei.Reorganized = true
+		ei.NewGroup = p.Attrs
+		ei.SegmentsReorganized = reorged
 		return res, ei, true, nil
 	}
 	return nil, ExecInfo{}, false, nil
@@ -884,7 +826,11 @@ func (e *Engine) hotSegments(q *query.Query, p advisor.Proposal) (hot []bool, ho
 // exclusively; stateMu guards the write against concurrent readers.
 func (e *Engine) removePending(i int) {
 	e.stateMu.Lock()
-	e.pending = append(e.pending[:i], e.pending[i+1:]...)
+	// Clear the vacated last slot so its proposal's slices can be freed.
+	last := len(e.pending) - 1
+	copy(e.pending[i:], e.pending[i+1:])
+	e.pending[last] = advisor.Proposal{}
+	e.pending = e.pending[:last]
 	e.stateMu.Unlock()
 }
 
@@ -915,13 +861,9 @@ func (e *Engine) chooseStrategy(q *query.Query, info query.Info) (exec.Strategy,
 }
 
 // costOnGroup estimates the query cost if a dedicated group of the given
-// width existed.
-func (e *Engine) costOnGroup(groupWidth, used int, info query.Info) costmodel.Seconds {
-	sel := e.estimateSelectivity(info, nil)
-	if len(info.Where) == 0 {
-		sel = 1
-	}
-	_ = sel
+// width existed: one fused pass over it, predicates pushed down, so every
+// tuple is scanned whatever the selectivity.
+func (e *Engine) costOnGroup(groupWidth, used int) costmodel.Seconds {
 	return e.model.QueryCost([]costmodel.GroupAccess{{
 		Stride: groupWidth, Width: groupWidth, Used: used,
 		Rows: e.rel.Rows, Selectivity: 1,

@@ -6,10 +6,10 @@ import (
 	"h2o/internal/query"
 )
 
-// OutKind classifies a query's select clause into the shapes for which the
-// operator generator has specialized templates (paper §3.4: "the available
-// query templates in H2O support select-project-join queries and can be
-// extended"). Anything else runs on the generic interpreted operator.
+// OutKind classifies a query's select clause into the shapes the
+// specialized kernels serve — the paper's operator templates (§3.4: "the
+// available query templates in H2O support select-project-join queries and
+// can be extended"). Anything else runs on the generic interpreted operator.
 type OutKind int
 
 const (

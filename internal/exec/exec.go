@@ -13,7 +13,10 @@ import (
 )
 
 // This file is the single entry point of the execution layer: every
-// strategy runs as a per-segment streaming pipeline behind Exec. A
+// single-relation strategy runs as a per-segment streaming pipeline behind
+// Exec, and the engine makes one Exec call per query. The pipelines'
+// specialized kernels are the paper's generated operators (§3.4), compiled
+// ahead of time, so nothing is generated or cached per query shape. A
 // pipeline is SegSource → per-segment operator → merge:
 //
 //	SegSource: skip empty → resolve covering group → prune (zone maps)
@@ -61,16 +64,14 @@ type ExecOpts struct {
 type PipelineBuilder func(rel *storage.Relation, q *query.Query, opts ExecOpts) (*pipeline, error)
 
 // strategyEntry is one registry row: how to build the strategy's pipeline,
-// where it appears in cost-based choice and Explain, whether the operator
-// generator may emit it, and how to cost one segment's access under it.
-// The registry is the single source of truth for the strategy set —
-// cost.go, core.Engine and opgen all consult it, so they agree by
-// construction.
+// where it appears in cost-based choice and Explain, and how to cost one
+// segment's access under it. The registry is the single source of truth
+// for the strategy set — cost.go and core.Engine both consult it, so they
+// agree by construction.
 type strategyEntry struct {
 	build       PipelineBuilder
 	costRank    int // position among the cost-compared strategies; -1 = never cost-chosen
 	explainRank int // position in Explain's candidate list; -1 = not explained
-	plannable   bool
 	segPlan     segPlanFunc
 }
 
@@ -80,10 +81,10 @@ type strategyEntry struct {
 // is served by ExecJoin; StrategyVectorized and StrategyBitmap have no row
 // at all (see their constants).
 var strategies = map[Strategy]strategyEntry{
-	StrategyRow:     {build: buildRow, costRank: 0, explainRank: 0, plannable: true, segPlan: rowSegPlan},
-	StrategyHybrid:  {build: buildHybrid, costRank: 1, explainRank: 1, plannable: true, segPlan: hybridSegPlan},
-	StrategyColumn:  {build: buildColumn, costRank: 2, explainRank: 2, plannable: true, segPlan: columnSegPlan},
-	StrategyGeneric: {build: buildGeneric, costRank: -1, explainRank: 3, plannable: true, segPlan: genericSegPlan},
+	StrategyRow:     {build: buildRow, costRank: 0, explainRank: 0, segPlan: rowSegPlan},
+	StrategyHybrid:  {build: buildHybrid, costRank: 1, explainRank: 1, segPlan: hybridSegPlan},
+	StrategyColumn:  {build: buildColumn, costRank: 2, explainRank: 2, segPlan: columnSegPlan},
+	StrategyGeneric: {build: buildGeneric, costRank: -1, explainRank: 3, segPlan: genericSegPlan},
 	StrategyEncoded: {build: buildEncoded, costRank: -1, explainRank: -1},
 	StrategyReorg:   {build: buildReorg, costRank: -1, explainRank: -1},
 	StrategyDelta:   {costRank: -1, explainRank: -1},
@@ -123,17 +124,11 @@ func ExplainStrategies() []Strategy {
 	return rankedStrategies(func(e strategyEntry) int { return e.explainRank })
 }
 
-// Plannable reports whether the operator generator may emit an operator
-// for s. Strategies needing extra inputs (StrategyReorg's target attrs)
-// or a different result shape (StrategyDelta) are not plannable.
-func Plannable(s Strategy) bool {
-	return strategies[s].plannable
-}
-
 // Exec executes q on rel with the selected strategy's per-segment
-// pipeline. It is the one entry point behind every strategy: the
-// engine's dispatch, the operator generator and the harness all route
-// through it.
+// pipeline. It is the one entry point behind every single-relation
+// strategy: the engine's dispatch and the harness both route through it.
+// A strategy with no operators for q's shape returns ErrUnsupported; the
+// engine then falls back to StrategyGeneric, which serves every shape.
 func Exec(rel *storage.Relation, q *query.Query, opts ExecOpts) (*Result, error) {
 	e, ok := strategies[opts.Strategy]
 	if !ok || e.build == nil {

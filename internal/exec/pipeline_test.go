@@ -3,8 +3,8 @@ package exec
 // Operator-level tests for the streaming pipeline: each strategy's
 // per-segment operator runs directly against hand-computed expectations on
 // hand-built segments — exact segment-boundary sizes, partial tails, empty
-// segments — and the registry invariants the chooser, Explain and the
-// operator generator rely on are pinned here.
+// segments — and the registry invariants the chooser and Explain rely on
+// are pinned here.
 
 import (
 	"reflect"
@@ -25,22 +25,6 @@ func TestStrategyRegistry(t *testing.T) {
 	}
 	if got, want := ExplainStrategies(), []Strategy{StrategyRow, StrategyHybrid, StrategyColumn, StrategyGeneric}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("ExplainStrategies() = %v, want %v", got, want)
-	}
-	plannable := map[Strategy]bool{
-		StrategyRow:        true,
-		StrategyColumn:     true,
-		StrategyHybrid:     true,
-		StrategyGeneric:    true,
-		StrategyVectorized: false,
-		StrategyBitmap:     false,
-		StrategyEncoded:    false,
-		StrategyReorg:      false,
-		StrategyDelta:      false,
-	}
-	for s, want := range plannable {
-		if got := Plannable(s); got != want {
-			t.Fatalf("Plannable(%v) = %v, want %v", s, got, want)
-		}
 	}
 	// The metric names exec.strategy_share.<name> loop over the constants
 	// from StrategyRow to StrategyJoin: the retired constants keep their
@@ -65,6 +49,13 @@ func TestExecRejectsUnbuildableStrategies(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "no pipeline builder") {
 			t.Fatalf("Exec with strategy %v: err = %v, want a no-pipeline-builder error", s, err)
 		}
+	}
+	// The row pipeline needs one group covering the query in every
+	// segment; without one it fails outright rather than returning
+	// ErrUnsupported, so the engine never falls back past it silently.
+	wide := query.Projection("R", []data.AttrID{0, 1}, nil)
+	if _, err := Exec(rel, wide, ExecOpts{Strategy: StrategyRow}); err == nil || err == ErrUnsupported {
+		t.Fatalf("row strategy without a covering group: err = %v, want a covering-group error", err)
 	}
 }
 
@@ -173,7 +164,7 @@ func TestExecSkipsEmptySegments(t *testing.T) {
 	}
 }
 
-// TestWorkersFanOutMatchesSerial runs each plannable strategy serially and
+// TestWorkersFanOutMatchesSerial runs each flat-data strategy serially and
 // with several worker counts over a multi-segment relation; the fan-out must
 // be invisible in the results.
 func TestWorkersFanOutMatchesSerial(t *testing.T) {

@@ -40,8 +40,8 @@
 //
 // The strategies registry (exec.go) is the single source of truth for the
 // strategy set: pipeline builders, cost-model segment plans (cost.go),
-// the cost-based chooser's candidate list and the operator generator's
-// template set all derive from it, so they agree by construction.
+// and the cost-based chooser's candidate list all derive from it, so they
+// agree by construction.
 //
 // # Aggregates, segments and partial results
 //

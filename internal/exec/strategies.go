@@ -173,13 +173,13 @@ func columnScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, p *pa
 	// Phase 1: predicate evaluation, one column at a time.
 	var sel []int32
 	haveSel := false
-	for i, p := range preds {
-		g, err := seg.GroupFor(p.Attr)
+	for _, cp := range preds {
+		g, err := seg.GroupFor(cp.Attr)
 		if err != nil {
 			return err
 		}
-		off, _ := g.Offset(p.Attr)
-		gp := []GroupPred{{Off: off, Op: p.Op, Val: p.Val}}
+		off, _ := g.Offset(cp.Attr)
+		gp := []GroupPred{{Off: off, Op: cp.Op, Val: cp.Val}}
 		if !haveSel {
 			sel = FilterGroup(g, gp, 0, seg.Rows, make([]int32, 0, seg.Rows/4+16))
 			haveSel = true
@@ -195,13 +195,12 @@ func columnScanSegment(seg *storage.Segment, out Outputs, preds []ColPred, p *pa
 		}
 		w := 0
 		for j, v := range inter {
-			if expr.Compare(p.Op, v, p.Val) {
+			if expr.Compare(cp.Op, v, cp.Val) {
 				sel[w] = sel[j]
 				w++
 			}
 		}
 		sel = sel[:w]
-		_ = i
 	}
 
 	// Phase 2: compute outputs.

@@ -3,7 +3,7 @@
 // each sealed segment as its own standalone file, so the eviction manager
 // can spill and fault segments individually.
 //
-// The current format, H2OSEG02, stores the segment's *encoded* form
+// The format, H2OSEG02, stores the segment's *encoded* form
 // (storage/encode.go) — typically several times smaller than the flat
 // data — as a flat little-endian uint64 payload:
 //
@@ -28,8 +28,9 @@
 // read the words into one heap buffer instead — same format, same
 // validation, one allocation.
 //
-// Legacy H2OSEG01 files (flat uncompressed group data) remain readable;
-// new spills always write H2OSEG02.
+// Spill files are read back only by the tier manager that wrote them, in
+// the same process, so the format carries no history: any other magic is
+// rejected.
 //
 // Zone maps are not written: they stay resident in the segment skeleton
 // while the data is spilled, which is what keeps pruning free of I/O.
@@ -38,7 +39,6 @@ package persist
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -47,12 +47,9 @@ import (
 	"h2o/internal/storage"
 )
 
-var (
-	segMagic   = [8]byte{'H', '2', 'O', 'S', 'E', 'G', '0', '1'}
-	segMagicV2 = [8]byte{'H', '2', 'O', 'S', 'E', 'G', '0', '2'}
-)
+var segFileMagic = [8]byte{'H', '2', 'O', 'S', 'E', 'G', '0', '2'}
 
-// segBlockHeaderWords is the fixed per-block header size in the V2 format.
+// segBlockHeaderWords is the fixed per-block header size.
 const segBlockHeaderWords = 10
 
 // SegmentStore reads and writes individual sealed segments under one
@@ -64,10 +61,7 @@ const segBlockHeaderWords = 10
 type SegmentStore struct {
 	dir string
 
-	// readers pools the 1MB buffered readers used by the legacy V1 fault
-	// path, which otherwise dominated allocs/op in BenchmarkScanSpilled.
-	readers sync.Pool
-	// payloads pools V2 write-path payload buffers.
+	// payloads pools write-path payload buffers.
 	payloads sync.Pool
 
 	// verified records, per key, the file version whose digest has been
@@ -84,7 +78,6 @@ func NewSegmentStore(dir string) (*SegmentStore, error) {
 		return nil, fmt.Errorf("persist: segment store: %w", err)
 	}
 	st := &SegmentStore{dir: dir, verified: make(map[string]uint64)}
-	st.readers.New = func() any { return bufio.NewReaderSize(nil, 1<<20) }
 	st.payloads.New = func() any { b := make([]uint64, 0, 64*1024); return &b }
 	return st, nil
 }
@@ -97,7 +90,7 @@ func (st *SegmentStore) Path(key string) string {
 	return filepath.Join(st.dir, key+".h2oseg")
 }
 
-// WriteSegment persists seg under key in the encoded V2 format,
+// WriteSegment persists seg under key in the encoded H2OSEG02 format,
 // atomically: the bytes are written to a temporary file, fsynced, and
 // renamed into place, so a crash mid-spill can never leave a torn segment
 // file that later faults a scan. The caller must hold the segment pinned
@@ -137,7 +130,7 @@ func (st *SegmentStore) WriteSegment(key string, seg *storage.Segment) error {
 	st.mu.Unlock()
 	return atomicWriteFile(st.Path(key), func(f *os.File) error {
 		bw := bufio.NewWriterSize(f, 1<<20)
-		if _, err := bw.Write(segMagicV2[:]); err != nil {
+		if _, err := bw.Write(segFileMagic[:]); err != nil {
 			return err
 		}
 		for _, w := range payload {
@@ -145,58 +138,32 @@ func (st *SegmentStore) WriteSegment(key string, seg *storage.Segment) error {
 				return err
 			}
 		}
-		if err := writeU64(bw, segDigestWords(payload)); err != nil {
+		if err := writeU64(bw, payloadDigest(payload)); err != nil {
 			return err
 		}
 		return bw.Flush()
 	})
 }
 
-// ReadSegment faults key back into seg. V2 files install the encoded form
-// on every group (mmap-aliased where supported); legacy V1 files install
-// flat group data. The on-disk metadata must match the in-memory skeleton
-// exactly — attribute sets, strides, row count and the segment version
-// recorded at spill time — and the content digest must verify on the
-// first read of each file version. Any mismatch (torn file, stale spill
-// left over from before a reorganization, bit rot) returns an error
-// without touching the segment, so a failed fault can be retried or
-// surfaced cleanly by the scan that triggered it.
+// ReadSegment faults key back into seg, installing the encoded form on
+// every group (mmap-aliased where supported). The on-disk metadata must
+// match the in-memory skeleton exactly — magic, attribute sets, strides,
+// row count and the segment version recorded at spill time — and the
+// content digest must verify on the first read of each file version. Any
+// mismatch (torn file, stale spill left over from before a reorganization,
+// bit rot) returns an error without touching the segment, so a failed
+// fault can be retried or surfaced cleanly by the scan that triggered it.
 func (st *SegmentStore) ReadSegment(key string, seg *storage.Segment) error {
-	f, err := os.Open(st.Path(key))
-	if err != nil {
-		return err
-	}
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: segment %s: reading magic: %w", key, err)
-	}
-	switch magic {
-	case segMagicV2:
-		f.Close()
-		return st.readSegmentV2(key, seg)
-	case segMagic:
-		defer f.Close()
-		return st.readSegmentV1(f, key, seg)
-	default:
-		f.Close()
-		return fmt.Errorf("persist: segment %s: not an H2O segment file (magic %q)", key, magic[:])
-	}
-}
-
-// readSegmentV2 parses an encoded segment file, preferring a shared mmap.
-func (st *SegmentStore) readSegmentV2(key string, seg *storage.Segment) error {
 	if mmapSupported() {
 		b, release, err := mmapFile(st.Path(key))
 		if err != nil {
 			return err
 		}
-		if len(b) < 16 || (len(b)-8)%8 != 0 {
+		if err := checkSegHeader(key, b); err != nil {
 			release()
-			return fmt.Errorf("persist: segment %s: truncated segment file (%d bytes)", key, len(b))
+			return err
 		}
-		words := aliasWords(b[8:])
-		if err := st.installV2(key, seg, words, true, release); err != nil {
+		if err := st.installSegment(key, seg, aliasWords(b[8:]), true, release); err != nil {
 			release()
 			return err
 		}
@@ -206,8 +173,8 @@ func (st *SegmentStore) readSegmentV2(key string, seg *storage.Segment) error {
 	if err != nil {
 		return err
 	}
-	if len(raw) < 16 || (len(raw)-8)%8 != 0 {
-		return fmt.Errorf("persist: segment %s: truncated segment file (%d bytes)", key, len(raw))
+	if err := checkSegHeader(key, raw); err != nil {
+		return err
 	}
 	words := make([]uint64, (len(raw)-8)/8)
 	for i := range words {
@@ -217,15 +184,28 @@ func (st *SegmentStore) readSegmentV2(key string, seg *storage.Segment) error {
 		}
 		words[i] = w
 	}
-	return st.installV2(key, seg, words, false, nil)
+	return st.installSegment(key, seg, words, false, nil)
 }
 
-// installV2 validates the payload against the segment skeleton and
+// checkSegHeader checks that b, a whole segment file, starts with the
+// magic and holds at least one payload word and the digest, in whole
+// 8-byte words.
+func checkSegHeader(key string, b []byte) error {
+	if len(b) >= 8 && [8]byte(b[:8]) != segFileMagic {
+		return fmt.Errorf("persist: segment %s: not an H2O segment file (magic %q)", key, b[:8])
+	}
+	if len(b) < 16 || (len(b)-8)%8 != 0 {
+		return fmt.Errorf("persist: segment %s: truncated segment file (%d bytes)", key, len(b))
+	}
+	return nil
+}
+
+// installSegment validates the payload against the segment skeleton and
 // installs one GroupEncoding per group. words holds everything after the
 // magic, trailing digest included. On the mmap path the block payloads
 // alias the mapping and release is registered on the segment; on error
 // the caller releases.
-func (st *SegmentStore) installV2(key string, seg *storage.Segment, words []uint64, mapped bool, release func()) error {
+func (st *SegmentStore) installSegment(key string, seg *storage.Segment, words []uint64, mapped bool, release func()) error {
 	payload, want := words[:len(words)-1], words[len(words)-1]
 	if len(payload) < 3 {
 		return fmt.Errorf("persist: segment %s: truncated segment file", key)
@@ -238,7 +218,7 @@ func (st *SegmentStore) installV2(key string, seg *storage.Segment, words []uint
 	checked := st.verified[key] == ver
 	st.mu.Unlock()
 	if !checked {
-		if got := segDigestWords(payload); got != want {
+		if got := payloadDigest(payload); got != want {
 			return fmt.Errorf("persist: segment %s: content digest mismatch (spill file corrupt)", key)
 		}
 		st.mu.Lock()
@@ -408,113 +388,6 @@ func (c *wordCursor) take(n int) ([]uint64, error) {
 	return s, nil
 }
 
-// writeSegmentV1 persists seg's flat group data in the legacy H2OSEG01
-// format. Kept (unexported) so tests can prove old spill directories
-// remain readable.
-func writeSegmentV1(st *SegmentStore, key string, seg *storage.Segment) error {
-	return atomicWriteFile(st.Path(key), func(f *os.File) error {
-		bw := bufio.NewWriterSize(f, 1<<20)
-		if _, err := bw.Write(segMagic[:]); err != nil {
-			return err
-		}
-		if err := writeU64(bw, seg.Version()); err != nil {
-			return err
-		}
-		if err := writeU64(bw, uint64(seg.Rows)); err != nil {
-			return err
-		}
-		if err := writeU32(bw, uint32(len(seg.Groups))); err != nil {
-			return err
-		}
-		var digest uint64
-		for gi, g := range seg.Groups {
-			if err := writeGroupSection(bw, g); err != nil {
-				return err
-			}
-			digest += segDigest(g.Data, uint64(gi))
-		}
-		if err := writeU64(bw, digest); err != nil {
-			return err
-		}
-		return bw.Flush()
-	})
-}
-
-// readSegmentV1 faults a legacy flat segment file into seg's group Data.
-// f is positioned just past the magic.
-func (st *SegmentStore) readSegmentV1(f *os.File, key string, seg *storage.Segment) error {
-	br := st.readers.Get().(*bufio.Reader)
-	br.Reset(f)
-	defer func() { br.Reset(nil); st.readers.Put(br) }()
-	ver, err := readU64(br)
-	if err != nil {
-		return err
-	}
-	if ver != seg.Version() {
-		return fmt.Errorf("persist: segment %s: spill file version %d is stale (segment at %d)", key, ver, seg.Version())
-	}
-	rows, err := readU64(br)
-	if err != nil {
-		return err
-	}
-	if rows != uint64(seg.Rows) {
-		return fmt.Errorf("persist: segment %s: file has %d rows, segment has %d", key, rows, seg.Rows)
-	}
-	nGroups, err := readU32(br)
-	if err != nil {
-		return err
-	}
-	if int(nGroups) != len(seg.Groups) {
-		return fmt.Errorf("persist: segment %s: file has %d groups, segment has %d", key, nGroups, len(seg.Groups))
-	}
-	// Read and verify everything into fresh buffers first; install only on
-	// full success so a failed fault leaves the segment untouched.
-	bufs := make([][]data.Value, len(seg.Groups))
-	var digest uint64
-	for gi, g := range seg.Groups {
-		nga, err := readU32(br)
-		if err != nil {
-			return err
-		}
-		if int(nga) != len(g.Attrs) {
-			return fmt.Errorf("persist: segment %s group %d: file width %d, segment width %d", key, gi, nga, len(g.Attrs))
-		}
-		for i, a := range g.Attrs {
-			v, err := readU32(br)
-			if err != nil {
-				return err
-			}
-			if data.AttrID(v) != a {
-				return fmt.Errorf("persist: segment %s group %d: attribute %d is %d on disk, %d in memory", key, gi, i, v, a)
-			}
-		}
-		stride, err := readU32(br)
-		if err != nil {
-			return err
-		}
-		if int(stride) != g.Stride {
-			return fmt.Errorf("persist: segment %s group %d: file stride %d, segment stride %d", key, gi, stride, g.Stride)
-		}
-		buf := make([]data.Value, g.Rows*g.Stride)
-		if err := readValues(br, buf); err != nil {
-			return fmt.Errorf("persist: segment %s group %d: %w", key, gi, err)
-		}
-		digest += segDigest(buf, uint64(gi))
-		bufs[gi] = buf
-	}
-	want, err := readU64(br)
-	if err != nil {
-		return err
-	}
-	if digest != want {
-		return fmt.Errorf("persist: segment %s: content digest mismatch (spill file corrupt)", key)
-	}
-	for gi, g := range seg.Groups {
-		g.Data = bufs[gi]
-	}
-	return nil
-}
-
 // Remove deletes a key's spill file; a missing file is not an error.
 func (st *SegmentStore) Remove(key string) error {
 	st.mu.Lock()
@@ -527,23 +400,9 @@ func (st *SegmentStore) Remove(key string) error {
 	return nil
 }
 
-// segDigest folds a group's raw words (padding included) into a
-// position-mixed checksum; salt keeps identical groups at different
-// positions from cancelling.
-func segDigest(vals []data.Value, salt uint64) uint64 {
-	var sum uint64
-	for i, v := range vals {
-		h := uint64(v) ^ (uint64(i) * 0x9e3779b97f4a7c15) ^ (salt * 0xc2b2ae3d27d4eb4f)
-		h ^= h >> 33
-		h *= 0xff51afd7ed558ccd
-		sum += h
-	}
-	return sum
-}
-
-// segDigestWords is segDigest over a V2 payload (no salt: the payload is
-// a single stream whose positions already disambiguate).
-func segDigestWords(words []uint64) uint64 {
+// payloadDigest folds a segment file's payload words into a
+// position-mixed checksum.
+func payloadDigest(words []uint64) uint64 {
 	var sum uint64
 	for i, v := range words {
 		h := v ^ (uint64(i) * 0x9e3779b97f4a7c15)

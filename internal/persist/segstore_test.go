@@ -10,7 +10,7 @@ import (
 	"h2o/internal/storage"
 )
 
-func segStoreFixture(t *testing.T) (*SegmentStore, *storage.Relation) {
+func segStoreFixture(t testing.TB) (*SegmentStore, *storage.Relation) {
 	t.Helper()
 	st, err := NewSegmentStore(t.TempDir())
 	if err != nil {
@@ -34,7 +34,7 @@ func TestSegmentStoreRoundTrip(t *testing.T) {
 	if !seg.Unload() {
 		t.Fatal("unload failed")
 	}
-	// V2 faults install the encoded form; Acquire decodes back to flat.
+	// A fault installs the encoded form; Acquire decodes back to flat.
 	rel.SetLoader(func(s *storage.Segment) error { return st.ReadSegment("r-seg2", s) })
 	faulted, err := seg.Acquire()
 	if err != nil {
@@ -51,65 +51,106 @@ func TestSegmentStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentStoreLegacyV1Readable proves spill directories written by the
-// flat H2OSEG01 format still fault in correctly.
-func TestSegmentStoreLegacyV1Readable(t *testing.T) {
-	st, rel := segStoreFixture(t)
-	seg := rel.Segments[2]
-	var sums []uint64
-	for _, g := range seg.Groups {
-		sums = append(sums, storage.GroupChecksum(g))
+// TestSegmentStoreCorruptFile: a damaged file, or one in any format other
+// than H2OSEG02, fails to load with a clean error and leaves the segment
+// untouched.
+func TestSegmentStoreCorruptFile(t *testing.T) {
+	cases := []struct {
+		name string
+		bend func(raw []byte)
+	}{
+		// One flipped byte in the middle of the data section.
+		{"bitflip", func(raw []byte) { raw[len(raw)/2] ^= 0xFF }},
+		// The retired flat format's magic.
+		{"legacy-magic", func(raw []byte) { copy(raw, "H2OSEG01") }},
 	}
-	if err := writeSegmentV1(st, "legacy", seg); err != nil {
-		t.Fatal(err)
-	}
-	if !seg.Unload() {
-		t.Fatal("unload failed")
-	}
-	rel.SetLoader(func(s *storage.Segment) error { return st.ReadSegment("legacy", s) })
-	if _, err := seg.Acquire(); err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Release()
-	for gi, g := range seg.Groups {
-		if storage.GroupChecksum(g) != sums[gi] {
-			t.Fatalf("group %d content changed across a legacy V1 round trip", gi)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			st, rel := segStoreFixture(t)
+			seg := rel.Segments[1]
+			if err := st.WriteSegment("k", seg); err != nil {
+				t.Fatal(err)
+			}
+			path := st.Path("k")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.bend(raw)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if !seg.Unload() {
+				t.Fatal("unload failed")
+			}
+			err = st.ReadSegment("k", seg)
+			if err == nil {
+				t.Fatal("a damaged segment file must fail to load")
+			}
+			if !strings.HasPrefix(err.Error(), "persist:") {
+				t.Fatalf("want a clean persist error, got %v", err)
+			}
+			// A failed fault leaves the skeleton untouched.
+			for _, g := range seg.Groups {
+				if g.Data != nil || g.CachedEncoding() != nil {
+					t.Fatal("failed load installed partial data")
+				}
+			}
+		})
 	}
 }
 
-func TestSegmentStoreCorruptFile(t *testing.T) {
-	st, rel := segStoreFixture(t)
-	seg := rel.Segments[1]
-	if err := st.WriteSegment("k", seg); err != nil {
-		t.Fatal(err)
+// FuzzReadSegment feeds arbitrary bytes to ReadSegment as a spill file of
+// a fresh store and segment. It must never panic; a failed fault leaves
+// the segment spilled and untouched, and a successful one restores every
+// group's original content.
+func FuzzReadSegment(f *testing.F) {
+	st, rel := segStoreFixture(f)
+	if err := st.WriteSegment("k", rel.Segments[2]); err != nil {
+		f.Fatal(err)
 	}
-	// Flip one byte in the middle of the data section.
-	path := st.Path("k")
-	raw, err := os.ReadFile(path)
+	valid, err := os.ReadFile(st.Path("k"))
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if !seg.Unload() {
-		t.Fatal("unload failed")
-	}
-	err = st.ReadSegment("k", seg)
-	if err == nil {
-		t.Fatal("corrupted segment file must fail to load")
-	}
-	if !strings.Contains(err.Error(), "digest") && !strings.Contains(err.Error(), "persist:") {
-		t.Fatalf("want a clean persist error, got %v", err)
-	}
-	// A failed fault leaves the skeleton untouched (data still nil).
-	for _, g := range seg.Groups {
-		if g.Data != nil {
-			t.Fatal("failed load installed partial data")
+	f.Add(valid)
+	f.Add(append([]byte("H2OSEG01"), valid[8:]...))
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		st, rel := segStoreFixture(t)
+		seg := rel.Segments[2]
+		var sums []uint64
+		for _, g := range seg.Groups {
+			sums = append(sums, storage.GroupChecksum(g))
 		}
-	}
+		version := seg.Version()
+		if err := os.WriteFile(st.Path("k"), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if !seg.Unload() {
+			t.Fatal("unload failed")
+		}
+		rel.SetLoader(func(s *storage.Segment) error { return st.ReadSegment("k", s) })
+		if _, err := seg.Acquire(); err != nil {
+			if seg.State() != storage.SegSpilled || seg.Version() != version || seg.Faults() != 0 {
+				t.Fatalf("failed fault changed the segment: state %v, version %d, faults %d", seg.State(), seg.Version(), seg.Faults())
+			}
+			for gi, g := range seg.Groups {
+				if g.Data != nil || g.CachedEncoding() != nil {
+					t.Fatalf("failed fault installed data on group %d", gi)
+				}
+			}
+			return
+		}
+		for gi, g := range seg.Groups {
+			if storage.GroupChecksum(g) != sums[gi] {
+				t.Fatalf("group %d content changed across the fault", gi)
+			}
+		}
+		seg.Release()
+		seg.ReleaseMapping()
+	})
 }
 
 func TestSegmentStoreTruncatedFile(t *testing.T) {

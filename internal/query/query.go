@@ -209,7 +209,7 @@ func InfoOf(q *Query) Info {
 func (in Info) All() []data.AttrID { return data.Union(in.Select, in.Where) }
 
 // Pattern returns a canonical string key for the query's access pattern,
-// used for workload-shift detection and the operator cache.
+// used for workload-shift detection and per-pattern selectivity estimates.
 func (in Info) Pattern() string {
 	var b strings.Builder
 	b.WriteString("s:")

@@ -391,7 +391,6 @@ func (s *Server) Query(ctx context.Context, q *query.Query) (*exec.Result, core.
 			// caller actually waited; likewise a hit rescanned nothing,
 			// even when the stored entry was published by a repair.
 			info.Duration = time.Since(start)
-			info.CompileTime = 0
 			info.RepairedSegments = 0
 			return res, info, nil
 		}

@@ -553,8 +553,6 @@ func (r *Router) Stats() core.Stats {
 		out.Reorgs += st.Reorgs
 		out.GroupsCreated += st.GroupsCreated
 		out.GroupsDropped += st.GroupsDropped
-		out.OpCacheHits += st.OpCacheHits
-		out.OpCacheMisses += st.OpCacheMisses
 		out.GenericFallback += st.GenericFallback
 	}
 	return out

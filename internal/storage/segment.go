@@ -340,7 +340,13 @@ func (s *Segment) DropGroup(g *ColumnGroup) bool {
 	if !s.coveredWithout(idx) {
 		return false
 	}
-	s.Groups = append(s.Groups[:idx], s.Groups[idx+1:]...)
+	// Shift down and clear the vacated last slot: a stale copy of the last
+	// pointer past the new length would keep that group reachable after a
+	// later drop.
+	last := len(s.Groups) - 1
+	copy(s.Groups[idx:], s.Groups[idx+1:])
+	s.Groups[last] = nil
+	s.Groups = s.Groups[:last]
 	s.rebuildIndex()
 	s.bumpVersion()
 	s.rel.bumpVersion()
