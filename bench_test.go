@@ -99,9 +99,6 @@ func BenchmarkAblationGroups(b *testing.B) { benchExperiment(b, "ablation-groups
 // oscillating workloads.
 func BenchmarkAblationOscillate(b *testing.B) { benchExperiment(b, "ablation-oscillate") }
 
-// BenchmarkAblationZonemap measures zone-map scan skipping.
-func BenchmarkAblationZonemap(b *testing.B) { benchExperiment(b, "ablation-zonemap") }
-
 // serveDB builds the serving-benchmark fixture: one table behind a server.
 func serveDB(b *testing.B, cacheEntries int) (*h2o.DB, *h2o.Server) {
 	b.Helper()

@@ -82,7 +82,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "experiment id (fig1, fig2a-c, fig7, table1, fig8, fig9, fig10a-f, fig11, fig12, fig13, fig14, ablation-window, ablation-groups, ablation-oscillate, ablation-zonemap, segments) or 'all'")
+		exp     = flag.String("exp", "", "experiment id (fig1, fig2a-c, fig7, table1, fig8, fig9, fig10a-f, fig11, fig12, fig13, fig14, ablation-window, ablation-groups, ablation-oscillate, segments) or 'all'")
 		list    = flag.Bool("list", false, "list available experiments and exit")
 		rows150 = flag.Int("rows150", 0, "rows of the 150-attribute relation (default 100000)")
 		rows250 = flag.Int("rows250", 0, "rows of the 250-attribute relation (default 50000)")

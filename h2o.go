@@ -155,12 +155,6 @@ type DB struct {
 	srvMu     sync.Mutex
 	srv       *server.Server
 	srvClosed bool
-
-	// heatSrv is the serving layer whose cache-reference counts steer
-	// tiered-storage eviction (cache-aware eviction): the most recently
-	// built server over this catalog. Guarded by mu so AddTable can wire
-	// engines it creates later against the same server.
-	heatSrv *server.Server
 }
 
 var _ server.Backend = (*DB)(nil)
@@ -209,18 +203,14 @@ func (db *DB) AddTable(t *Table) {
 	db.register(t.Schema.Name, t.Schema, h)
 }
 
-// register installs a built table handle in the catalog, wires it to the
-// current heat server, and closes any handle it replaces.
+// register installs a built table handle in the catalog and closes any
+// handle it replaces.
 func (db *DB) register(name string, schema *Schema, h core.Table) {
 	db.mu.Lock()
 	old := db.tables[name]
 	db.tables[name] = h
 	db.schemas[name] = schema
-	heatSrv := db.heatSrv
 	db.mu.Unlock()
-	if heatSrv != nil {
-		wireSegmentHeat(h, heatSrv, name)
-	}
 	if old != nil {
 		old.Close()
 	}
@@ -412,8 +402,7 @@ func (db *DB) execJoin(q *Query) (*Result, ExecInfo, error) {
 		return nil, ExecInfo{}, err
 	}
 	// SegmentsTouched stays nil: the touch list is indexed per relation and
-	// a join spans two, so join executions report counts only (the serving
-	// layer's per-segment cache heat simply sees no join contributions).
+	// a join spans two, so join executions report counts only.
 	return res, ExecInfo{
 		Strategy:        exec.StrategyJoin,
 		SegmentsScanned: st.SegmentsScanned,
@@ -576,38 +565,7 @@ func (db *DB) Serve(cfg ServerConfig) *Server {
 	if cfg.PartialCacheBytes == 0 {
 		cfg.PartialCacheBytes = db.opts.PartialCacheBytes
 	}
-	srv := server.New(db, cfg)
-	db.adoptHeatServer(srv)
-	return srv
-}
-
-// adoptHeatServer makes srv the catalog's cache-aware eviction signal:
-// every budgeted engine's tier manager starts preferring eviction victims
-// that few of srv's cached results and partials reference. The most
-// recently built server wins — its caches are the ones future queries will
-// hit — and engines registered later (AddTable, LoadTable) are wired on
-// creation.
-func (db *DB) adoptHeatServer(srv *server.Server) {
-	db.mu.Lock()
-	db.heatSrv = srv
-	handles := make(map[string]core.Table, len(db.tables))
-	for name, h := range db.tables {
-		handles[name] = h
-	}
-	db.mu.Unlock()
-	for name, h := range handles {
-		wireSegmentHeat(h, srv, name)
-	}
-}
-
-// wireSegmentHeat points one table's tier manager(s) at srv's per-segment
-// cache-reference counts (a no-op on engines without a memory budget; a
-// sharded router translates the global segment indices to shard-local
-// ones). The closure holds the server, not the catalog, so a replaced
-// table's old engine keeps a working — merely stale — heat source until it
-// is closed.
-func wireSegmentHeat(h core.Table, srv *server.Server, name string) {
-	h.SetSegmentHeat(func() map[int]int { return srv.SegmentHeat(name) })
+	return server.New(db, cfg)
 }
 
 // defaultServer lazily starts the server behind QueryCtx, or returns nil
@@ -620,7 +578,6 @@ func (db *DB) defaultServer() *Server {
 	}
 	if db.srv == nil {
 		db.srv = server.New(db, ServerConfig{PartialCacheBytes: db.opts.PartialCacheBytes})
-		db.adoptHeatServer(db.srv)
 	}
 	return db.srv
 }

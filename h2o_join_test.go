@@ -3,7 +3,6 @@ package h2o_test
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -377,49 +376,6 @@ func TestJoinRepairFacade(t *testing.T) {
 
 	if st := db.ServeStats(); st.Repaired != uint64(len(repairJoins)*(rounds+1)) {
 		t.Fatalf("Repaired = %d, want %d (stats %+v)", st.Repaired, len(repairJoins)*(rounds+1), st)
-	}
-}
-
-// TestJoinRepairAddsNoHeat: join result entries touch no segment, and join
-// payloads retain none, so join traffic — misses, repairs and republishes —
-// leaves the per-segment cache heat of both inputs unchanged.
-func TestJoinRepairAddsNoHeat(t *testing.T) {
-	db := repairTables(t, h2o.DefaultOptions())
-	defer db.Close()
-	srv := db.Serve(h2o.ServerConfig{Workers: 2})
-	defer srv.Close()
-	ctx := context.Background()
-	query := func(src string) {
-		t.Helper()
-		q, err := db.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := srv.Query(ctx, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	query("select sum(a2) from R where a0 < 2000")
-	query("select max(a1) from S")
-	heatR, heatS := srv.SegmentHeat("R"), srv.SegmentHeat("S")
-	if len(heatR) == 0 || len(heatS) == 0 {
-		t.Fatalf("single-table entries left no heat: R %v, S %v", heatR, heatS)
-	}
-	pos := 3*1024 + 300
-	for i := 0; i < 4; i++ {
-		for _, src := range repairJoins {
-			query(src)
-		}
-		insertR(t, db, pos+i, i)
-	}
-	if st := srv.Stats(); st.Repaired == 0 {
-		t.Fatalf("join traffic never repaired: %+v", st)
-	}
-	if got := srv.SegmentHeat("R"); !reflect.DeepEqual(got, heatR) {
-		t.Fatalf("R heat %v after joins, %v before", got, heatR)
-	}
-	if got := srv.SegmentHeat("S"); !reflect.DeepEqual(got, heatS) {
-		t.Fatalf("S heat %v after joins, %v before", got, heatS)
 	}
 }
 

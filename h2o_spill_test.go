@@ -120,10 +120,11 @@ func TestQueryCorrectUnderBudgetFacade(t *testing.T) {
 // in place — reporting encoded-direct with header-skipped blocks — instead
 // of decoding the whole segment flat. The budget leaves room for one more
 // flat segment, so a flat decode would survive the query's eviction pass
-// (the never-read newer segment would be demoted in its place) and show up
-// as a resident segment 0.
+// (the never-read segment 1 would be demoted in its place) and show up as
+// a resident segment 0. Segment 1 is not the newest sealed segment, which
+// the tier manager would demote last of all.
 func TestOldRowProjectionStaysEncoded(t *testing.T) {
-	const rows = 3 * 65_536 // two sealed segments + a full tail
+	const rows = 4 * 65_536 // three sealed segments + a full tail
 	opts := h2o.DefaultOptions()
 	opts.EncodedTier = true
 	opts.SpillDir = t.TempDir()

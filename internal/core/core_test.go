@@ -193,6 +193,23 @@ func TestGenericFallbackForOddShapes(t *testing.T) {
 	}
 }
 
+// TestOutOfSchemaAttributeIsAnError: a query naming an attribute id past
+// the schema's width fails with an error instead of panicking while the
+// access plan looks for the group that stores it. SQL never builds such a
+// query (the parser resolves column names), but the query package does.
+func TestOutOfSchemaAttributeIsAnError(t *testing.T) {
+	tb := data.Generate(data.SyntheticSchema("R", 6), 1_000, 7)
+	for _, mode := range []Mode{ModeFrozen, ModeAdaptive} {
+		opts := DefaultOptions()
+		opts.Mode = mode
+		e := New(storage.BuildColumnMajor(tb), opts)
+		q := query.Aggregation("R", expr.AggSum, []data.AttrID{1, 99}, nil)
+		if _, _, err := e.Execute(q); err == nil {
+			t.Fatalf("%v: attribute 99 of a 6-attribute table executed without error", mode)
+		}
+	}
+}
+
 func TestMaxGroupsEviction(t *testing.T) {
 	tb := table(t)
 	opts := DefaultOptions()

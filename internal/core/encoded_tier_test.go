@@ -304,63 +304,3 @@ func BenchmarkFaultEncoded(b *testing.B) {
 		b.StartTimer()
 	}
 }
-
-// TestHeatAwareEviction: segments that cached serving-layer artifacts
-// reference are evicted last. With uniform read counts, the heat hook's
-// ordering alone decides the victims. The hook walks every serving-cache
-// entry, so the enforcement pass that follows every query and insert must
-// not call it while the engine is under budget.
-func TestHeatAwareEviction(t *testing.T) {
-	const rows, segCap = 4_000, 250 // 16 segments, tail = segment 15
-	e, _ := spillEngine(t, rows, segCap, 0)
-	relBytes := e.Relation().Bytes()
-	e.Close()
-
-	calls := 0
-	hot := map[int]int{4: 3, 9: 2}
-	heat := func() map[int]int { calls++; return hot }
-
-	e, _ = spillEngine(t, rows, segCap, 4*relBytes)
-	e.SetSegmentHeat(heat)
-	q := query.Aggregation("R", expr.AggSum, []data.AttrID{1, 2}, nil)
-	for i := 0; i < 4; i++ {
-		if _, _, err := e.Execute(q); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := e.QueryDelta(q, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Insert([][]data.Value{{int64(rows + i), 1, 2, 3, 4, 5}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.EnforceBudget()
-	e.Close()
-	if calls != 0 {
-		t.Fatalf("heat consulted %d times on an engine under budget", calls)
-	}
-
-	segBytes := relBytes / 16
-	// Room for the tail plus ~3 sealed segments.
-	e, _ = spillEngine(t, rows, segCap, 3*segBytes+segBytes/2)
-	defer e.Close()
-	e.SetSegmentHeat(heat)
-	e.EnforceBudget()
-	if calls == 0 {
-		t.Fatal("over-budget enforcement never consulted the heat hook")
-	}
-
-	segs := e.Relation().Segments
-	for _, si := range []int{4, 9} {
-		if !segs[si].Resident() {
-			t.Fatalf("hot segment %d was evicted before cold ones", si)
-		}
-	}
-	ts := e.TierStats()
-	if ts.Evictions == 0 {
-		t.Fatalf("over-budget engine never evicted: %+v", ts)
-	}
-	if ts.ResidentBytes > 3*segBytes+segBytes/2 {
-		t.Fatalf("budget not enforced: %+v", ts)
-	}
-}

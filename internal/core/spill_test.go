@@ -163,6 +163,122 @@ func TestPrunedColdSegmentsNoDiskReads(t *testing.T) {
 	}
 }
 
+// TestNewestSealedSegmentStaysResident: the segment the tail just sealed
+// has collected no reads, yet a tail-anchored window reads it next, so the
+// tier manager ranks it last among eviction victims. Ranked by reads alone
+// it would be the first segment spilled.
+func TestNewestSealedSegmentStaysResident(t *testing.T) {
+	const rows, segCap = 4_000, 250 // 16 segments, tail = segment 15 (full)
+	full, tb := spillEngine(t, rows, segCap, 0)
+	segBytes := full.Relation().Bytes() / 16
+	e, _ := spillEngine(t, rows, segCap, 4*segBytes)
+	defer e.Close()
+
+	old := query.Aggregation("R", expr.AggSum, []data.AttrID{1, 2}, query.PredLt(0, 3_000))
+	for i := 0; i < 20; i++ {
+		if _, _, err := e.Execute(old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One row seals the full tail: segment 15 is now the newest sealed
+	// segment, with no reads.
+	tup := []data.Value{rows, 1, 2, 3, 4, 5}
+	if err := e.Insert([][]data.Value{tup}); err != nil {
+		t.Fatal(err)
+	}
+	tb.Rows++
+	for a := range tb.Cols {
+		tb.Cols[a] = append(tb.Cols[a], tup[a])
+	}
+
+	recent := query.Aggregation("R", expr.AggSum, []data.AttrID{1, 2}, query.PredGt(0, rows-100))
+	res, info, err := e.Execute(recent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Equal(reference(tb, recent)) {
+		t.Fatal("wrong result")
+	}
+	if info.SegmentsFaulted != 0 {
+		t.Fatalf("tail-anchored window faulted %d segments", info.SegmentsFaulted)
+	}
+	e.EnforceBudget()
+	if ts := e.TierStats(); ts.SpilledSegments == 0 || ts.ResidentBytes > 4*segBytes {
+		t.Fatalf("budget not enforced: %+v", ts)
+	}
+	if segs := e.Relation().Segments; !segs[15].Resident() {
+		t.Fatalf("newest sealed segment 15 is %v", segs[15].State())
+	}
+}
+
+// FuzzEvictionOrder draws a relation of 3-12 full segments (the last is
+// the tail), a read count per segment, a budget and the encoded tier on
+// or off, and checks one eviction pass against the victim order: nothing
+// is pinned, so the pass must meet any budget the tail alone fits; the
+// newest sealed segment goes down a rung only after every other sealed
+// segment has; and among the others a segment further down the ladder
+// (spilled below encoded below flat) never has more reads than one above.
+func FuzzEvictionOrder(f *testing.F) {
+	f.Add(uint8(0), []byte{}, uint16(1), false)
+	f.Add(uint8(5), []byte{3, 0, 7, 7, 1, 0, 2, 9}, uint16(20_000), false)
+	f.Add(uint8(9), []byte{5, 5, 5, 5, 0, 0, 0, 0, 1, 1, 1, 1}, uint16(40_000), true)
+	f.Add(uint8(2), []byte{0, 9, 0, 9, 0}, uint16(60_000), true)
+	f.Fuzz(func(t *testing.T, segsRaw uint8, reads []byte, budgetRaw uint16, encoded bool) {
+		const segCap = 64
+		segs := 3 + int(segsRaw)%10
+		tb := data.GenerateTimeSeries(data.SyntheticSchema("R", 4), segs*segCap, 5)
+		total := storage.BuildColumnMajorSeg(tb, segCap).Bytes()
+		budget := 1 + total*int64(budgetRaw)/65_536
+		opts := DefaultOptions()
+		opts.Mode = ModeFrozen
+		opts.MemoryBudgetBytes = budget
+		opts.SpillDir = t.TempDir()
+		opts.EncodedTier = encoded
+		e := New(storage.BuildColumnMajorSeg(tb, segCap), opts)
+		defer e.Close()
+		rel := e.Relation()
+		for si, seg := range rel.Segments {
+			if si < len(reads) {
+				for r := 0; r < int(reads[si]%8); r++ {
+					seg.Touch()
+				}
+			}
+		}
+		e.EnforceBudget()
+
+		tail := rel.Tail()
+		if tail.ResidentBytes() <= budget {
+			if got := rel.ResidentBytes(); got > budget {
+				t.Fatalf("resident %d bytes over a %d-byte budget the tail alone (%d) fits", got, budget, tail.ResidentBytes())
+			}
+		}
+		// rung: 0 flat, 1 encoded, 2 spilled.
+		rung := func(seg *storage.Segment) int {
+			switch {
+			case seg.State() == storage.SegResident:
+				return 0
+			case seg.ResidentBytes() > 0:
+				return 1
+			}
+			return 2
+		}
+		newest := len(rel.Segments) - 2
+		for i := 0; i < newest; i++ {
+			if rung(rel.Segments[i]) < rung(rel.Segments[newest]) {
+				t.Fatalf("segment %d at rung %d above the newest sealed segment %d at rung %d",
+					i, rung(rel.Segments[i]), newest, rung(rel.Segments[newest]))
+			}
+			for j := 0; j < newest; j++ {
+				a, b := rel.Segments[i], rel.Segments[j]
+				if rung(a) > rung(b) && a.Reads() > b.Reads() {
+					t.Fatalf("segment %d (rung %d, %d reads) went below segment %d (rung %d, %d reads)",
+						i, rung(a), a.Reads(), j, rung(b), b.Reads())
+				}
+			}
+		}
+	})
+}
+
 // TestConcurrentScansRacingEviction is the -race coverage for the tiered
 // layer: readers hammer hot and cold queries (faulting segments in) while
 // the main goroutine keeps enforcing a tiny budget (evicting them) and

@@ -25,7 +25,6 @@ type Table interface {
 	Version() uint64
 	SegmentVersions() []uint64
 	TierStats() TierStats
-	SetSegmentHeat(fn SegmentHeatFunc)
 	LayoutSignature() string
 	Close()
 }

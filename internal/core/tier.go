@@ -57,22 +57,13 @@ type TierStats struct {
 	SpillErrors  uint64
 }
 
-// SegmentHeatFunc reports, per segment index, how many cached
-// serving-layer artifacts (versioned results, partial aggregate payloads)
-// currently reference that segment. The tier manager consults it when
-// picking eviction victims: spilling a segment that many cached entries
-// depend on makes their future repairs and revalidations pay disk faults,
-// so low-heat segments go first. The function must take its own snapshot
-// locks only — it is called with the tier manager's mutex held.
-type SegmentHeatFunc func() map[int]int
-
 // tierManager enforces Options.MemoryBudgetBytes over one relation: when
 // the resident segment data exceeds the budget it spills the coldest
 // sealed segments — fewest reads since the last adaptation phase, oldest
-// first on ties — to a persist.SegmentStore, and serves as the relation's
-// Loader to page them back in on demand. Residency changes never bump the
-// relation or segment version, so result-cache entries survive a
-// spill/fault cycle untouched.
+// first on ties, the newest sealed segment last of all — to a
+// persist.SegmentStore, and serves as the relation's Loader to page them
+// back in on demand. Residency changes never bump the relation or segment
+// version, so result-cache entries survive a spill/fault cycle untouched.
 //
 // Concurrency: enforce may run under the engine's shared read lock — it
 // synchronizes with in-flight scans purely through per-segment pins,
@@ -108,9 +99,6 @@ type tierManager struct {
 	// TierStats.SpillFileBytes and FaultedBytes without re-statting files
 	// on every snapshot.
 	spilledSize map[*storage.Segment]int64
-	// heat is the serving layer's cache-reference count hook (nil until
-	// Engine.SetSegmentHeat); guarded by mu like the maps above.
-	heat SegmentHeatFunc
 
 	// encoded enables the middle eviction rung: demote flat segments to
 	// their encoded form (no I/O) before resorting to spill writes.
@@ -225,10 +213,12 @@ func (tm *tierManager) load(seg *storage.Segment) error {
 // its data is dropped, so the file on disk always matches the segment
 // version it claims.
 //
-// Victim order is (cache heat asc, reads asc, segment index asc): segments
-// that few cached results or partials reference go first, because evicting
-// a heavily-referenced segment turns every future repair or revalidation of
-// those entries into a disk fault.
+// Victim order is (reads asc, segment index asc), except that the newest
+// sealed segment ranks last. Reads are the engine's own evidence of which
+// old data the workload touches. The newest sealed segment is the one the
+// tail just handed over: it has had the least time to collect reads, yet
+// recent-window queries (a0 >= now - w) read it next, so ranking it by
+// reads alone would spill it first.
 func (tm *tierManager) enforce() {
 	// One enforcement pass at a time is enough: if another query's pass is
 	// already running, piling up behind it would only re-scan the same
@@ -246,35 +236,30 @@ func (tm *tierManager) enforce() {
 		si    int
 		seg   *storage.Segment
 		reads uint64
-		heat  int
 	}
 	var resident int64
 	var cands []candidate
+	newest := -1 // the newest sealed segment, resident or not
 	for si, seg := range tm.rel.Segments {
 		b := seg.ResidentBytes()
 		resident += b
-		if seg != tail && seg.Rows > 0 && b > 0 {
+		if seg == tail || seg.Rows == 0 {
+			continue
+		}
+		newest = si
+		if b > 0 {
 			cands = append(cands, candidate{si: si, seg: seg, reads: seg.Reads()})
 		}
 	}
 	if resident <= tm.budget {
 		return
 	}
-	// Cache heat is a snapshot copy of the serving layer's per-segment
-	// counts; it is consulted only once eviction is certain — this pass
-	// runs in the epilogue of every query and insert on a budgeted engine.
-	if tm.heat != nil {
-		heat := tm.heat()
-		for i := range cands {
-			cands[i].heat = heat[cands[i].si]
-		}
-	}
-	// Coldest first: fewest cache references, then fewest reads since the
-	// last adaptation phase, then oldest (lowest index — append-ordered
-	// data ages front to back).
+	// Coldest first: fewest reads since the last adaptation phase, then
+	// oldest (lowest index — append-ordered data ages front to back); the
+	// newest sealed segment goes last.
 	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].heat != cands[j].heat {
-			return cands[i].heat < cands[j].heat
+		if (cands[i].si == newest) != (cands[j].si == newest) {
+			return cands[j].si == newest
 		}
 		if cands[i].reads != cands[j].reads {
 			return cands[i].reads < cands[j].reads
@@ -424,17 +409,10 @@ func (e *Engine) TierStats() TierStats {
 	return e.tier.stats()
 }
 
-// SetSegmentHeat installs the serving layer's cache-reference hook for
-// cache-aware eviction (see SegmentHeatFunc). A nil fn reverts to pure
-// coldest-first ordering; a no-op on engines without a memory budget.
-func (e *Engine) SetSegmentHeat(fn SegmentHeatFunc) {
-	if e.tier == nil {
-		return
-	}
-	e.tier.mu.Lock()
-	e.tier.heat = fn
-	e.tier.mu.Unlock()
-}
+// SetSegmentHeat does nothing.
+//
+// Deprecated: cache heat is gone; kept until the benchmark stops calling it (ROADMAP D2 + P).
+func (e *Engine) SetSegmentHeat(func() map[int]int) {}
 
 // EnforceBudget runs one eviction pass immediately, instead of waiting for
 // the next query or insert to trigger it. Tests and operational tooling

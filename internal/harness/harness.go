@@ -158,7 +158,6 @@ func experiments() []Runner {
 		{"ablation-window", "Ablation: monitoring window size", RunAblationWindow},
 		{"ablation-groups", "Ablation: MaxGroups layout-budget cap", RunAblationGroups},
 		{"ablation-oscillate", "Ablation: lazy creation damping on oscillating workloads", RunAblationOscillate},
-		{"ablation-zonemap", "Ablation: block-skipping zone maps on ordered vs shuffled data", RunAblationZonemap},
 		{"segments", "Segmented storage: O(segment) appends and hot-segment reorgs, segment-skipping scans", RunSegments},
 		{"spill", "Tiered storage: scan latency vs resident fraction under a memory budget; pruned cold segments stay on disk", RunSpill},
 		{"encode", "Compressed encoded segments: on-disk reduction and direct-over-encoded scan kernels vs flat", RunEncode},

@@ -33,10 +33,9 @@ func cacheKey(table, normQuery string, fp core.TouchFingerprint) string {
 // last is the shard tick of the most recent access; hits update it with an
 // atomic store so the hot read path never takes the write lock.
 type entry struct {
-	table string // heat accounting: the table the key is built from
-	res   *exec.Result
-	info  core.ExecInfo
-	last  atomic.Uint64
+	res  *exec.Result
+	info core.ExecInfo
+	last atomic.Uint64
 }
 
 // shard is one lock domain of the cache. Lookups take the read lock and
@@ -44,15 +43,12 @@ type entry struct {
 // hot query proceed in parallel. Only inserts take the write lock; an
 // overflowing insert picks its LRU victim from the shard's eviction index
 // in O(log cap) (see evictIndex for how lock-free tick bumps reconcile).
-// Every insert, in-place update and eviction moves the touched segments'
-// counts in heat under the write lock.
 type shard struct {
 	mu    sync.RWMutex
 	items map[string]*entry
 	ix    evictIndex
 	cap   int
 	tick  atomic.Uint64
-	heat  *segmentHeat
 }
 
 func (s *shard) get(key string) (*exec.Result, core.ExecInfo, bool) {
@@ -71,29 +67,24 @@ func (s *shard) get(key string) (*exec.Result, core.ExecInfo, bool) {
 	return res, info, true
 }
 
-// put caches res under key, which was built from table's name.
-func (s *shard) put(table, key string, res *exec.Result, info core.ExecInfo) {
+// put caches res under key.
+func (s *shard) put(key string, res *exec.Result, info core.ExecInfo) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.items[key]; ok {
-		s.heat.addSegs(e.table, e.info.SegmentsTouched, -1)
-		s.heat.addSegs(table, info.SegmentsTouched, 1)
-		e.table, e.res, e.info = table, res, info
+		e.res, e.info = res, info
 		e.last.Store(s.tick.Add(1))
 		return
 	}
-	e := &entry{table: table, res: res, info: info}
+	e := &entry{res: res, info: info}
 	e.last.Store(s.tick.Add(1))
 	s.items[key] = e
-	s.heat.addSegs(table, info.SegmentsTouched, 1)
 	s.ix.push(key, e.last.Load())
 	for len(s.items) > s.cap {
 		victim := s.ix.pop(s.liveTick, "")
 		if victim == "" {
 			return
 		}
-		v := s.items[victim]
-		s.heat.addSegs(v.table, v.info.SegmentsTouched, -1)
 		delete(s.items, victim)
 	}
 }
@@ -123,9 +114,8 @@ type resultCache struct {
 }
 
 // newResultCache builds a cache with the given shard count (rounded up to a
-// power of two) and total entry capacity, counting its entries' segment
-// references in heat.
-func newResultCache(shards, capacity int, heat *segmentHeat) *resultCache {
+// power of two) and total entry capacity.
+func newResultCache(shards, capacity int) *resultCache {
 	if shards < 1 {
 		shards = 1
 	}
@@ -139,7 +129,7 @@ func newResultCache(shards, capacity int, heat *segmentHeat) *resultCache {
 	}
 	c := &resultCache{shards: make([]*shard, n), mask: uint32(n - 1)}
 	for i := range c.shards {
-		c.shards[i] = &shard{items: make(map[string]*entry), cap: perShard, heat: heat}
+		c.shards[i] = &shard{items: make(map[string]*entry), cap: perShard}
 	}
 	return c
 }
@@ -166,8 +156,8 @@ func (c *resultCache) get(key string) (*exec.Result, core.ExecInfo, bool) {
 	return c.shardFor(key).get(key)
 }
 
-func (c *resultCache) put(table, key string, res *exec.Result, info core.ExecInfo) {
-	c.shardFor(key).put(table, key, res, info)
+func (c *resultCache) put(key string, res *exec.Result, info core.ExecInfo) {
+	c.shardFor(key).put(key, res, info)
 }
 
 // size returns the current number of cached entries across all shards.

@@ -16,13 +16,13 @@ func res(v data.Value) *exec.Result {
 
 func TestCacheLRUEviction(t *testing.T) {
 	// One shard, capacity 2: the oldest entry falls out.
-	c := newResultCache(1, 2, newSegmentHeat())
-	c.put("", "a", res(1), core.ExecInfo{})
-	c.put("", "b", res(2), core.ExecInfo{})
+	c := newResultCache(1, 2)
+	c.put("a", res(1), core.ExecInfo{})
+	c.put("b", res(2), core.ExecInfo{})
 	if _, _, ok := c.get("a"); !ok { // touch "a": now "b" is oldest
 		t.Fatal("a missing")
 	}
-	c.put("", "c", res(3), core.ExecInfo{})
+	c.put("c", res(3), core.ExecInfo{})
 	if _, _, ok := c.get("b"); ok {
 		t.Fatal("LRU did not evict the least recently used entry")
 	}
@@ -38,9 +38,9 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheUpdateExistingKey(t *testing.T) {
-	c := newResultCache(1, 2, newSegmentHeat())
-	c.put("", "a", res(1), core.ExecInfo{})
-	c.put("", "a", res(9), core.ExecInfo{})
+	c := newResultCache(1, 2)
+	c.put("a", res(1), core.ExecInfo{})
+	c.put("a", res(9), core.ExecInfo{})
 	got, _, ok := c.get("a")
 	if !ok || got.At(0, 0) != 9 {
 		t.Fatalf("update lost: ok=%v", ok)
@@ -51,14 +51,14 @@ func TestCacheUpdateExistingKey(t *testing.T) {
 }
 
 func TestCacheShardRounding(t *testing.T) {
-	c := newResultCache(5, 100, newSegmentHeat()) // rounds up to 8 shards
+	c := newResultCache(5, 100) // rounds up to 8 shards
 	if len(c.shards) != 8 {
 		t.Fatalf("shards = %d, want 8", len(c.shards))
 	}
 	// Tiny capacities still give each shard at least one slot.
-	c2 := newResultCache(16, 4, newSegmentHeat())
+	c2 := newResultCache(16, 4)
 	for i := 0; i < 100; i++ {
-		c2.put("", fmt.Sprintf("k%d", i), res(data.Value(i)), core.ExecInfo{})
+		c2.put(fmt.Sprintf("k%d", i), res(data.Value(i)), core.ExecInfo{})
 	}
 	if c2.size() > 16 {
 		t.Fatalf("size = %d exceeds per-shard caps", c2.size())
@@ -84,7 +84,7 @@ func TestCacheKeySeparatesTableFingerprintQuery(t *testing.T) {
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := newResultCache(8, 256, newSegmentHeat())
+	c := newResultCache(8, 256)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -93,7 +93,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("k%d", (w*31+i)%64)
 				if i%2 == 0 {
-					c.put("", k, res(data.Value(i)), core.ExecInfo{})
+					c.put(k, res(data.Value(i)), core.ExecInfo{})
 				} else {
 					c.get(k)
 				}

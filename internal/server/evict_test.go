@@ -94,16 +94,16 @@ func TestEvictIndexSkipAndDead(t *testing.T) {
 // TestShardEvictionIsLRU: the result cache evicts its least-recently-used
 // entry, counting lock-free get bumps as recency.
 func TestShardEvictionIsLRU(t *testing.T) {
-	s := &shard{items: make(map[string]*entry), cap: 3, heat: newSegmentHeat()}
+	s := &shard{items: make(map[string]*entry), cap: 3}
 	res := &exec.Result{}
-	s.put("", "a", res, core.ExecInfo{})
-	s.put("", "b", res, core.ExecInfo{})
-	s.put("", "c", res, core.ExecInfo{})
+	s.put("a", res, core.ExecInfo{})
+	s.put("b", res, core.ExecInfo{})
+	s.put("c", res, core.ExecInfo{})
 	// Touch "a": "b" becomes the LRU entry.
 	if _, _, ok := s.get("a"); !ok {
 		t.Fatal("get a missed")
 	}
-	s.put("", "d", res, core.ExecInfo{})
+	s.put("d", res, core.ExecInfo{})
 	if _, ok := s.items["b"]; ok {
 		t.Fatalf("b survived; items=%d", len(s.items))
 	}
@@ -111,6 +111,46 @@ func TestShardEvictionIsLRU(t *testing.T) {
 		if _, ok := s.items[k]; !ok {
 			t.Fatalf("%s was evicted, want b only", k)
 		}
+	}
+}
+
+// TestPartialCacheByteBudgetIsLRU: the partials cache evicts its
+// least-recently-used payloads until its byte total fits the budget, and
+// never admits a payload larger than the whole budget.
+func TestPartialCacheByteBudgetIsLRU(t *testing.T) {
+	payload := func(segs int) *exec.PartialResult {
+		p := &exec.PartialResult{Ops: []expr.AggOp{expr.AggSum}, Segs: map[int]*exec.SegPartial{}}
+		for si := 0; si < segs; si++ {
+			p.Segs[si] = &exec.SegPartial{Version: 1}
+		}
+		return p
+	}
+	one := payload(4).Bytes()
+	c := newPartialCache(3 * one)
+	c.put("a", payload(4))
+	c.put("b", payload(4))
+	c.put("c", payload(4))
+	// Touch "a": "b" becomes the LRU payload.
+	if c.get("a") == nil {
+		t.Fatal("get a missed")
+	}
+	c.put("d", payload(4))
+	if c.get("b") != nil {
+		t.Fatal("b survived the byte budget")
+	}
+	for _, k := range []string{"a", "c", "d"} {
+		if c.get(k) == nil {
+			t.Fatalf("%s was evicted, want b only", k)
+		}
+	}
+	// Two payloads' worth of segments evict two more.
+	c.put("e", payload(8))
+	if len(c.items) != 2 || c.bytes > c.cap {
+		t.Fatalf("%d payloads, %d bytes over a %d-byte budget", len(c.items), c.bytes, c.cap)
+	}
+	c.put("huge", payload(16))
+	if c.get("huge") != nil || len(c.items) != 2 {
+		t.Fatalf("oversized payload admitted: %d payloads", len(c.items))
 	}
 }
 
@@ -209,11 +249,11 @@ func BenchmarkCacheEviction(b *testing.B) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("1:R:%032d:q", i)
 	}
-	c := newResultCache(1, cap, newSegmentHeat())
+	c := newResultCache(1, cap)
 	res := &exec.Result{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.put("", keys[i%len(keys)], res, core.ExecInfo{})
+		c.put(keys[i%len(keys)], res, core.ExecInfo{})
 	}
 }
 
@@ -226,12 +266,12 @@ func BenchmarkCacheEvictionWithHits(b *testing.B) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("1:R:%032d:q", i)
 	}
-	c := newResultCache(1, cap, newSegmentHeat())
+	c := newResultCache(1, cap)
 	res := &exec.Result{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := keys[i%len(keys)]
-		c.put("", k, res, core.ExecInfo{})
+		c.put(k, res, core.ExecInfo{})
 		c.get(k)
 		c.get(keys[(i*7)%len(keys)])
 	}

@@ -26,7 +26,6 @@ func partialKey(table, normQuery string) string {
 // writers on the states themselves. last is the LRU tick of the most
 // recent access, updated atomically on the read path.
 type pentry struct {
-	table string // heat accounting: the table the key is built from
 	p     *exec.PartialResult
 	bytes int64
 	last  atomic.Uint64
@@ -37,9 +36,7 @@ type pentry struct {
 // by *bytes*, not entries — payloads scale with segment count, so an
 // entry cap would let a few wide relations blow the budget. A single
 // mutex suffices: the cache is only touched on misses of repairable
-// queries, each of which just paid (at least) a segment scan. Every
-// insert, replacement and eviction moves the retained segments' counts in
-// heat under mu.
+// queries, each of which just paid (at least) a segment scan.
 type partialCache struct {
 	mu    sync.Mutex
 	items map[string]*pentry
@@ -47,13 +44,10 @@ type partialCache struct {
 	bytes int64
 	cap   int64
 	tick  atomic.Uint64
-	heat  *segmentHeat
-
-	evicted atomic.Uint64
 }
 
-func newPartialCache(capBytes int64, heat *segmentHeat) *partialCache {
-	return &partialCache{items: make(map[string]*pentry), cap: capBytes, heat: heat}
+func newPartialCache(capBytes int64) *partialCache {
+	return &partialCache{items: make(map[string]*pentry), cap: capBytes}
 }
 
 // get returns the payload cached under key, or nil.
@@ -68,12 +62,11 @@ func (c *partialCache) get(key string) *exec.PartialResult {
 	return e.p
 }
 
-// put installs (or replaces) the payload under key, built from table's
-// name, then evicts
+// put installs (or replaces) the payload under key, then evicts
 // least-recently-used payloads until the byte budget holds. A payload
 // larger than the whole budget is not admitted at all — caching it would
 // evict everything else for one entry that can never stay.
-func (c *partialCache) put(table, key string, p *exec.PartialResult) {
+func (c *partialCache) put(key string, p *exec.PartialResult) {
 	b := p.Bytes()
 	if b > c.cap {
 		return
@@ -83,10 +76,8 @@ func (c *partialCache) put(table, key string, p *exec.PartialResult) {
 	old, replaced := c.items[key]
 	if replaced {
 		c.bytes -= old.bytes
-		c.heat.addPartial(old.table, old.p, -1)
 	}
-	c.heat.addPartial(table, p, 1)
-	e := &pentry{table: table, p: p, bytes: b}
+	e := &pentry{p: p, bytes: b}
 	e.last.Store(c.tick.Add(1))
 	c.items[key] = e
 	c.bytes += b
@@ -100,9 +91,7 @@ func (c *partialCache) put(table, key string, p *exec.PartialResult) {
 		}
 		v := c.items[victim]
 		c.bytes -= v.bytes
-		c.heat.addPartial(v.table, v.p, -1)
 		delete(c.items, victim)
-		c.evicted.Add(1)
 	}
 }
 
@@ -113,13 +102,6 @@ func (c *partialCache) liveTick(key string) (uint64, bool) {
 		return 0, false
 	}
 	return e.last.Load(), true
-}
-
-// size returns the live entry count and byte total.
-func (c *partialCache) size() (entries int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items), c.bytes
 }
 
 // mentry is one memoized admission fingerprint.

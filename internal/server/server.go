@@ -237,9 +237,6 @@ type Server struct {
 	// each is nil unless caching is on and its budget is positive.
 	partials *partialCache
 	memo     *fpMemo
-	// heat counts the segment references of both caches' live entries;
-	// the caches maintain it (see segmentHeat).
-	heat *segmentHeat
 
 	queue chan *job
 	done  chan struct{} // closed by Close
@@ -268,12 +265,11 @@ func New(backend Backend, cfg Config) *Server {
 		cfg:     cfg,
 		queue:   make(chan *job, cfg.QueueDepth),
 		done:    make(chan struct{}),
-		heat:    newSegmentHeat(),
 	}
 	if cfg.CacheEntries > 0 {
-		s.cache = newResultCache(cfg.CacheShards, cfg.CacheEntries, s.heat)
+		s.cache = newResultCache(cfg.CacheShards, cfg.CacheEntries)
 		if cfg.PartialCacheBytes > 0 {
-			s.partials = newPartialCache(cfg.PartialCacheBytes, s.heat)
+			s.partials = newPartialCache(cfg.PartialCacheBytes)
 		}
 		if cfg.MemoEntries > 0 {
 			s.memo = newFpMemo(cfg.MemoEntries)
@@ -320,20 +316,10 @@ func (s *Server) CacheSize() int {
 	return s.cache.size()
 }
 
-// SegmentHeat reports, per segment index, how many live cached artifacts
-// for table reference that segment: result-cache entries count the
-// segments their execution actually read, partials payloads count every
-// segment they retain a partial for. The tiered-storage layer consumes it
-// (wired through the facade as a core.SegmentHeatFunc) to steer eviction
-// away from segments that many cached entries depend on — spilling those
-// would turn their future repairs and revalidations into disk faults. The
-// caches keep the counts current as entries come and go, so the snapshot
-// is O(segments) under one short mutex that no cache lock is ever taken
-// under, and it calls no backend code: it is safe to invoke from inside an
-// eviction pass.
-func (s *Server) SegmentHeat(table string) map[int]int {
-	return s.heat.snapshot(table)
-}
+// SegmentHeat returns nil.
+//
+// Deprecated: cache heat is gone; kept until the benchmark stops calling it (ROADMAP D2 + P).
+func (s *Server) SegmentHeat(string) map[int]int { return nil }
 
 // Query serves one logical query: answered from the result cache when an
 // entry exists for the query's current touch fingerprint — every segment
@@ -531,7 +517,7 @@ func (s *Server) serve(j *job) {
 func (s *Server) publish(j *job, res *exec.Result, info core.ExecInfo) {
 	if fp := info.Fingerprint; fp.Valid() {
 		pubKey := cacheKey(j.q.Table, j.norm, fp)
-		s.cache.put(j.q.Table, pubKey, res, info)
+		s.cache.put(pubKey, res, info)
 		if pubKey != j.key {
 			s.republished.Add(1)
 		}
@@ -594,7 +580,7 @@ func (s *Server) serveDelta(j *job) bool {
 	}
 	s.publish(j, res, info)
 	if ds.Fingerprint.Valid() {
-		s.partials.put(j.q.Table, j.pkey, merged)
+		s.partials.put(j.pkey, merged)
 	}
 	j.done <- outcome{res: res, info: info}
 	return true

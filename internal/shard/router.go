@@ -558,28 +558,10 @@ func (r *Router) Stats() core.Stats {
 	return out
 }
 
-// SetSegmentHeat distributes a global-segment-indexed heat feed to the
-// shards: shard s sees {li: heat[li*N+s]}.
-func (r *Router) SetSegmentHeat(fn core.SegmentHeatFunc) {
-	n := len(r.engines)
-	for s, e := range r.engines {
-		var local core.SegmentHeatFunc
-		if fn != nil {
-			s := s
-			local = func() map[int]int {
-				global := fn()
-				m := make(map[int]int, len(global)/n+1)
-				for gi, heat := range global {
-					if gi%n == s {
-						m[gi/n] = heat
-					}
-				}
-				return m
-			}
-		}
-		e.SetSegmentHeat(local)
-	}
-}
+// SetSegmentHeat does nothing.
+//
+// Deprecated: cache heat is gone; kept until the benchmark stops calling it (ROADMAP D2 + P).
+func (r *Router) SetSegmentHeat(func() map[int]int) {}
 
 // LayoutSignature joins the shards' layout signatures, "s<i>:"-prefixed
 // and " | "-separated in shard order. Shards adapt independently, so the

@@ -577,50 +577,61 @@ func BenchmarkShardRepair(b *testing.B) {
 	}
 }
 
-// TestShardHeatRemap: Router.SetSegmentHeat must hand shard s of N exactly
-// {li: heat[li*N+s]}. Each shard gets a budget one byte short of its
-// resident data, so one eviction pass spills exactly its coldest sealed
-// segment — the one its heat view ranks lowest. The global feed gives each
-// shard a different coldest local segment, so any other mapping spills a
-// wrong one somewhere.
-func TestShardHeatRemap(t *testing.T) {
-	const segCap, perShard = 64, 4 // local segment 3 is each shard's tail
+// TestShardNewestSealedSegmentStaysResident: every shard's tier manager
+// ranks its own newest sealed segment last among eviction victims. Each
+// shard holds 8 full segments and a budget of 4; the old-data aggregates
+// read local segments 0-4 of every shard, and one insert that spans the
+// shards seals each shard's full tail (local segment 7) with no reads.
+// A window anchored at the end of that segment must not fault, and the
+// segment must still be resident after an eviction pass.
+func TestShardNewestSealedSegmentStaysResident(t *testing.T) {
+	const segCap, perShard = 64, 8
 	for _, n := range []int{2, 3} {
-		tb := data.Generate(data.SyntheticSchema("R", 4), n*perShard*segCap, 11)
+		rows := n * perShard * segCap
+		tb := data.GenerateTimeSeries(data.SyntheticSchema("R", 4), rows, 11)
 		opts := tOptions()
 		opts.Shards = n
 		opts.SegmentCapacity = segCap
 		probe := New(tb, opts)
-		var resident int64
-		for _, seg := range probe.EngineAt(0).Relation().Segments {
-			resident += seg.ResidentBytes()
-		}
+		segBytes := probe.EngineAt(0).Relation().Segments[0].ResidentBytes()
 		probe.Close()
-		for round := 0; round < perShard-1; round++ {
-			target := func(s int) int { return (round + s) % (perShard - 1) }
-			global := map[int]int{}
-			for gi := 0; gi < n*(perShard-1); gi++ {
-				li, s := gi/n, gi%n
-				global[gi] = 1 + (li-target(s)+perShard-1)%(perShard-1)
+		opts.MemoryBudgetBytes = 4 * segBytes
+		opts.SpillDir = t.TempDir()
+		r := New(tb, opts)
+
+		old := query.Aggregation("R", expr.AggSum, []data.AttrID{1, 2}, query.PredLt(0, data.Value(5*n*segCap)))
+		for i := 0; i < 20; i++ {
+			if _, _, err := r.Execute(old); err != nil {
+				t.Fatal(err)
 			}
-			opts.MemoryBudgetBytes = resident - 1
-			opts.SpillDir = t.TempDir()
-			r := New(tb, opts)
-			r.SetSegmentHeat(func() map[int]int { return global })
-			for s := 0; s < n; s++ {
-				e := r.EngineAt(s)
-				e.EnforceBudget()
-				var spilled []int
-				for li, seg := range e.Relation().Segments {
-					if seg.State() == storage.SegSpilled {
-						spilled = append(spilled, li)
-					}
-				}
-				if len(spilled) != 1 || spilled[0] != target(s) {
-					t.Fatalf("N=%d round %d: shard %d spilled local segments %v, want [%d] (global heat %v)", n, round, s, spilled, target(s), global)
-				}
-			}
-			r.Close()
 		}
+		var tuples [][]data.Value
+		for i := 0; i < (n-1)*segCap+1; i++ {
+			tuples = append(tuples, []data.Value{data.Value(rows + i), 1, 2, 3})
+		}
+		if err := r.Insert(tuples); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < n; s++ {
+			e := r.EngineAt(s)
+			// Local segment perShard-1 holds global chunk (perShard-1)*n+s.
+			end := ((perShard-1)*n + s + 1) * segCap
+			recent := query.Aggregation("R", expr.AggCount, []data.AttrID{1}, query.PredGt(0, data.Value(end-20)))
+			_, info, err := e.Execute(recent)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.SegmentsFaulted != 0 {
+				t.Fatalf("N=%d shard %d: tail-anchored window faulted %d segments", n, s, info.SegmentsFaulted)
+			}
+			e.EnforceBudget()
+			if ts := e.TierStats(); ts.SpilledSegments == 0 || ts.ResidentBytes > opts.MemoryBudgetBytes {
+				t.Fatalf("N=%d shard %d: budget not enforced: %+v", n, s, ts)
+			}
+			if seg := e.Relation().Segments[perShard-1]; !seg.Resident() {
+				t.Fatalf("N=%d shard %d: newest sealed segment is %v", n, s, seg.State())
+			}
+		}
+		r.Close()
 	}
 }

@@ -512,7 +512,3 @@ func (g *ColumnGroup) CachedEncoding() *GroupEncoding { return g.enc.Load() }
 // SetEncoding installs an externally built encoding (e.g. one aliasing an
 // mmap'd spill file).
 func (g *ColumnGroup) SetEncoding(e *GroupEncoding) { g.enc.Store(e) }
-
-// DropEncoding discards any cached encoding. Mutating paths call it so a
-// stale encoding can never outlive a data change.
-func (g *ColumnGroup) DropEncoding() { g.enc.Store(nil) }

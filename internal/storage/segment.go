@@ -186,10 +186,11 @@ func (s *Segment) GroupFor(a data.AttrID) (*ColumnGroup, error) {
 	if s.narrowest == nil {
 		s.rebuildIndex()
 	}
-	if a >= 0 && a < len(s.narrowest) {
-		if g := s.narrowest[a]; g != nil {
-			return g, nil
-		}
+	if a < 0 || a >= len(s.narrowest) {
+		return nil, fmt.Errorf("storage: attribute id %d is outside the schema", a)
+	}
+	if g := s.narrowest[a]; g != nil {
+		return g, nil
 	}
 	return nil, fmt.Errorf("storage: no group stores attribute %s", s.schema().AttrName(a))
 }

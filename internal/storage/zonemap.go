@@ -18,8 +18,7 @@ import (
 //
 // Skipping only pays off when values cluster by position (e.g. append-
 // ordered timestamps); on uniformly shuffled data every block spans the
-// whole domain and nothing is skipped — the ablation-zonemap experiment
-// shows both regimes.
+// whole domain and nothing is skipped.
 type ZoneMap struct {
 	Block int // rows per zone
 	zones int
