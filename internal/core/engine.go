@@ -101,23 +101,12 @@ type Options struct {
 	// size (rows × schema width × 8 bytes): past that, LRU droppable groups
 	// are evicted the same way.
 	MaxGroups int
-	// AmortizationHorizon is the number of future queries over which a
-	// reorganization must pay for itself before the engine triggers it; 0
-	// means "current window size".
-	AmortizationHorizon int
 	// Parallelism fans fused scans out across this many goroutines, one
 	// task per storage segment (the paper's engines "use all the available
 	// CPUs"). 0 or 1 keeps scans serial. It applies to scans only: an
 	// online reorganization always fans out across GOMAXPROCS, since it
 	// holds the exclusive lock and every other query waits for it anyway.
 	Parallelism int
-	// HotSegmentReads is the number of scans (since the last adaptation
-	// phase) that marks a segment hot: online reorganization stitches the
-	// advisor's layout into hot segments only — plus whichever segments the
-	// triggering query touches — and leaves cold segments on their old
-	// layout, so reorganization cost scales with the hot fraction of the
-	// data. 0 selects the default of 1.
-	HotSegmentReads int
 	// MemoryBudgetBytes caps the bytes of segment data this engine — i.e.
 	// this one relation — holds in memory (tiered storage): when the
 	// relation's resident footprint exceeds the budget, the engine spills
@@ -310,9 +299,6 @@ func New(rel *storage.Relation, opts Options) *Engine {
 	if opts.MaxGroups <= 0 {
 		opts.MaxGroups = 2*rel.Schema.NumAttrs() + 16
 	}
-	if opts.HotSegmentReads <= 0 {
-		opts.HotSegmentReads = 1
-	}
 	e := &Engine{
 		rel:      rel,
 		opts:     opts,
@@ -493,8 +479,8 @@ func (e *Engine) run(q *query.Query, info query.Info, start time.Time) (*exec.Re
 		st = exec.StrategyStats{}
 		opts.Stats = &st
 		if res, err = exec.Exec(e.rel, q, opts); err != exec.ErrUnsupported {
-			// A parallel fused scan stands in for the chosen row or
-			// hybrid plan and reports it.
+			// The encoded and generic fallbacks report themselves; a
+			// parallel fused scan is the chosen row plan.
 			if opts.Strategy == exec.StrategyEncoded || opts.Strategy == exec.StrategyGeneric {
 				strategy = opts.Strategy
 			}
@@ -521,9 +507,9 @@ func (e *Engine) run(q *query.Query, info query.Info, start time.Time) (*exec.Re
 //     and spilled segments fault in only their compact encoded form.
 //     Expressions and unsplittable predicates are outside its reach.
 //   - A fused row scan fanned out across Parallelism workers, one task per
-//     segment, when the chosen plan is row or hybrid and one group per
-//     segment covers the query: a hybrid plan then degenerates to the same
-//     fused scan.
+//     segment, when the chosen plan is row and one group per segment covers
+//     the query. A hybrid plan never needs it: where row is possible, its
+//     cost never beats row's (TestHybridNeverBeatsRowWhenCovered).
 //   - The chosen strategy, then the generic operator, which serves every
 //     shape.
 func (e *Engine) execPlan(q *query.Query, chosen exec.Strategy) []exec.ExecOpts {
@@ -531,7 +517,7 @@ func (e *Engine) execPlan(q *query.Query, chosen exec.Strategy) []exec.ExecOpts 
 	if e.opts.EncodedTier && exec.ServesEncoded(e.rel, q) {
 		plan = append(plan, exec.ExecOpts{Strategy: exec.StrategyEncoded})
 	}
-	if e.opts.Parallelism > 1 && (chosen == exec.StrategyRow || chosen == exec.StrategyHybrid) && exec.RowCovered(e.rel, q) {
+	if e.opts.Parallelism > 1 && chosen == exec.StrategyRow && exec.RowCovered(e.rel, q) {
 		plan = append(plan, exec.ExecOpts{Strategy: exec.StrategyRow, Workers: e.opts.Parallelism})
 	}
 	plan = append(plan, exec.ExecOpts{Strategy: chosen})
@@ -700,10 +686,9 @@ func (e *Engine) adapt() {
 // concurrent holders of stateMu only read it.
 func (e *Engine) tryReorg(q *query.Query, info query.Info, start time.Time) (*exec.Result, ExecInfo, bool, error) {
 	all := q.AllAttrs()
-	horizon := e.opts.AmortizationHorizon
-	if horizon <= 0 {
-		horizon = e.windowSize()
-	}
+	// A reorganization must pay for itself within the current window's
+	// worth of future queries.
+	horizon := e.windowSize()
 	// The current plan's cost is the same for every proposal: price it at
 	// the first covering proposal, once per call.
 	var currCost costmodel.Seconds
@@ -791,14 +776,13 @@ func (e *Engine) tryReorg(q *query.Query, info query.Info, start time.Time) (*ex
 
 // hotSegments classifies the relation's segments for an incremental
 // reorganization into attrs: a segment is hot when the workload scanned it
-// at least HotSegmentReads times since the last adaptation phase, or when
+// at least once since the last adaptation phase, or when
 // the triggering query itself will touch it (it is about to be scanned
 // anyway, so stitching rides along for free). Segments that already carry
 // the group are never re-stitched. Returns the hot mask, the hot row count
 // and the per-segment transform volume summed over hot segments. Caller
 // holds e.mu exclusively.
 func (e *Engine) hotSegments(q *query.Query, p advisor.Proposal) (hot []bool, hotRows int, hotBytes int64) {
-	thresh := uint64(e.opts.HotSegmentReads)
 	hot = make([]bool, len(e.rel.Segments))
 	for si, seg := range e.rel.Segments {
 		if seg.Rows == 0 {
@@ -807,7 +791,7 @@ func (e *Engine) hotSegments(q *query.Query, p advisor.Proposal) (hot []bool, ho
 		if _, exists := seg.ExactGroup(p.Attrs); exists {
 			continue
 		}
-		if seg.Reads() < thresh && !exec.QueryTouchesSegment(seg, q) {
+		if seg.Reads() == 0 && !exec.QueryTouchesSegment(seg, q) {
 			continue
 		}
 		hot[si] = true

@@ -75,9 +75,9 @@ func TestRunPaths(t *testing.T) {
 		},
 		{
 			// Every segment has one group covering the query: the fused
-			// scan fans out across the workers. The chooser picks row here;
-			// a hybrid plan over a covering group prices the same as the
-			// row plan, and row wins the tie.
+			// scan fans out across the workers. The chooser picks row here:
+			// a hybrid plan over a covering group never prices below the
+			// row plan, and row wins ties.
 			name:     "parallel/covered",
 			rel:      func() *storage.Relation { return withGroup([]data.AttrID{1, 2, 3}) },
 			opts:     frozen(parallel),

@@ -502,6 +502,75 @@ func TestAccessPlans(t *testing.T) {
 	checkScalarPlans(t, col, row, grp)
 }
 
+// TestHybridNeverBeatsRowWhenCovered: wherever one group per segment
+// covers the query, the hybrid plan costs no less than the row plan under
+// the default cost model, so the chooser (which gives ties to row) never
+// picks hybrid there. The engine's execution plan relies on it: it fans
+// out a parallel fused scan only for a chosen row plan.
+func TestHybridNeverBeatsRowWhenCovered(t *testing.T) {
+	tb := data.Generate(data.SyntheticSchema("R", testAttrs), testRows, 77)
+	all := make([]data.AttrID, testAttrs)
+	for a := range all {
+		all[a] = a
+	}
+	low := all[:8]
+	layout := func(parts ...[]data.AttrID) *storage.Relation {
+		rel, err := storage.BuildPartitioned(tb, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	// Mixed: column-major segments, each stitched with the full-width
+	// group, and half of them also with a narrower group over a0..a7.
+	mixed := storage.BuildColumnMajorSeg(tb, testRows/4)
+	for si, seg := range mixed.Segments {
+		stitch := [][]data.AttrID{all}
+		if si%2 == 1 {
+			stitch = append(stitch, low)
+		}
+		for _, attrs := range stitch {
+			g, err := storage.StitchSeg(seg, attrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := seg.AddGroup(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rels := map[string]*storage.Relation{
+		"row":          storage.BuildRowMajor(tb, false),
+		"padded-row":   storage.BuildRowMajor(tb, true),
+		"groups+row":   layout([]data.AttrID{0, 1, 2, 3}, []data.AttrID{4, 5, 6}, []data.AttrID{7, 8, 9, 10, 11}, all),
+		"nested-cover": layout(low, all),
+		"mixed":        mixed,
+	}
+	grouped := &query.Query{Table: "R", Where: query.PredLt(0, 0), GroupBy: []expr.Col{{ID: 2}}, Items: []query.SelectItem{
+		{Expr: &expr.Col{ID: 2}},
+		{Agg: &expr.Agg{Op: expr.AggSum, Arg: &expr.Col{ID: 5}}},
+		{Agg: &expr.Agg{Op: expr.AggCount, Arg: &expr.Col{ID: 9}}},
+	}}
+	shapes := append(append(queriesUnderTest(), scalarPlanShapes()...), grouped)
+	m := costmodel.New(costmodel.Default())
+	for name, rel := range rels {
+		for _, q := range shapes {
+			if !RowCovered(rel, q) {
+				t.Fatalf("%s: %s not row-covered", name, q)
+			}
+			for _, sel := range []float64{0.01, 0.25, 1} {
+				row, hybrid := AccessPlan(StrategyRow, rel, q, sel), AccessPlan(StrategyHybrid, rel, q, sel)
+				if row == nil || hybrid == nil {
+					t.Fatalf("%s: %s: row plan %v, hybrid plan %v", name, q, row, hybrid)
+				}
+				if rc, hc := m.QueryCost(row), m.QueryCost(hybrid); hc < rc {
+					t.Errorf("%s: %s at selectivity %v: hybrid costs %v < row %v", name, q, sel, hc, rc)
+				}
+			}
+		}
+	}
+}
+
 // scalarPlanShapes are the repository benchmark's scalar select shapes:
 // its fresh scalar aggregate (sum, count and max under an a0 range), its
 // sum of columns, and a multi-aggregate over six columns.

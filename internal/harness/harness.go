@@ -6,8 +6,7 @@
 // Absolute times differ from the paper (different hardware, different row
 // counts, Go instead of icc-compiled C++); the harness is about the *shape*
 // of each result — who wins, by what factor, where the crossovers fall.
-// cmd/h2obench is the command-line front end (and also hosts the
-// serving-layer concurrency sweep, which is not a paper experiment).
+// cmd/h2obench is the command-line front end.
 package harness
 
 import (
@@ -158,13 +157,6 @@ func experiments() []Runner {
 		{"ablation-window", "Ablation: monitoring window size", RunAblationWindow},
 		{"ablation-groups", "Ablation: MaxGroups layout-budget cap", RunAblationGroups},
 		{"ablation-oscillate", "Ablation: lazy creation damping on oscillating workloads", RunAblationOscillate},
-		{"segments", "Segmented storage: O(segment) appends and hot-segment reorgs, segment-skipping scans", RunSegments},
-		{"spill", "Tiered storage: scan latency vs resident fraction under a memory budget; pruned cold segments stay on disk", RunSpill},
-		{"encode", "Compressed encoded segments: on-disk reduction and direct-over-encoded scan kernels vs flat", RunEncode},
-		{"repair", "Partial-result reuse: repeated aggregates under tail appends — flat delta-repair cost vs full recomputation", RunRepair},
-		{"groupby", "GROUP BY under tail appends: grouped delta repair (flat) vs full re-aggregation (grows with relation)", RunGroupBy},
-		{"shard", "Sharded scatter-gather: exec and repair latency vs shard count under the partials merge law", RunShard},
-		{"join", "Streaming hash join: latency vs build-side selectivity under zone-map pruning and early termination", RunJoin},
 	}
 }
 
