@@ -669,12 +669,15 @@ func (db *DB) LayoutSignature(name string) (string, error) {
 }
 
 // SaveTable snapshots a table — data plus its current adapted layout — to a
-// binary file. The snapshot is taken under the engine's read lock, so it is
-// consistent even with concurrent inserts. On a budgeted table the save
-// pages spilled segments in (the snapshot needs every byte); the memory
-// budget is re-enforced immediately afterwards rather than waiting for the
-// next query. Sharded tables cannot be snapshot (the format holds one
-// relation) and return the Engine error.
+// binary file of encoded segment records, the same codec as spill files.
+// The snapshot is taken under the engine's read lock, so it is consistent
+// even with concurrent inserts. Saving never decodes a segment: encoded
+// segments are written as they are, and spilled ones are read from their
+// spill files (mmap-served on Linux) rather than paged in flat, so a
+// budgeted table keeps its residency; the memory budget is still
+// re-enforced afterwards for platforms that read spill files onto the
+// heap. Sharded tables cannot be snapshot (the format holds one relation)
+// and return the Engine error.
 func (db *DB) SaveTable(table, path string) error {
 	e, err := db.Engine(table)
 	if err != nil {

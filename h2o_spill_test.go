@@ -170,3 +170,94 @@ func TestOldRowProjectionStaysEncoded(t *testing.T) {
 		t.Fatal("the projection decoded its segment flat")
 	}
 }
+
+// TestSaveTableKeepsTiering: a snapshot never decodes. On a budgeted
+// encoded-tier table, SaveTable writes the encodings it finds — spilled
+// segments are read from their spill files — so the save demotes nothing
+// and adds no heap data; and saving a flat table caches no encodings.
+// The snapshot still loads back to the same answers.
+func TestSaveTableKeepsTiering(t *testing.T) {
+	const segCap, attrs = 4096, 8
+	query := "select sum(a1), max(a2), count(a3) from R where a0 < 0"
+	t.Run("encoded-tier", func(t *testing.T) {
+		opts := h2o.DefaultOptions()
+		opts.SegmentCapacity = segCap
+		opts.EncodedTier = true
+		opts.MemoryBudgetBytes = 4 * segCap * attrs * 8 // four flat segments
+		opts.SpillDir = t.TempDir()
+		db := h2o.NewDBWith(opts)
+		defer db.Close()
+		db.CreateTableFrom(h2o.SyntheticSchema("R", attrs), 16*segCap+100, 2014) // 16 sealed segments and a tail
+		eng, err := db.Engine("R")
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.EnforceBudget()
+		before, err := db.TierStats("R")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if before.Demotions == 0 || before.SpilledSegments == 0 {
+			t.Fatalf("the budget demoted or spilled nothing: %+v", before)
+		}
+		want, _, err := db.QueryCtx(context.Background(), query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.EnforceBudget()
+		before, _ = db.TierStats("R")
+
+		path := t.TempDir() + "/r.h2o"
+		if err := db.SaveTable("R", path); err != nil {
+			t.Fatal(err)
+		}
+		after, err := db.TierStats("R")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Demotions != before.Demotions || after.ResidentBytes != before.ResidentBytes {
+			t.Fatalf("SaveTable changed the tiering: demotions %d -> %d, resident bytes %d -> %d",
+				before.Demotions, after.Demotions, before.ResidentBytes, after.ResidentBytes)
+		}
+
+		loaded := h2o.NewDB()
+		defer loaded.Close()
+		if _, err := loaded.LoadTable(path); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := loaded.QueryCtx(context.Background(), query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatal("the loaded snapshot answers differently")
+		}
+	})
+	t.Run("flat", func(t *testing.T) {
+		opts := h2o.DefaultOptions()
+		opts.SegmentCapacity = segCap
+		db := h2o.NewDBWith(opts)
+		defer db.Close()
+		db.CreateTableFrom(h2o.SyntheticSchema("R", attrs), 4*segCap+100, 2014)
+		if err := db.SaveTable("R", t.TempDir()+"/r.h2o"); err != nil {
+			t.Fatal(err)
+		}
+		eng, err := db.Engine("R")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = eng.View(func(rel *storage.Relation) error {
+			for si, seg := range rel.Segments {
+				for gi, g := range seg.Groups {
+					if g.CachedEncoding() != nil {
+						t.Errorf("segment %d group %d cached an encoding while saving", si, gi)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -1,8 +1,8 @@
-// Package affinity implements H2O's workload monitoring (paper §3.2):
-// attribute affinity matrices — one for the select clause and one for the
-// where clause — built over a dynamic window of recent queries, plus the
+// Package affinity implements H2O's workload monitoring (paper §3.2): a
+// dynamic window of recent queries, which the advisor reads, plus the
 // workload-shift detector that shrinks the window when new access patterns
-// appear and grows it while the workload is stable.
+// appear and grows it while the workload is stable. Matrix is the paper's
+// attribute-affinity measure over a set of queries.
 package affinity
 
 import (
@@ -105,11 +105,9 @@ func DefaultConfig() Config {
 }
 
 // Window is the dynamic monitoring window: it retains the most recent
-// queries' access patterns, maintains the two affinity matrices, counts
-// pattern frequencies and detects workload shifts.
+// queries' access patterns and detects workload shifts.
 type Window struct {
-	cfg    Config
-	nAttrs int
+	cfg Config
 
 	size    int // current dynamic window size N
 	history []query.Info
@@ -122,8 +120,8 @@ type Window struct {
 	novelSinceAdapt bool
 }
 
-// NewWindow creates a monitoring window over a schema with nAttrs attributes.
-func NewWindow(nAttrs int, cfg Config) *Window {
+// NewWindow creates a monitoring window.
+func NewWindow(cfg Config) *Window {
 	if cfg.InitialSize <= 0 {
 		cfg.InitialSize = DefaultConfig().InitialSize
 	}
@@ -136,7 +134,7 @@ func NewWindow(nAttrs int, cfg Config) *Window {
 	if cfg.NoveltyOverlap <= 0 {
 		cfg.NoveltyOverlap = DefaultConfig().NoveltyOverlap
 	}
-	return &Window{cfg: cfg, nAttrs: nAttrs, size: cfg.InitialSize}
+	return &Window{cfg: cfg, size: cfg.InitialSize}
 }
 
 // Size returns the current (dynamic) window size.
@@ -237,32 +235,4 @@ func (w *Window) Recent() []query.Info {
 		n = len(w.history)
 	}
 	return w.history[len(w.history)-n:]
-}
-
-// Matrices builds the select- and where-clause affinity matrices from the
-// queries currently in the window.
-func (w *Window) Matrices() (sel, where *Matrix) {
-	sel, where = NewMatrix(w.nAttrs), NewMatrix(w.nAttrs)
-	for _, info := range w.Recent() {
-		if len(info.Select) > 0 {
-			sel.Add(info.Select, 1)
-		}
-		if len(info.Where) > 0 {
-			where.Add(info.Where, 1)
-		}
-	}
-	return sel, where
-}
-
-// PatternFrequency returns how many retained queries share info's exact
-// access pattern.
-func (w *Window) PatternFrequency(info query.Info) int {
-	pat := info.Pattern()
-	n := 0
-	for _, p := range w.patterns {
-		if p == pat {
-			n++
-		}
-	}
-	return n
 }

@@ -71,7 +71,7 @@ func TestHotOrdering(t *testing.T) {
 }
 
 func TestWindowGrowsWhileStable(t *testing.T) {
-	w := NewWindow(20, Config{InitialSize: 10, MinSize: 2, MaxSize: 30, NoveltyOverlap: 0.5, Dynamic: true})
+	w := NewWindow(Config{InitialSize: 10, MinSize: 2, MaxSize: 30, NoveltyOverlap: 0.5, Dynamic: true})
 	stable := info([]data.AttrID{1, 2, 3}, []data.AttrID{0})
 	// Drive a full stable adaptation period: growth happens at the boundary
 	// (MarkAdapted), so a stable stream adapts progressively less often.
@@ -90,7 +90,7 @@ func TestWindowGrowsWhileStable(t *testing.T) {
 }
 
 func TestWindowShrinksOnShift(t *testing.T) {
-	w := NewWindow(40, DefaultConfig())
+	w := NewWindow(DefaultConfig())
 	for i := 0; i < 10; i++ {
 		w.Observe(info([]data.AttrID{1, 2, 3}, nil))
 	}
@@ -106,7 +106,7 @@ func TestWindowShrinksOnShift(t *testing.T) {
 
 func TestWindowRespectsBounds(t *testing.T) {
 	cfg := Config{InitialSize: 8, MinSize: 4, MaxSize: 12, NoveltyOverlap: 0.9, Dynamic: true}
-	w := NewWindow(100, cfg)
+	w := NewWindow(cfg)
 	// Hammer with novel patterns: size must floor at MinSize.
 	for i := 0; i < 20; i++ {
 		w.Observe(info([]data.AttrID{i * 4, i*4 + 1}, nil))
@@ -131,7 +131,7 @@ func TestWindowRespectsBounds(t *testing.T) {
 }
 
 func TestStaticWindowNeverResizes(t *testing.T) {
-	w := NewWindow(50, Config{InitialSize: 30, MinSize: 2, MaxSize: 60, NoveltyOverlap: 0.5, Dynamic: false})
+	w := NewWindow(Config{InitialSize: 30, MinSize: 2, MaxSize: 60, NoveltyOverlap: 0.5, Dynamic: false})
 	for i := 0; i < 25; i++ {
 		w.Observe(info([]data.AttrID{i, i + 1}, nil))
 	}
@@ -141,14 +141,14 @@ func TestStaticWindowNeverResizes(t *testing.T) {
 }
 
 func TestFirstQueryIsNotNovel(t *testing.T) {
-	w := NewWindow(10, DefaultConfig())
+	w := NewWindow(DefaultConfig())
 	if obs := w.Observe(info([]data.AttrID{0}, nil)); obs.Novel {
 		t.Fatal("first query has no history to be novel against")
 	}
 }
 
 func TestAdaptationDue(t *testing.T) {
-	w := NewWindow(10, Config{InitialSize: 5, MinSize: 2, MaxSize: 10, NoveltyOverlap: 0.5, Dynamic: false})
+	w := NewWindow(Config{InitialSize: 5, MinSize: 2, MaxSize: 10, NoveltyOverlap: 0.5, Dynamic: false})
 	stable := info([]data.AttrID{0, 1}, nil)
 	var due bool
 	for i := 0; i < 5; i++ {
@@ -166,8 +166,8 @@ func TestAdaptationDue(t *testing.T) {
 	}
 }
 
-func TestRecentAndMatrices(t *testing.T) {
-	w := NewWindow(10, Config{InitialSize: 3, MinSize: 2, MaxSize: 3, NoveltyOverlap: 0.5, Dynamic: false})
+func TestRecent(t *testing.T) {
+	w := NewWindow(Config{InitialSize: 3, MinSize: 2, MaxSize: 3, NoveltyOverlap: 0.5, Dynamic: false})
 	w.Observe(info([]data.AttrID{0, 1}, []data.AttrID{5}))
 	w.Observe(info([]data.AttrID{0, 1}, []data.AttrID{5}))
 	w.Observe(info([]data.AttrID{2, 3}, nil))
@@ -175,35 +175,6 @@ func TestRecentAndMatrices(t *testing.T) {
 	recent := w.Recent()
 	if len(recent) != 3 {
 		t.Fatalf("Recent len = %d, want 3", len(recent))
-	}
-	sel, where := w.Matrices()
-	if sel.At(0, 1) != 1 {
-		t.Fatalf("sel(0,1) = %g, want 1 (one query left in window)", sel.At(0, 1))
-	}
-	if sel.At(2, 3) != 2 {
-		t.Fatalf("sel(2,3) = %g, want 2", sel.At(2, 3))
-	}
-	if where.Usage(5) != 1 {
-		t.Fatalf("where usage(5) = %g, want 1", where.Usage(5))
-	}
-	// Select and where matrices must be kept apart.
-	if sel.Usage(5) != 0 {
-		t.Fatal("where-clause attribute leaked into select matrix")
-	}
-}
-
-func TestPatternFrequency(t *testing.T) {
-	w := NewWindow(10, DefaultConfig())
-	a := info([]data.AttrID{0, 1}, nil)
-	b := info([]data.AttrID{2}, nil)
-	w.Observe(a)
-	w.Observe(a)
-	w.Observe(b)
-	if got := w.PatternFrequency(a); got != 2 {
-		t.Fatalf("freq(a) = %d", got)
-	}
-	if got := w.PatternFrequency(b); got != 1 {
-		t.Fatalf("freq(b) = %d", got)
 	}
 }
 
@@ -221,11 +192,11 @@ func TestMatrixString(t *testing.T) {
 
 func TestWindowConfigNormalization(t *testing.T) {
 	// Zero/invalid config fields fall back to sane values.
-	w := NewWindow(5, Config{})
+	w := NewWindow(Config{})
 	if w.Size() <= 0 {
 		t.Fatal("zero config produced a non-positive window")
 	}
-	w2 := NewWindow(5, Config{InitialSize: 50, MaxSize: 10})
+	w2 := NewWindow(Config{InitialSize: 50, MaxSize: 10})
 	if w2.Size() != 50 {
 		t.Fatalf("initial size = %d", w2.Size())
 	}

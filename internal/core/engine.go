@@ -303,7 +303,7 @@ func New(rel *storage.Relation, opts Options) *Engine {
 		rel:      rel,
 		opts:     opts,
 		model:    costmodel.New(opts.Cost),
-		win:      affinity.NewWindow(rel.Schema.NumAttrs(), opts.Window),
+		win:      affinity.NewWindow(opts.Window),
 		selEst:   make(map[string]float64),
 		lastUsed: make(map[*storage.ColumnGroup]int),
 		declined: make(map[string]struct{}),

@@ -51,8 +51,14 @@ func TestAllStrategiesFaultSpilledSegments(t *testing.T) {
 	tb := data.GenerateTimeSeries(data.SyntheticSchema("R", 6), rows, 41)
 	rel := storage.BuildColumnMajorSeg(tb, segCap)
 	// Give segments a mixed layout so hybrid/row paths exercise coverage.
-	if err := rel.MaterializeGroup([]data.AttrID{0, 1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
+	for _, seg := range rel.Segments {
+		g, err := storage.StitchSeg(seg, []data.AttrID{0, 1, 2, 3, 4, 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.AddGroup(g); err != nil {
+			t.Fatal(err)
+		}
 	}
 	installSnapshotLoader(rel)
 

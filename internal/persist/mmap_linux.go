@@ -40,11 +40,11 @@ func mmapFile(path string) (b []byte, release func(), err error) {
 		return nil, func() {}, nil
 	}
 	if size != int64(int(size)) {
-		return nil, nil, fmt.Errorf("persist: %s: file too large to map", path)
+		return nil, nil, fmt.Errorf("%s: file too large to map", path)
 	}
 	b, err = syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
-		return nil, nil, fmt.Errorf("persist: mmap %s: %w", path, err)
+		return nil, nil, fmt.Errorf("mmap %s: %w", path, err)
 	}
 	return b, func() { _ = syscall.Munmap(b) }, nil
 }

@@ -402,26 +402,6 @@ func (r *Relation) DropGroup(g *ColumnGroup) bool {
 	return true
 }
 
-// MaterializeGroup stitches a group over attrs into every segment that does
-// not already have one — the segment-local offline reorganization. Each
-// segment's stitch reads and writes only that segment: O(segment) pieces,
-// never one O(relation) copy.
-func (r *Relation) MaterializeGroup(attrs []data.AttrID) error {
-	for _, s := range r.Segments {
-		if _, ok := s.ExactGroup(attrs); ok {
-			continue
-		}
-		g, err := StitchSeg(s, attrs)
-		if err != nil {
-			return err
-		}
-		if err := s.AddGroup(g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // LayoutSignature returns a stable human-readable description of the
 // current partitioning. A uniform relation reports its shared per-segment
 // signature; a mixed one enumerates each run of segments sharing a layout.

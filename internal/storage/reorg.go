@@ -211,30 +211,42 @@ func TransformBytes(rel *Relation, attrs []data.AttrID) (int64, error) {
 
 // Checksum returns an order-independent digest of the logical content of the
 // relation restricted to attrs: tests use it to verify that reorganization
-// never changes the data. Rows are indexed globally, so the digest is
-// independent of segmentation.
+// never changes the data, and snapshots carry it. Rows are indexed
+// globally, so the digest is independent of segmentation. Segments are
+// pinned at encoded-or-better residency and a group without flat data is
+// read block by block through its encoding, so the digest never decodes a
+// segment onto the heap.
 func Checksum(rel *Relation, attrs []data.AttrID) (uint64, error) {
 	norm := data.SortedUnique(attrs)
 	var sum uint64
+	var scratch []data.Value
 	base := 0
 	for _, seg := range rel.Segments {
 		_, assign, err := seg.CoveringGroups(norm)
 		if err != nil {
 			return 0, err
 		}
-		if _, err := seg.Acquire(); err != nil {
+		if _, err := seg.AcquireEncoded(); err != nil {
 			return 0, err
 		}
 		for _, a := range norm {
 			g := assign[a]
 			off, _ := g.Offset(a)
-			for r := 0; r < seg.Rows; r++ {
-				v := uint64(g.Data[r*g.Stride+off])
-				// Mix row, attribute and value so permutations are detected.
-				h := v ^ (uint64(base+r) * 0x9e3779b97f4a7c15) ^ (uint64(a) * 0xc2b2ae3d27d4eb4f)
-				h ^= h >> 33
-				h *= 0xff51afd7ed558ccd
-				sum += h
+			if d := seg.FlatData(g); d != nil {
+				for r := 0; r < seg.Rows; r++ {
+					sum += checksumMix(d[r*g.Stride+off], base+r, a)
+				}
+				continue
+			}
+			if scratch == nil {
+				scratch = make([]data.Value, EncBlockRows)
+			}
+			c := g.CachedEncoding().Cols[off]
+			for bi := range c.Blocks {
+				start := base + c.BlockStart(bi)
+				for r, v := range c.Blocks[bi].Decode(scratch) {
+					sum += checksumMix(v, start+r, a)
+				}
 			}
 		}
 		seg.Release()
@@ -249,12 +261,17 @@ func GroupChecksum(g *ColumnGroup) uint64 {
 	for _, a := range g.Attrs {
 		off, _ := g.Offset(a)
 		for r := 0; r < g.Rows; r++ {
-			v := uint64(g.Data[r*g.Stride+off])
-			h := v ^ (uint64(r) * 0x9e3779b97f4a7c15) ^ (uint64(a) * 0xc2b2ae3d27d4eb4f)
-			h ^= h >> 33
-			h *= 0xff51afd7ed558ccd
-			sum += h
+			sum += checksumMix(g.Data[r*g.Stride+off], r, a)
 		}
 	}
 	return sum
+}
+
+// checksumMix hashes one value with its row and attribute, so the sums
+// above detect permutations.
+func checksumMix(v data.Value, row int, a data.AttrID) uint64 {
+	h := uint64(v) ^ (uint64(row) * 0x9e3779b97f4a7c15) ^ (uint64(a) * 0xc2b2ae3d27d4eb4f)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	return h
 }

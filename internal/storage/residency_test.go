@@ -177,6 +177,35 @@ func TestCompactGivesSegmentsOwnBuffers(t *testing.T) {
 	}
 }
 
+// TestChecksumReadsEncodedSegments: the checksum of a relation whose
+// sealed segments sit on the encoded rung (one of them padded and
+// partial-block) equals the flat one, and reading it decodes nothing.
+func TestChecksumReadsEncodedSegments(t *testing.T) {
+	rel, tb := buildSegRel(t, 5000, 4500)
+	padded := BuildGroupPadded(tb, []data.AttrID{1, 3}, 2)
+	if err := rel.Segments[0].AddGroup(padded.slice(0, 4500)); err != nil {
+		t.Fatal(err)
+	}
+	all := []data.AttrID{0, 1, 2, 3}
+	want, err := Checksum(BuildColumnMajorSeg(tb, 4500), all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rel.Segments[0].DemoteToEncoded() {
+		t.Fatal("demote failed")
+	}
+	got, err := Checksum(rel, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatal("checksum over encoded segments differs from the flat one")
+	}
+	if rel.Segments[0].State() != SegEncoded {
+		t.Fatal("Checksum decoded an encoded segment")
+	}
+}
+
 func TestResidentBytesAccounting(t *testing.T) {
 	rel, _ := buildSegRel(t, 1000, 100)
 	total := rel.ResidentBytes()

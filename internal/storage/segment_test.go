@@ -270,45 +270,6 @@ func TestRelationAddDropGroupSpansSegments(t *testing.T) {
 	}
 }
 
-func TestMaterializeGroupIsSegmentLocal(t *testing.T) {
-	tb := segTable(t, 4, 512)
-	rel := BuildColumnMajorSeg(tb, 256)
-	// Pre-adapt segment 1 by hand; MaterializeGroup must skip it.
-	g1, err := StitchSeg(rel.Segments[1], []data.AttrID{0, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rel.Segments[1].AddGroup(g1); err != nil {
-		t.Fatal(err)
-	}
-	if err := rel.MaterializeGroup([]data.AttrID{0, 3}); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := rel.Segments[1].ExactGroup([]data.AttrID{0, 3})
-	if !ok || got != g1 {
-		t.Fatal("MaterializeGroup re-stitched an already-adapted segment")
-	}
-	if _, ok := rel.ExactGroup([]data.AttrID{0, 3}); !ok {
-		t.Fatal("MaterializeGroup did not cover the remaining segments")
-	}
-	// The logical content is unchanged.
-	before, err := Checksum(BuildColumnMajorSeg(tb, 256), []data.AttrID{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := Checksum(rel, []data.AttrID{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before != after {
-		t.Fatal("segment-local reorganization changed the logical relation")
-	}
-}
-
-// TestZoneMapExtendRowMatchesRebuild appends single tuples and batches that
-// straddle zone boundaries and a segment seal, then checks every group
-// against the rows appended: its zone map equals a rebuild, padding words
-// stay zero, and a sealed segment's encoding decodes to the same rows.
 func TestZoneMapExtendRowMatchesRebuild(t *testing.T) {
 	tb := segTable(t, 3, 0)
 	const segCap = 2500

@@ -132,16 +132,6 @@ func (z *ZoneMap) Zones() int { return z.zones }
 // Rows returns the number of rows the map summarizes.
 func (z *ZoneMap) Rows() int { return z.rows }
 
-// ZoneRange returns the row span of zone zi, clamped to rows.
-func (z *ZoneMap) ZoneRange(zi, rows int) (lo, hi int) {
-	lo = zi * z.Block
-	hi = lo + z.Block
-	if hi > rows {
-		hi = rows
-	}
-	return lo, hi
-}
-
 // MayMatch reports whether any value of the attribute at word offset off in
 // zone zi can satisfy "value op v". False means the whole block is safely
 // skippable.

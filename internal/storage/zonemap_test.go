@@ -8,7 +8,7 @@ import (
 )
 
 // TestZoneMapMayMatch: a zone's min/max bounds decide each comparison
-// exactly at the zone's edges, and ZoneRange clamps the last zone.
+// exactly at the zone's edges.
 func TestZoneMapMayMatch(t *testing.T) {
 	tb := data.GenerateTimeSeries(data.SyntheticSchema("R", 1), 2048, 1)
 	g := BuildGroup(tb, []data.AttrID{0})
@@ -47,9 +47,5 @@ func TestZoneMapMayMatch(t *testing.T) {
 	zc := BuildZoneMap(gc, 100)
 	if zc.MayMatch(0, 0, expr.Ne, 7) {
 		t.Error("Ne over a constant block should be excludable")
-	}
-	lo, hi := zc.ZoneRange(0, 100)
-	if lo != 0 || hi != 100 {
-		t.Errorf("ZoneRange = [%d,%d)", lo, hi)
 	}
 }
